@@ -24,6 +24,13 @@ supplied second-half sampler.  Acceptance ratios are asserted to lie in
 [0, 1] (up to float slack) and are never clamped; a genuine violation
 raises :class:`InvalidRejection`.
 
+Every engine draws its first halves (or full vectors) through the drawer
+the problem picks once at construction: the caller's hook if it gave one,
+else, when every coordinate inverts one uniform through a cached cdf table
+(Poisson, Binomial, NegativeBinomial), one vectorised lookup of a block of
+uniforms in those tables, else a per-coordinate ``sample`` plan.  The table
+lookup and the plan turn the same uniforms into the same values.
+
 Costs are whatever the :class:`CountingRng` records; completability is
 checked before the acceptance uniform is drawn, so a dead first half
 costs only its own draws.
@@ -33,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -162,23 +170,8 @@ class ConditioningProblem:
             )
         )
         object.__setattr__(self, "_exact_int", ints)
-        sec = self.second
-        object.__setattr__(
-            self,
-            "_free_plan",
-            tuple(
-                (self.marginals[i].sample, self.weights[i], sec.coeffs[i] if sec else 0)
-                for i in free
-            ),
-        )
-        object.__setattr__(
-            self,
-            "_full_plan",
-            tuple(
-                (self.marginals[i].sample, self.weights[i], sec.coeffs[i] if sec else 0)
-                for i in range(n)
-            ),
-        )
+        object.__setattr__(self, "_draw_free", self._drawer(self.free_draw, free))
+        object.__setattr__(self, "_draw_full", self._drawer(self.full_draw, range(n)))
 
     @property
     def size(self) -> int:
@@ -186,6 +179,55 @@ class ConditioningProblem:
 
     def is_discrete(self) -> bool:
         return self._discrete
+
+    def _drawer(self, hook: DrawHook | None, indices) -> DrawHook:
+        """The caller's hook, else one table lookup for ``indices``, else a ``sample`` plan."""
+        if hook is not None:
+            return hook
+        if self._discrete:
+            draw = _table_drawer(self, indices)
+            if draw is not None:
+                return draw
+        sec = self.second
+        return partial(_draw, tuple(
+            (self.marginals[i].sample, self.weights[i], sec.coeffs[i] if sec else 0)
+            for i in indices
+        ))
+
+
+def _table_drawer(problem: ConditioningProblem, indices) -> DrawHook | None:
+    """Invert a block of uniforms through every coordinate's cdf table at once.
+
+    Coordinate i takes the number of entries of its table below u_i, which
+    is what its ``sample`` returns for that uniform.  The tables are
+    concatenated, so each attempt costs one compare over all entries.
+    None unless every coordinate has a table and the constraint sums are
+    exact in int64: integer weights and, since a value never exceeds its
+    table's length, sum |w_i| len_i below 2^63.
+    """
+    tables = [problem.marginals[i].cdf_table for i in indices]
+    if not tables or any(t is None for t in tables):
+        return None
+    weights = [problem.weights[i] for i in indices]
+    coeffs = [problem.second.coeffs[i] if problem.second else 0 for i in indices]
+    lengths = [len(t) for t in tables]
+    for vec in (weights, coeffs):
+        if not all(float(a).is_integer() for a in vec):
+            return None
+        if sum(abs(int(a)) * k for a, k in zip(vec, lengths)) >= 2 ** 63:
+            return None
+    count = len(tables)
+    flat = np.concatenate(tables)
+    rows = np.repeat(np.arange(count), lengths)
+    w = np.array(weights, dtype=np.int64)
+    c = np.array(coeffs, dtype=np.int64)
+
+    def draw(rng: CountingRng):
+        u = rng.uniforms(count)
+        z = np.bincount(rows[flat < u[rows]], minlength=count)
+        return int(w @ z), int(c @ z), z
+
+    return draw
 
 
 def _draw(plan, rng: CountingRng):
@@ -319,12 +361,10 @@ def _assemble(problem: ConditioningProblem, free_vals, pivot_vals):
             if v:
                 entries[i] = int(v)
         return SparseVector(problem.size, tuple(sorted(entries.items())))
-    n = problem.size
-    out = [0] * n
-    for i, v in zip(problem.free_indices, free_vals):
-        out[i] = _as_scalar(v)
+    out = _scalars(free_vals)
+    # index_set is ascending, so each insert lands at its final position
     for i, v in zip(problem.index_set, pivot_vals):
-        out[i] = _as_scalar(v)
+        out.insert(i, _as_scalar(v))
     return tuple(out)
 
 
@@ -333,7 +373,13 @@ def _assemble_full(problem: ConditioningProblem, vals):
         return SparseVector(
             problem.size, tuple(sorted((i, int(v)) for i, v in vals.items() if v))
         )
-    return tuple(_as_scalar(v) for v in vals)
+    return tuple(_scalars(vals))
+
+
+def _scalars(vals) -> list:
+    if isinstance(vals, np.ndarray):
+        return vals.tolist()
+    return [_as_scalar(v) for v in vals]
 
 
 def _as_scalar(v):
@@ -374,13 +420,9 @@ def hard_rejection_sample(
     attempt guard is what ends the call.
     """
     start = rng.calls
-    draw = problem.full_draw
-    plan = problem._full_plan
+    draw = problem._draw_full
     for attempt in range(1, max_attempts + 1):
-        if draw is not None:
-            lin, sec, vals = draw(rng)
-        else:
-            lin, sec, vals = _draw(plan, rng)
+        lin, sec, vals = draw(rng)
         if _constraint_met(problem, lin, sec):
             return SampleRecord(_assemble_full(problem, vals), attempt, rng.calls - start)
     _give_up(problem, "hard rejection", max_attempts, rng.calls - start)
@@ -395,13 +437,9 @@ def _dsh_sample(
     what: str,
 ) -> SampleRecord:
     start = rng.calls
-    draw = problem.free_draw
-    plan = problem._free_plan
+    draw = problem._draw_free
     for attempt in range(1, max_attempts + 1):
-        if draw is not None:
-            lin, sec, vals = draw(rng)
-        else:
-            lin, sec, vals = _draw(plan, rng)
+        lin, sec, vals = draw(rng)
         pivot = complete_from_sums(problem, lin, sec)
         if pivot is None:
             continue
@@ -481,13 +519,9 @@ def dsh_uniform_weight_sample(
     uniforms per attempt beyond the first-half draws.
     """
     start = rng.calls
-    draw = problem.free_draw
-    plan = problem._free_plan
+    draw = problem._draw_free
     for attempt in range(1, max_attempts + 1):
-        if draw is not None:
-            lin, sec, vals = draw(rng)
-        else:
-            lin, sec, vals = _draw(plan, rng)
+        lin, sec, vals = draw(rng)
         pivot = complete_from_sums(problem, lin, sec)
         if pivot is None:
             continue
@@ -514,13 +548,9 @@ def soft_rejection_sample(
     if not (q_sup > 0.0 and math.isfinite(q_sup)):
         raise ValueError(f"q_sup must be a finite positive bound, got {q_sup}")
     start = rng.calls
-    draw = problem.free_draw
-    plan = problem._free_plan
+    draw = problem._draw_free
     for attempt in range(1, max_attempts + 1):
-        if draw is not None:
-            lin, sec, vals = draw(rng)
-        else:
-            lin, sec, vals = _draw(plan, rng)
+        lin, sec, vals = draw(rng)
         qa = q(vals)
         if qa < 0.0:
             raise InvalidRejection(f"first-half weight q = {qa} is negative")

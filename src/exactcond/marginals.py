@@ -17,13 +17,23 @@ Each discrete marginal exposes ``pmf``, ``max_pmf`` (argmax and value, the
 smaller argmax on ties) and ``sample``.  Each continuous marginal exposes
 ``pdf``, ``sup_pdf`` and ``sample``.  Both kinds expose ``in_support``,
 used by the completion solvers.
+
+Poisson (up to its scan limit), Binomial and NegativeBinomial invert
+their one uniform through a cached cdf table, ``cdf_table``: the running
+sums of their mass recurrence, cut where the sum stops changing past the
+mode.  A uniform maps to the number of entries below it, which is where
+the inversion scan would stop, so ``sample`` and the engine's vectorised
+draw read the same table.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cached_property
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -116,6 +126,10 @@ def _gamma_variate(shape: float, rng: CountingRng) -> float:
 class DiscreteMarginal:
     """Common surface of the integer-valued marginals."""
 
+    # the table ``sample`` inverts its one uniform through; None when it
+    # draws otherwise
+    cdf_table: np.ndarray | None = None
+
     def pmf(self, k: int) -> float:
         raise NotImplementedError
 
@@ -156,6 +170,44 @@ class ContinuousMarginal:
 
     def in_support(self, y: float) -> bool:
         raise NotImplementedError
+
+
+def _cdf_table(
+    marginal: DiscreteMarginal, first: float, ratio: Callable[[int], float]
+) -> np.ndarray:
+    """Running cdf of an inversion scan over the masses first, first*ratio(0), ...
+
+    The scan returns the first k with u <= cdf(k).  It stops without a
+    comparison at the last point of the support, or past the mode at the
+    first mass that no longer changes the running sum (masses only shrink
+    from there, so the sum never changes again).  The table keeps the sums
+    it compares against, so u maps to the number of entries below it.  A
+    first mass that underflows would zero every mass after it, so then each
+    mass comes from the log-space pmf instead.
+    """
+    if first >= sys.float_info.min:
+        masses = itertools.accumulate(
+            itertools.count(), lambda mass, k: mass * ratio(k), initial=first
+        )
+    else:
+        masses = map(marginal.pmf, itertools.count())
+    mode = marginal.max_pmf()[0]
+    last = marginal.support_bounds()[1]
+    sums = []
+    cdf = 0.0
+    for k, mass in enumerate(masses):
+        nxt = cdf + mass
+        if k == last or (k > mode and nxt == cdf):
+            break
+        cdf = nxt
+        sums.append(cdf)
+    table = np.array(sums)
+    table.flags.writeable = False
+    return table
+
+
+def _invert(table: np.ndarray, u: float) -> int:
+    return int(table.searchsorted(u))
 
 
 @dataclass(frozen=True)
@@ -213,26 +265,23 @@ class Poisson(DiscreteMarginal):
         k = max(0, math.ceil(self.rate) - 1)
         return k, self.pmf(k)
 
-    def sample(self, rng: CountingRng) -> int:
-        if self.rate <= self._SCAN_LIMIT:
-            return self._scan(self.rate, rng)
-        pieces = 1 << math.ceil(math.log2(self.rate / self._SCAN_LIMIT))
-        part = self.rate / pieces
-        return sum(self._scan(part, rng) for _ in range(pieces))
+    @cached_property
+    def cdf_table(self) -> np.ndarray | None:
+        if self.rate > self._SCAN_LIMIT:
+            return None
+        rate = self.rate
+        return _cdf_table(self, math.exp(-rate), lambda k: rate / (k + 1))
 
-    @staticmethod
-    def _scan(rate: float, rng: CountingRng) -> int:
-        u = rng.uniform()
-        k = 0
-        p = math.exp(-rate)
-        cdf = p
-        while u > cdf:
-            if p == 0.0:
-                break  # cdf saturated in float; tail mass below resolution
-            k += 1
-            p *= rate / k
-            cdf += p
-        return k
+    @cached_property
+    def _pieces(self) -> tuple[int, Poisson]:
+        pieces = 1 << math.ceil(math.log2(self.rate / self._SCAN_LIMIT))
+        return pieces, Poisson(self.rate / pieces)
+
+    def sample(self, rng: CountingRng) -> int:
+        if self.cdf_table is not None:
+            return _invert(self.cdf_table, rng.uniform())
+        pieces, part = self._pieces
+        return sum(part.sample(rng) for _ in range(pieces))
 
     def support_bounds(self) -> tuple[int, int | None]:
         if self.rate == 0.0:
@@ -300,18 +349,14 @@ class Binomial(DiscreteMarginal):
         k = min(max(k, 0), self.trials)
         return k, self.pmf(k)
 
-    def sample(self, rng: CountingRng) -> int:
-        u = rng.uniform()
+    @cached_property
+    def cdf_table(self) -> np.ndarray:
         m, p = self.trials, self.success
         q = p / (1.0 - p)
-        mass = (1.0 - p) ** m
-        cdf = mass
-        k = 0
-        while u > cdf and k < m:
-            mass *= q * (m - k) / (k + 1)
-            k += 1
-            cdf += mass
-        return k
+        return _cdf_table(self, (1.0 - p) ** m, lambda k: q * (m - k) / (k + 1))
+
+    def sample(self, rng: CountingRng) -> int:
+        return _invert(self.cdf_table, rng.uniform())
 
     def support_bounds(self) -> tuple[int, int | None]:
         return 0, self.trials
@@ -351,19 +396,15 @@ class NegativeBinomial(DiscreteMarginal):
             k -= 1
         return k, self.pmf(k)
 
-    def sample(self, rng: CountingRng) -> int:
-        u = rng.uniform()
+    @cached_property
+    def cdf_table(self) -> np.ndarray:
         m, x = self.blocks, self.ratio
-        mass = math.exp(m * math.log1p(-x))
-        cdf = mass
-        k = 0
-        while u > cdf:
-            if mass == 0.0:
-                break
-            mass *= x * (m + k) / (k + 1)
-            k += 1
-            cdf += mass
-        return k
+        return _cdf_table(
+            self, math.exp(m * math.log1p(-x)), lambda k: x * (m + k) / (k + 1)
+        )
+
+    def sample(self, rng: CountingRng) -> int:
+        return _invert(self.cdf_table, rng.uniform())
 
     def support_bounds(self) -> tuple[int, int | None]:
         return 0, None

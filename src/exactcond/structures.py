@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import zeta
@@ -110,6 +111,13 @@ def _validate_mult(n: int, mult) -> tuple[int, ...]:
     return m
 
 
+def _freeze_mult(family):
+    # a list of multiplicities would make the family unhashable, and so
+    # uncacheable in build_problem
+    if family.multiplicities is not None:
+        object.__setattr__(family, "multiplicities", tuple(family.multiplicities))
+
+
 @dataclass(frozen=True)
 class Partition:
     n: int
@@ -134,6 +142,9 @@ class Selection:
 
     kind = "selection"
 
+    def __post_init__(self):
+        _freeze_mult(self)
+
 
 @dataclass(frozen=True)
 class Multiset:
@@ -143,6 +154,9 @@ class Multiset:
 
     kind = "multiset"
 
+    def __post_init__(self):
+        _freeze_mult(self)
+
 
 @dataclass(frozen=True)
 class Assembly:
@@ -151,6 +165,9 @@ class Assembly:
     tilt: float | None = None
 
     kind = "assembly"
+
+    def __post_init__(self):
+        _freeze_mult(self)
 
 
 @dataclass(frozen=True)
@@ -306,8 +323,13 @@ def _argmin_max_pmf(marginals) -> int:
     return min(range(len(marginals)), key=lambda i: marginals[i].max_pmf()[1])
 
 
+@lru_cache(maxsize=64)
 def build_problem(family: Family) -> ConditioningProblem:
-    """The conditioning problem whose conditional law is the family's law."""
+    """The conditioning problem whose conditional law is the family's law.
+
+    Cached per family (families are frozen, and so are problems), so
+    repeated sampling does not rebuild the marginals' cdf tables.
+    """
     _validate_size(family.n)
     n = family.n
     x = _tilt_of(family)

@@ -1,5 +1,9 @@
+import itertools
 import math
+import sys
+from functools import partial
 
+import numpy as np
 import pytest
 
 from exactcond.engine import (
@@ -16,14 +20,25 @@ from exactcond.engine import (
     soft_rejection_sample,
     solve_completion_linear,
     solve_completion_two_constraint,
+    _draw,
 )
 from exactcond.errors import InvalidRejection, NonTerminating, SingularSystem
 from exactcond.marginals import (
+    Binomial,
     CountingRng,
     Exponential,
     Geometric,
+    NegativeBinomial,
     Poisson,
     UniformReal,
+)
+from exactcond.structures import (
+    Assembly,
+    EwensProfile,
+    Multiset,
+    Selection,
+    SetPartition,
+    build_problem,
 )
 from exactcond.verify import chi_squared_gof, enumerate_conditional
 
@@ -271,3 +286,135 @@ def test_sparse_vector_dense_roundtrip():
     v = SparseVector(6, ((1, 3), (4, 2)))
     assert v.dense() == (0, 3, 0, 0, 2, 0)
     assert SparseVector(3, ()).dense() == (0, 0, 0)
+
+
+MULTIPLICITIES = (3, 2, 1, 4, 1, 2, 1, 1)
+
+
+def sample_plan(problem, indices):
+    sec = problem.second
+    return tuple(
+        (problem.marginals[i].sample, problem.weights[i], sec.coeffs[i] if sec else 0)
+        for i in indices
+    )
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        SetPartition(100),
+        Assembly(100),
+        Multiset(100),
+        Selection(60),
+        EwensProfile(50, 5),
+        Selection(8, multiplicities=MULTIPLICITIES),
+        Multiset(8, multiplicities=MULTIPLICITIES),
+    ],
+    ids=repr,
+)
+def test_table_drawer_matches_the_sample_plan(family):
+    prob = build_problem(family)
+    for chosen, indices in (
+        (prob._draw_free, prob.free_indices),
+        (prob._draw_full, range(prob.size)),
+    ):
+        assert not isinstance(chosen, partial)  # the table drawer, not a plan
+        plan = sample_plan(prob, indices)
+        rng, ref_rng = CountingRng(3), CountingRng(3)
+        for _ in range(200):
+            lin, sec, vals = chosen(rng)
+            assert (lin, sec, vals.tolist()) == _draw(plan, ref_rng)
+        assert rng.calls == ref_rng.calls
+
+
+class FixedUniforms:
+    """Stub rng handing out a fixed list of uniforms in order."""
+
+    def __init__(self, us):
+        self.us = list(us)
+        self.calls = 0
+
+    def uniform(self):
+        self.calls += 1
+        return self.us[self.calls - 1]
+
+    def uniforms(self, count):
+        self.calls += count
+        return np.array(self.us[self.calls - count:self.calls])
+
+
+def reference_masses(m):
+    """pmf(0), pmf(1), ... by the recurrence the per-draw scans multiplied."""
+    if isinstance(m, Poisson):
+        first, ratio = math.exp(-m.rate), lambda k: m.rate / (k + 1)
+    elif isinstance(m, Binomial):
+        q = m.success / (1.0 - m.success)
+        first = (1.0 - m.success) ** m.trials
+        ratio = lambda k: q * (m.trials - k) / (k + 1)  # noqa: E731
+    else:
+        first = math.exp(m.blocks * math.log1p(-m.ratio))
+        ratio = lambda k: m.ratio * (m.blocks + k) / (k + 1)  # noqa: E731
+    if first < sys.float_info.min:
+        yield from map(m.pmf, itertools.count())
+        return
+    mass = first
+    for k in itertools.count():
+        yield mass
+        mass *= ratio(k)
+
+
+def reference_scan(m, u):
+    """The first k with u <= cdf(k), walking the cdf one mass at a time.
+
+    The walk stops at the support's last point, or past the mode where the
+    next mass no longer changes the cdf.
+    """
+    mode, last = m.max_pmf()[0], m.support_bounds()[1]
+    cdf = 0.0
+    for k, mass in enumerate(reference_masses(m)):
+        if k == last or (k > mode and cdf + mass == cdf):
+            return k
+        cdf += mass
+        if u <= cdf:
+            return k
+
+
+@pytest.mark.parametrize(
+    "marginal",
+    [
+        Poisson(0.0),
+        Poisson(1e-12),
+        Poisson(3.5),
+        Poisson(5.0),
+        Poisson(599.0),
+        Binomial(1, 0.3),
+        Binomial(9, 0.5),
+        Binomial(354, 0.94),  # (1-p)^m underflows: the log-pmf table
+        NegativeBinomial(1, 0.7737472833305733),
+        NegativeBinomial(3, 0.5),
+    ],
+    ids=repr,
+)
+def test_table_lookup_matches_the_scan_at_edge_uniforms(marginal):
+    table = marginal.cdf_table
+    edges = [0.0, *table, *(math.nextafter(e, 1.0) for e in table), 1.0 - 2.0 ** -53]
+    # the problem's one free coordinate is drawn by the vectorised lookup
+    prob = ConditioningProblem(
+        marginals=(marginal, marginal), weights=(1, 1), target=0, index_set=(0,)
+    )
+    rng = FixedUniforms(edges)
+    for u in edges:
+        want = reference_scan(marginal, u)
+        assert marginal.sample(FixedUniforms([u])) == want
+        assert prob._draw_free(rng)[2].tolist() == [want]
+
+
+def test_table_drawer_needs_exact_int64_sums():
+    # fractional weights, or weights whose sums could overflow int64, keep
+    # the per-coordinate plan
+    marginals = (Poisson(1.0), Poisson(2.0))
+    for weights, planned in (((1, 2), False), ((1, 0.5), True), ((1, 2 ** 62), True)):
+        prob = ConditioningProblem(
+            marginals=marginals, weights=weights, target=1, index_set=(0,)
+        )
+        assert isinstance(prob._draw_free, partial) == planned

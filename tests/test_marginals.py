@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -175,6 +177,46 @@ def test_negative_binomial_law():
     support = range(0, max(counts) + 1)
     _, _, pval = chi_squared_gof(
         {k: counts.get(k, 0) for k in support}, {k: nb.pmf(k) for k in support}
+    )
+    assert pval > 1e-3
+
+
+def test_negative_binomial_scan_ends_at_float_saturation():
+    # the size-2 coordinate of Multiset(100): its mass sticks at a subnormal
+    # (1e-323 * 0.77 rounds back to 1e-323) while the running cdf saturates
+    # below u, so a scan that only stops on a zero mass never returns
+    code = (
+        "from exactcond.marginals import NegativeBinomial\n"
+        "class Stub:\n"
+        "    def uniform(self):\n"
+        "        return 1 - 2 ** -53\n"
+        "print(NegativeBinomial(1, 0.7737472833305733).sample(Stub()))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    k = int(proc.stdout)
+    # past the mode at 0 the scan stops where 0.77^k no longer moves the sum
+    assert 100 < k < 200
+
+
+@pytest.mark.parametrize(
+    "marginal", [Binomial(2000, 0.5), NegativeBinomial(3000, 0.5)], ids=repr
+)
+def test_underflowing_start_mass_keeps_the_law(marginal):
+    # the first mass (1-p)^m underflows to 0, which used to pin every draw
+    # to one end of the support
+    rng = CountingRng(29)
+    draws = [marginal.sample(rng) for _ in range(20000)]
+    assert rng.calls == 20000
+    counts: dict = {}
+    for k in draws:
+        counts[k] = counts.get(k, 0) + 1
+    mode = marginal.max_pmf()[0]
+    support = range(min(mode - 400, *counts), max(mode + 400, *counts) + 1)
+    _, _, pval = chi_squared_gof(
+        {k: counts.get(k, 0) for k in support}, {k: marginal.pmf(k) for k in support}
     )
     assert pval > 1e-3
 

@@ -332,6 +332,17 @@ def test_family_validation():
         sample_structure(Partition(5), CountingRng(1), method="bogus")
 
 
+@pytest.mark.parametrize("kind", [Selection, Multiset, Assembly])
+def test_list_multiplicities_share_the_cached_problem(kind):
+    family = kind(4, multiplicities=[2, 1, 1, 1])
+    assert family.multiplicities == (2, 1, 1, 1)
+    assert build_problem(family) is build_problem(kind(4, multiplicities=(2, 1, 1, 1)))
+    rng = CountingRng(8)
+    for _ in range(2):
+        value, _ = sample_structure(family, rng)
+        assert value.total == 4
+
+
 def test_bulk_hooks_report_consistent_sums():
     prob = build_problem(Partition(12))
     rng = CountingRng(103)
