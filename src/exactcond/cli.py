@@ -37,6 +37,7 @@ from .structures import (
     Selection,
     SetPartition,
     build_problem,
+    outcome_counts,
     sample_structure,
 )
 from .verify import (
@@ -157,7 +158,7 @@ def _sample_one(target: str, args, rng: CountingRng):
     if target in FAMILY_NAMES:
         family = _make_family(target, args)
         return sample_structure(
-            family, rng, method=args.method, max_attempts=args.max_attempts
+            family, rng, method=args.method or "dsh", max_attempts=args.max_attempts
         )
     if target == "hypersimplex":
         if args.n is None or args.k is None:
@@ -178,11 +179,8 @@ def _sample_one(target: str, args, rng: CountingRng):
 
 def run_sample(args) -> int:
     seed = _resolve_seed(args)
-    if args.method == "uniform" and args.target in FAMILY_NAMES:
-        raise ConfigError(
-            "the uniform-weight method needs a flat pivot; "
-            f"{args.target} pivots are not flat"
-        )
+    if args.method is not None and args.target not in FAMILY_NAMES:
+        raise ConfigError(f"--method applies to structure families, not {args.target}")
     n_field = int(args.n) if args.n is not None else None
     out = sys.stdout
     if args.format == "csv":
@@ -222,53 +220,19 @@ def run_sample(args) -> int:
     return 0
 
 
-def _family_payload(target: str, args) -> dict:
-    return {
-        "name": target,
-        "n": int(args.n) if args.n is not None else None,
-        "k": args.k,
-        "theta": getattr(args, "theta", 1.0),
-        "tilt": args.tilt,
-        "multiplicities": getattr(args, "multiplicities", None),
-        "full_grid": getattr(args, "full_grid", False),
-    }
-
-
-class _Payload:
-    def __init__(self, d: dict):
-        self.n = d["n"]
-        self.k = d["k"]
-        self.theta = d["theta"]
-        self.tilt = d["tilt"]
-        self.multiplicities = d["multiplicities"]
-        self.full_grid = d["full_grid"]
-
-
-def _benchmark_shard(payload: dict, method: str, trials: int, seed: int, max_attempts: int):
-    family = _make_family(payload["name"], _Payload(payload))
+def _benchmark_shard(family, method: str, trials: int, seed: int, max_attempts: int):
     problem = build_problem(family)
-    if method == "hard":
-        def sampler(rng):
-            return hard_rejection_sample(problem, rng, max_attempts=max_attempts)
-    elif method == "dsh":
-        def sampler(rng):
-            return dsh_discrete_sample(problem, rng, max_attempts=max_attempts)
-    elif method == "soft":
-        def sampler(rng):
-            _, rec = sample_structure(
-                family, rng, method="soft", max_attempts=max_attempts
-            )
-            return rec
-    else:
-        raise ConfigError(f"benchmark method must be hard, dsh, or soft, got {method!r}")
-    return benchmark(sampler, trials, CountingRng(seed))
+    engine = hard_rejection_sample if method == "hard" else dsh_discrete_sample
+    return benchmark(
+        lambda rng: engine(problem, rng, max_attempts=max_attempts), trials, CountingRng(seed)
+    )
 
 
-def _sharded_benchmark(payload, method, trials, row_seed, jobs, max_attempts):
+def _sharded_benchmark(family, method, trials, row_seed, jobs, max_attempts):
     base = trials // jobs
     sizes = [base + (1 if i < trials % jobs else 0) for i in range(jobs)]
     shards = [
-        (payload, method, size, derive_seed(row_seed, i), max_attempts)
+        (family, method, size, derive_seed(row_seed, i), max_attempts)
         for i, size in enumerate(sizes)
         if size > 0
     ]
@@ -287,7 +251,7 @@ def run_benchmark(args) -> int:
         raise ConfigError(f"--n must be a comma-separated integer list, got {args.n!r}")
     methods = args.methods.split(",")
     for m in methods:
-        if m not in ("hard", "dsh", "soft"):
+        if m not in ("hard", "dsh"):
             raise ConfigError(f"unknown benchmark method {m!r}")
     if args.jobs < 1:
         raise ConfigError("--jobs must be at least 1")
@@ -295,19 +259,19 @@ def run_benchmark(args) -> int:
     rows = []
     for n_index, n in enumerate(ns):
         args.n = n
-        payload = _family_payload(args.target, args)
+        family = _make_family(args.target, args)
         stats = {}
         for m_index, method in enumerate(methods):
             row_seed = derive_seed(seed, n_index * 64 + m_index + 1)
             stats[method] = _sharded_benchmark(
-                payload, method, args.trials, row_seed, args.jobs, args.max_attempts
+                family, method, args.trials, row_seed, args.jobs, args.max_attempts
             )
         if "hard" in stats:
             baseline = stats["hard"]
         else:
             base_seed = derive_seed(seed, n_index * 64)
             baseline = _sharded_benchmark(
-                payload, "hard", args.trials, base_seed, args.jobs, args.max_attempts
+                family, "hard", args.trials, base_seed, args.jobs, args.max_attempts
             )
         for method in methods:
             s = stats[method]
@@ -350,26 +314,10 @@ def _verify_family(target: str, args, seed: int):
     problem = build_problem(family)
     exact = enumerate_conditional(problem, support_cap=args.support_cap)
     rng = CountingRng(derive_seed(seed, 0))
-    counts: dict = {}
-    for _ in range(args.trials):
-        value, _rec = sample_structure(
-            family, rng, method=args.method, max_attempts=args.max_attempts
-        )
-        key = value.entries if isinstance(value, PlaneGrid) else value.counts
-        counts[key] = counts.get(key, 0) + 1
-    if isinstance(family, PlanePartitionGrid):
-        # enumeration keys are dense tuples over grid cells; regroup draws to match
-        from .structures import grid_cells
-
-        cells = grid_cells(family)
-        cell_index = {c: i for i, c in enumerate(cells)}
-        regrouped = {}
-        for key, c in counts.items():
-            dense = [0] * len(cells)
-            for i, j, z in key:
-                dense[cell_index[(i, j)]] = z
-            regrouped[tuple(dense)] = regrouped.get(tuple(dense), 0) + c
-        counts = regrouped
+    counts = outcome_counts(family, (
+        sample_structure(family, rng, method=args.method, max_attempts=args.max_attempts)[0]
+        for _ in range(args.trials)
+    ))
     expected = {k: exact.prob(k) * args.trials for k in exact.support()}
     stat, dof, p = chi_squared_gof(counts, expected)
     return ("chi2", len(exact.support()), stat, dof, p)
@@ -453,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_sample)
     p_sample.add_argument("--count", type=int, default=1)
     p_sample.add_argument(
-        "--method", choices=("hard", "dsh", "soft", "uniform"), default="dsh"
+        "--method", choices=("hard", "dsh"), default=None,
+        help="structure families only (default dsh)",
     )
     p_sample.add_argument("--variant", type=int, choices=(1, 2, 3), default=1)
     p_sample.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
@@ -472,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("target", choices=FAMILY_NAMES + ("borel",))
     _add_common(p_verify)
     p_verify.add_argument("--trials", type=int, default=5000)
-    p_verify.add_argument("--method", choices=("hard", "dsh", "soft"), default="dsh")
+    p_verify.add_argument("--method", choices=("hard", "dsh"), default="dsh")
     p_verify.add_argument("--variant", type=int, choices=(1, 2, 3), default=1)
     p_verify.add_argument(
         "--support-cap", type=int, default=100_000, dest="support_cap"

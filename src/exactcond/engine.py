@@ -5,7 +5,10 @@ weight vector w, and a target t for the statistic T = sum_i w_i X_i
 (optionally a second statistic sum_i u_i X_i with its own target).  The
 goal is one exact draw from L(X | T = t).
 
-Four engines share that description:
+Every engine runs one loop, ``_rejection_loop``: draw a first half (or
+the full vector), then let the engine's step complete it and accept or
+reject it.  Only the loop counts attempts and uniforms and raises
+:class:`NonTerminating`.  The engines differ in their step:
 
 * ``hard_rejection_sample`` draws the full vector and keeps it when the
   constraint holds exactly.
@@ -17,12 +20,14 @@ Four engines share that description:
 * ``dsh_uniform_weight_sample`` covers pivots whose density is constant
   on their support: any completable first half is accepted outright, so
   the rejection step consumes no uniforms at all.
+* ``soft_rejection_sample`` generalises the pivot acceptance to a caller
+  supplied weight q on first halves with upper bound q_sup, plus a caller
+  supplied second-half sampler.
 
-``soft_rejection_sample`` generalises the pivot acceptance to a caller
-supplied weight q on first halves with upper bound q_sup, plus a caller
-supplied second-half sampler.  Acceptance ratios are asserted to lie in
-[0, 1] (up to float slack) and are never clamped; a genuine violation
-raises :class:`InvalidRejection`.
+``structures.small_ball_sample`` passes its own sign draw and step to the
+same loop.  Acceptance ratios are asserted to lie in [0, 1] (up to float
+slack) and are never clamped; a genuine violation raises
+:class:`InvalidRejection`.
 
 Every engine draws its first halves (or full vectors) through the drawer
 the problem picks once at construction: the caller's hook if it gave one,
@@ -45,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidRejection, NonTerminating, SingularSystem
+from .errors import InfeasibleTarget, InvalidRejection, NonTerminating, SingularSystem
 from .marginals import ContinuousMarginal, CountingRng, DiscreteMarginal
 
 DEFAULT_MAX_ATTEMPTS = 10 ** 8
@@ -65,20 +70,6 @@ class SecondConstraint:
 
     coeffs: tuple[float, ...]
     target: float
-
-
-@dataclass(frozen=True)
-class Completion:
-    """Result of solving the constraint for the pivot block."""
-
-    values: tuple | None
-
-    @property
-    def completable(self) -> bool:
-        return self.values is not None
-
-
-_NOT_COMPLETABLE = Completion(None)
 
 
 @dataclass(frozen=True)
@@ -317,43 +308,6 @@ def complete_from_sums(problem: ConditioningProblem, partial_lin, partial_sec=0)
     return _complete_two(problem, partial_lin, partial_sec)
 
 
-def free_partial_sums(problem: ConditioningProblem, vals) -> tuple:
-    """Constraint sums of free-coordinate values (sequence or sparse dict)."""
-    sec_coeffs = problem.second.coeffs if problem.second else None
-    lin = 0
-    sec = 0
-    if isinstance(vals, dict):
-        for i, v in vals.items():
-            lin += problem.weights[i] * v
-            if sec_coeffs:
-                sec += sec_coeffs[i] * v
-    else:
-        for i, v in zip(problem.free_indices, vals):
-            lin += problem.weights[i] * v
-            if sec_coeffs:
-                sec += sec_coeffs[i] * v
-    return lin, sec
-
-
-def solve_completion_linear(problem: ConditioningProblem, partial: Sequence) -> Completion:
-    """Unique pivot value matching the target given free-coordinate values.
-
-    ``partial`` lists the values of the non-pivot coordinates in ascending
-    index order.  Exact integer arithmetic is used whenever the problem is
-    integral; otherwise the solution is accepted to relative tolerance 1e-9.
-    """
-    lin, _ = free_partial_sums(problem, partial)
-    vals = _complete_linear(problem, lin)
-    return Completion(vals) if vals is not None else _NOT_COMPLETABLE
-
-
-def solve_completion_two_constraint(problem: ConditioningProblem, partial: Sequence) -> Completion:
-    """Pivot pair solving both constraints, via the exact 2x2 system."""
-    lin, sec = free_partial_sums(problem, partial)
-    vals = _complete_two(problem, lin, sec)
-    return Completion(vals) if vals is not None else _NOT_COMPLETABLE
-
-
 def _assemble(problem: ConditioningProblem, free_vals, pivot_vals):
     if isinstance(free_vals, dict):
         entries = {i: int(v) for i, v in free_vals.items() if v}
@@ -400,11 +354,31 @@ def _constraint_met(problem: ConditioningProblem, lin, sec) -> bool:
     return problem.second is None or _close(sec, problem.second.target)
 
 
-def _give_up(problem: ConditioningProblem, what: str, attempts: int, spent: int):
+
+
+def _rejection_loop(
+    draw: DrawHook,
+    step: Callable,
+    rng: CountingRng,
+    max_attempts: int,
+    what: str,
+    size: int,
+) -> SampleRecord:
+    """Run attempts until ``step(lin, sec, vals, rng)`` returns an outcome.
+
+    ``draw`` gives each attempt's first half (or full vector) and ``step``
+    completes and accepts it, or returns None to reject the attempt.
+    """
+    start = rng.calls
+    for attempt in range(1, max_attempts + 1):
+        lin, sec, vals = draw(rng)
+        outcome = step(lin, sec, vals, rng)
+        if outcome is not None:
+            return SampleRecord(outcome, attempt, rng.calls - start)
     raise NonTerminating(
-        f"{what} on a size-{problem.size} problem exhausted {attempts} attempts",
-        attempts=attempts,
-        rng_calls=spent,
+        f"{what} on a size-{size} problem exhausted {max_attempts} attempts",
+        attempts=max_attempts,
+        rng_calls=rng.calls - start,
     )
 
 
@@ -416,44 +390,56 @@ def hard_rejection_sample(
 ) -> SampleRecord:
     """Draw the full vector until the constraint holds exactly.
 
-    For continuous problems the hit event has probability zero and the
-    attempt guard is what ends the call.
+    A continuous coordinate of nonzero weight makes the hit event a null
+    event, so such a problem raises InfeasibleTarget before drawing.
     """
-    start = rng.calls
-    draw = problem._draw_full
-    for attempt in range(1, max_attempts + 1):
-        lin, sec, vals = draw(rng)
+    if not problem._discrete and any(
+        isinstance(m, ContinuousMarginal) and w != 0
+        for m, w in zip(problem.marginals, problem.weights)
+    ):
+        raise InfeasibleTarget("hard rejection cannot hit an exact value of a continuous sum")
+
+    def step(lin, sec, vals, _rng):
         if _constraint_met(problem, lin, sec):
-            return SampleRecord(_assemble_full(problem, vals), attempt, rng.calls - start)
-    _give_up(problem, "hard rejection", max_attempts, rng.calls - start)
+            return _assemble_full(problem, vals)
+        return None
+
+    return _rejection_loop(
+        problem._draw_full, step, rng, max_attempts, "hard rejection", problem.size
+    )
 
 
 def _dsh_sample(
     problem: ConditioningProblem,
     rng: CountingRng,
-    numerator: Callable,
+    numerator: Callable[[tuple], float] | None,
     denominator: float,
     max_attempts: int,
     what: str,
 ) -> SampleRecord:
-    start = rng.calls
-    draw = problem._draw_free
-    for attempt in range(1, max_attempts + 1):
-        lin, sec, vals = draw(rng)
+    """Complete each first half and accept with numerator(pivot) / denominator.
+
+    With no numerator every completable first half is accepted outright.
+    """
+
+    def step(lin, sec, vals, rng):
         pivot = complete_from_sums(problem, lin, sec)
         if pivot is None:
-            continue
-        num = numerator(pivot)
-        if num <= 0.0:
-            continue
-        ratio = num / denominator
-        if ratio > 1.0 + _RATIO_SLACK:
-            raise InvalidRejection(
-                f"{what} acceptance ratio {ratio} exceeds 1 at pivot {pivot}"
-            )
-        if rng.uniform() < ratio:
-            return SampleRecord(_assemble(problem, vals, pivot), attempt, rng.calls - start)
-    _give_up(problem, what, max_attempts, rng.calls - start)
+            return None
+        if numerator is not None:
+            num = numerator(pivot)
+            if num <= 0.0:
+                return None
+            ratio = num / denominator
+            if ratio > 1.0 + _RATIO_SLACK:
+                raise InvalidRejection(
+                    f"{what} acceptance ratio {ratio} exceeds 1 at pivot {pivot}"
+                )
+            if not rng.uniform() < ratio:
+                return None
+        return _assemble(problem, vals, pivot)
+
+    return _rejection_loop(problem._draw_free, step, rng, max_attempts, what, problem.size)
 
 
 def dsh_discrete_sample(
@@ -518,15 +504,7 @@ def dsh_uniform_weight_sample(
     acceptance step degenerates to the completability check, costing zero
     uniforms per attempt beyond the first-half draws.
     """
-    start = rng.calls
-    draw = problem._draw_free
-    for attempt in range(1, max_attempts + 1):
-        lin, sec, vals = draw(rng)
-        pivot = complete_from_sums(problem, lin, sec)
-        if pivot is None:
-            continue
-        return SampleRecord(_assemble(problem, vals, pivot), attempt, rng.calls - start)
-    _give_up(problem, "uniform-pivot sampling", max_attempts, rng.calls - start)
+    return _dsh_sample(problem, rng, None, 1.0, max_attempts, "uniform-pivot sampling")
 
 
 def soft_rejection_sample(
@@ -547,18 +525,17 @@ def soft_rejection_sample(
     """
     if not (q_sup > 0.0 and math.isfinite(q_sup)):
         raise ValueError(f"q_sup must be a finite positive bound, got {q_sup}")
-    start = rng.calls
-    draw = problem._draw_free
-    for attempt in range(1, max_attempts + 1):
-        lin, sec, vals = draw(rng)
+
+    def step(_lin, _sec, vals, rng):
         qa = q(vals)
         if qa < 0.0:
             raise InvalidRejection(f"first-half weight q = {qa} is negative")
         if qa > q_sup * (1.0 + _RATIO_SLACK):
             raise InvalidRejection(f"first-half weight {qa} exceeds its bound {q_sup}")
-        if qa == 0.0:
-            continue
-        if rng.uniform() < qa / q_sup:
-            pivot = tuple(second_half(vals, rng))
-            return SampleRecord(_assemble(problem, vals, pivot), attempt, rng.calls - start)
-    _give_up(problem, "soft rejection", max_attempts, rng.calls - start)
+        if qa == 0.0 or not rng.uniform() < qa / q_sup:
+            return None
+        return _assemble(problem, vals, tuple(second_half(vals, rng)))
+
+    return _rejection_loop(
+        problem._draw_free, step, rng, max_attempts, "soft rejection", problem.size
+    )

@@ -33,11 +33,11 @@ second constraint and a two-coordinate pivot block {1, 2}.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import zeta
 
 from .engine import (
     DEFAULT_MAX_ATTEMPTS,
@@ -45,13 +45,11 @@ from .engine import (
     SampleRecord,
     SecondConstraint,
     SparseVector,
-    complete_from_sums,
+    _rejection_loop,
     dsh_discrete_sample,
-    free_partial_sums,
     hard_rejection_sample,
-    soft_rejection_sample,
 )
-from .errors import InvalidFamily, InvalidProfile, NonTerminating
+from .errors import InvalidFamily, InvalidProfile
 from .geometry import IntervalUnion
 from .marginals import (
     Bernoulli,
@@ -62,6 +60,9 @@ from .marginals import (
     Poisson,
     SignedUnit,
 )
+
+# zeta(3) as a double literal, so that importing the package skips scipy
+_ZETA_3 = 1.2020569031595942
 
 
 @dataclass(frozen=True)
@@ -228,7 +229,7 @@ def solve_tilt(kind: str, n: int) -> float:
             x -= f / ((1.0 + x) * math.exp(x))
         raise ArithmeticError(f"tilt iteration failed to converge for n={n}")
     if kind == "planegrid":
-        x = 1.0 - (2.0 * float(zeta(3.0)) / n) ** (1.0 / 3.0)
+        x = 1.0 - (2.0 * _ZETA_3 / n) ** (1.0 / 3.0)
         if not 0.0 < x < 1.0:
             raise InvalidFamily(f"no valid grid tilt for n={n}")
         return x
@@ -417,24 +418,6 @@ def build_problem(family: Family) -> ConditioningProblem:
     raise InvalidFamily(f"unknown family {family!r}")
 
 
-def _soft_on_problem(problem, rng, max_attempts):
-    pivots = [problem.marginals[i] for i in problem.index_set]
-    q_sup = math.prod(m.max_pmf()[1] for m in pivots)
-
-    def q(vals):
-        lin, sec = free_partial_sums(problem, vals)
-        pivot = complete_from_sums(problem, lin, sec)
-        if pivot is None:
-            return 0.0
-        return math.prod(m.pmf(v) for m, v in zip(pivots, pivot))
-
-    def completer(vals, _rng):
-        lin, sec = free_partial_sums(problem, vals)
-        return complete_from_sums(problem, lin, sec)
-
-    return soft_rejection_sample(problem, q, q_sup, rng, completer, max_attempts=max_attempts)
-
-
 def sample_structure(
     family: Family,
     rng: CountingRng,
@@ -445,19 +428,15 @@ def sample_structure(
     """One exact draw of a structure, with its rejection cost record.
 
     method 'dsh' completes the pivot block deterministically, 'hard'
-    redraws the whole vector until the size works out, 'soft' runs the
-    pivot acceptance through the generic first-half-weight engine (same
-    law, same cost shape as 'dsh').
+    redraws the whole vector until the size works out.
     """
     problem = build_problem(family)
     if method == "dsh":
         rec = dsh_discrete_sample(problem, rng, max_attempts=max_attempts)
     elif method == "hard":
         rec = hard_rejection_sample(problem, rng, max_attempts=max_attempts)
-    elif method == "soft":
-        rec = _soft_on_problem(problem, rng, max_attempts)
     else:
-        raise ValueError(f"method must be hard, dsh, or soft, got {method!r}")
+        raise ValueError(f"method must be hard or dsh, got {method!r}")
 
     if isinstance(family, PlanePartitionGrid):
         cells = grid_cells(family)
@@ -471,6 +450,24 @@ def sample_structure(
     else:
         value = MultiplicityVector(tuple(int(v) for v in rec.outcome))
     return value, rec
+
+
+def outcome_counts(family: Family, values) -> Counter:
+    """Tally sampled structures under the keys ``enumerate_conditional`` uses.
+
+    A multiplicity vector counts under its counts; a grid configuration
+    under its dense tuple of cell values in ``grid_cells(family)`` order.
+    """
+    if not isinstance(family, PlanePartitionGrid):
+        return Counter(value.counts for value in values)
+    index = {c: i for i, c in enumerate(grid_cells(family))}
+    counts: Counter = Counter()
+    for entries, c in Counter(value.entries for value in values).items():
+        dense = [0] * len(index)
+        for i, j, z in entries:
+            dense[index[(i, j)]] = z
+        counts[tuple(dense)] += c
+    return counts
 
 
 def feller_permutation_cycles(
@@ -548,27 +545,27 @@ def small_ball_sample(
     signed = SignedUnit()
     others = [i for i in range(n) if i != pivot]
     w_pivot = weights[pivot]
-    start = rng.calls
-    for attempt in range(1, max_attempts + 1):
+
+    def draw(rng: CountingRng):
         signs = [0] * n
         partial = 0.0
         for i in others:
             s = signed.sample(rng)
             signs[i] = s
             partial += weights[i] * s
+        return partial, 0, signs
+
+    def step(partial, _sec, signs, rng):
         valid = [s for s in (-1, 1) if window.contains(partial + w_pivot * s)]
         if not valid:
-            continue
+            return None
         if len(valid) == 1:
             if rng.uniform() >= 0.5:
-                continue
+                return None
             signs[pivot] = valid[0]
         else:
             signs[pivot] = valid[0] if rng.uniform() < 0.5 else valid[1]
-        out = tuple(signs)
-        return out, SampleRecord(out, attempt, rng.calls - start)
-    raise NonTerminating(
-        f"sign-vector sampling exhausted {max_attempts} attempts",
-        attempts=max_attempts,
-        rng_calls=rng.calls - start,
-    )
+        return tuple(signs)
+
+    rec = _rejection_loop(draw, step, rng, max_attempts, "sign-vector sampling", n)
+    return rec.outcome, rec

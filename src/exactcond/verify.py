@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import special, stats
 
 from .engine import ConditioningProblem, SampleRecord
 from .errors import InfeasibleTarget, SupportTooLarge
@@ -221,6 +220,8 @@ def chi_squared_gof(counts, expected) -> tuple[float, int, float]:
             merged_exp.append(acc_e)
     if len(merged_obs) < 2:
         return 0.0, 0, 1.0
+    from scipy import stats  # imported here so that importing the package skips scipy
+
     o = np.array(merged_obs)
     e = np.array(merged_exp)
     stat = float(((o - e) ** 2 / e).sum())
@@ -238,11 +239,15 @@ def ks_statistic(samples: Sequence[float], cdf: Callable[[float], float]) -> tup
     hi = np.max(np.arange(1, n + 1) / n - fx)
     lo = np.max(fx - np.arange(0, n) / n)
     d = float(max(hi, lo))
+    from scipy import special
+
     return d, float(special.kolmogorov(math.sqrt(n) * d))
 
 
 def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
     """Two-sample Kolmogorov-Smirnov statistic and asymptotic p-value."""
+    from scipy import stats
+
     res = stats.ks_2samp(np.asarray(a), np.asarray(b), method="asymp")
     return float(res.statistic), float(res.pvalue)
 

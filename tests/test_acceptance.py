@@ -27,13 +27,12 @@ from exactcond.structures import (
     EwensProfile,
     Multiset,
     Partition,
-    PlaneGrid,
     PlanePartitionGrid,
     Selection,
     SetPartition,
     build_problem,
     feller_permutation_cycles,
-    grid_cells,
+    outcome_counts,
     sample_structure,
 )
 from exactcond.verify import (
@@ -57,22 +56,9 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 def sampled_counts(family, method: str, trials: int, seed: int) -> dict:
     rng = CountingRng(seed)
-    counts: dict = {}
-    for _ in range(trials):
-        value, _rec = sample_structure(family, rng, method=method)
-        key = value.entries if isinstance(value, PlaneGrid) else value.counts
-        counts[key] = counts.get(key, 0) + 1
-    if isinstance(family, PlanePartitionGrid):
-        cells = grid_cells(family)
-        index = {c: i for i, c in enumerate(cells)}
-        regrouped: dict = {}
-        for key, c in counts.items():
-            dense = [0] * len(cells)
-            for i, j, z in key:
-                dense[index[(i, j)]] = z
-            regrouped[tuple(dense)] = regrouped.get(tuple(dense), 0) + c
-        counts = regrouped
-    return counts
+    return outcome_counts(
+        family, (sample_structure(family, rng, method=method)[0] for _ in range(trials))
+    )
 
 
 def gof_p_value(family, method: str, trials: int, seed: int) -> float:
@@ -159,11 +145,14 @@ def test_oracle_equivalence_suite():
     assert ewens.prob((1, 0, 1, 0)) == pytest.approx(8 / 11, abs=1e-12)
     assert ewens.prob((0, 2, 0, 0)) == pytest.approx(3 / 11, abs=1e-12)
 
+    # seeds skip every third index, where a retired third method ran, so
+    # each remaining combo keeps its frozen seed
     worst = 1.0
     combo = 0
-    for family in ORACLE_INSTANCES:
-        for method in ("hard", "dsh", "soft"):
-            p = gof_p_value(family, method, 10**5, derive_seed(104, combo))
+    for family_index, family in enumerate(ORACLE_INSTANCES):
+        for method_index, method in enumerate(("hard", "dsh")):
+            seed = derive_seed(104, 3 * family_index + method_index)
+            p = gof_p_value(family, method, 10**5, seed)
             worst = min(worst, p)
             combo += 1
     ok = worst > 1e-3

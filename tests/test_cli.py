@@ -95,11 +95,20 @@ def test_sample_csv_layout(capsys):
 
 
 def test_uniform_method_needs_flat_pivot(capsys):
-    code, _, err = run_cli(
-        ["sample", "partition", "--n", "10", "--method", "uniform"], capsys
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "partition", "--n", "10", "--method", "uniform"])
+    assert exc.value.code == 2
+    assert "uniform" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["hypersimplex", "permutahedron", "borel"])
+def test_method_is_refused_where_it_has_no_effect(target, capsys):
+    code, out, err = run_cli(
+        ["sample", target, "--n", "4", "--k", "2.0", "--method", "hard"], capsys
     )
     assert code == 2
-    assert "uniform" in err
+    assert out == ""
+    assert "--method" in err
 
 
 def test_benchmark_csv(capsys):
@@ -203,6 +212,16 @@ def test_env_seed_override(capsys, monkeypatch):
     monkeypatch.setenv("EXACTCOND_SEED", "not-a-number")
     code, _, _ = run_cli(["sample", "partition", "--n", "15"], capsys)
     assert code == 2
+
+
+def test_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, exactcond; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_module_entry_point():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from exactcond.engine import (
-    Completion,
     ConditioningProblem,
     SecondConstraint,
     SparseVector,
@@ -15,14 +14,12 @@ from exactcond.engine import (
     dsh_continuous_sample,
     dsh_discrete_sample,
     dsh_uniform_weight_sample,
-    free_partial_sums,
     hard_rejection_sample,
     soft_rejection_sample,
-    solve_completion_linear,
-    solve_completion_two_constraint,
     _draw,
 )
-from exactcond.errors import InvalidRejection, NonTerminating, SingularSystem
+from exactcond.errors import InfeasibleTarget, InvalidRejection, NonTerminating, SingularSystem
+from exactcond.geometry import IntervalUnion
 from exactcond.marginals import (
     Binomial,
     CountingRng,
@@ -39,6 +36,7 @@ from exactcond.structures import (
     Selection,
     SetPartition,
     build_problem,
+    small_ball_sample,
 )
 from exactcond.verify import chi_squared_gof, enumerate_conditional
 
@@ -108,9 +106,8 @@ def test_linear_completion_exact_integers():
     assert complete_from_sums(prob, 5) is None
     # negative completion is outside geometric support
     assert complete_from_sums(prob, 12) is None
-    comp = solve_completion_linear(prob, [1, 1])
-    assert isinstance(comp, Completion)
-    assert comp.completable and comp.values == (3,)
+    # free values (x2, x3) = (1, 1)
+    assert complete_from_sums(prob, 1 * 1 + 3 * 1) == (3,)
 
 
 def test_two_constraint_completion_by_exact_elimination():
@@ -123,25 +120,12 @@ def test_two_constraint_completion_by_exact_elimination():
     )
     # free values (x3, x4) = (1, 0): residuals r_lin = 2, r_cnt = 1
     assert complete_from_sums(prob, 3, 1) == (0, 1)
-    comp = solve_completion_two_constraint(prob, [1, 0])
-    assert comp.values == (0, 1)
+    assert complete_from_sums(prob, 3 * 1 + 4 * 0, 1 + 0) == (0, 1)
     # residuals solvable only in negatives are dead
     assert complete_from_sums(prob, 5, 2) == (0, 0)
     assert complete_from_sums(prob, 5, 0) is None
     # negative solution of the 2x2 system is dead
     assert complete_from_sums(prob, 2, 1) is None
-
-
-def test_free_partial_sums_sequence_and_dict():
-    prob = ConditioningProblem(
-        marginals=(Geometric(0.5), Geometric(0.5), Geometric(0.5)),
-        weights=(2, 1, 3),
-        target=10,
-        index_set=(0,),
-    )
-    assert free_partial_sums(prob, [4, 2]) == (10, 0)
-    assert free_partial_sums(prob, {1: 4, 2: 2}) == (10, 0)
-    assert free_partial_sums(prob, {2: 2}) == (6, 0)
 
 
 def test_hard_and_dsh_agree_with_enumeration():
@@ -205,18 +189,80 @@ def test_continuous_dsh_exponential_sum():
     assert 2 * rec.attempts < rec.rng_calls <= 3 * rec.attempts
 
 
-def test_hard_rejection_gives_up():
-    prob = ConditioningProblem(
+def _give_up_cases():
+    # every engine, plus the sign sampler, on a problem it almost never accepts
+    far = ConditioningProblem(
         marginals=(Geometric(0.01), Geometric(0.01)),
         weights=(1, 1),
         target=50,
         index_set=(0,),
     )
+    exp_sum = ConditioningProblem(
+        marginals=(Exponential(1.0),) * 10, weights=(1.0,) * 10, target=0.5, index_set=(0,)
+    )
+    cube = ConditioningProblem(
+        marginals=(UniformReal(0.0, 1.0),) * 8, weights=(1.0,) * 8, target=0.1, index_set=(0,)
+    )
+    ball = IntervalUnion.open(29.5, 30.5)
+    return {
+        "hard": lambda rng, cap: hard_rejection_sample(far, rng, max_attempts=cap),
+        "dsh_discrete": lambda rng, cap: dsh_discrete_sample(far, rng, max_attempts=cap),
+        "dsh_continuous": lambda rng, cap: dsh_continuous_sample(exp_sum, rng, max_attempts=cap),
+        "dsh_uniform_weight": lambda rng, cap: dsh_uniform_weight_sample(
+            cube, rng, max_attempts=cap
+        ),
+        "soft": lambda rng, cap: soft_rejection_sample(
+            far, lambda vals: 1e-300, 1.0, rng, lambda vals, r: (0,), max_attempts=cap
+        ),
+        "small_ball": lambda rng, cap: small_ball_sample(
+            (1.0,) * 30, ball, 0, rng, max_attempts=cap
+        ),
+    }
+
+
+@pytest.mark.parametrize("engine", list(_give_up_cases()))
+def test_rejection_loop_gives_up(engine):
     rng = CountingRng(3)
     with pytest.raises(NonTerminating) as err:
-        hard_rejection_sample(prob, rng, max_attempts=20)
+        _give_up_cases()[engine](rng, 20)
     assert err.value.attempts == 20
     assert err.value.rng_calls == rng.calls
+
+
+def test_hard_rejection_refuses_continuous_problems():
+    # the sum of exponentials hits 3.0 exactly with probability zero
+    prob = ConditioningProblem(
+        marginals=(Exponential(1.0),) * 10, weights=(1.0,) * 10, target=3.0, index_set=(0,)
+    )
+    rng = CountingRng(5)
+    with pytest.raises(InfeasibleTarget):
+        hard_rejection_sample(prob, rng, max_attempts=10)
+    assert rng.calls == 0
+
+
+def _free_sum(prob, vals):
+    return sum(prob.weights[i] * v for i, v in zip(prob.free_indices, vals))
+
+
+def test_soft_with_pivot_mass_weight_is_dsh():
+    # weight pmf(pivot) with bound max pmf is the dsh acceptance: same
+    # uniforms, same accepted outcomes, same records
+    for family in (Multiset(8, multiplicities=MULTIPLICITIES), SetPartition(12)):
+        prob = build_problem(family)
+        pivot = prob.marginals[prob.index_set[0]]
+
+        def q(vals):
+            got = complete_from_sums(prob, _free_sum(prob, vals))
+            return 0.0 if got is None else pivot.pmf(got[0])
+
+        def second_half(vals, rng):
+            return complete_from_sums(prob, _free_sum(prob, vals))
+
+        soft_rng, dsh_rng = CountingRng(43), CountingRng(43)
+        for _ in range(50):
+            soft = soft_rejection_sample(prob, q, pivot.max_pmf()[1], soft_rng, second_half)
+            assert soft == dsh_discrete_sample(prob, dsh_rng)
+        assert soft_rng.calls == dsh_rng.calls
 
 
 def test_soft_rejection_matches_dsh_law():
@@ -224,11 +270,11 @@ def test_soft_rejection_matches_dsh_law():
     pivot = prob.marginals[0]
 
     def q(vals):
-        got = complete_from_sums(prob, free_partial_sums(prob, vals)[0])
+        got = complete_from_sums(prob, _free_sum(prob, vals))
         return 0.0 if got is None else pivot.pmf(got[0])
 
     def second_half(vals, rng):
-        return complete_from_sums(prob, free_partial_sums(prob, vals)[0])
+        return complete_from_sums(prob, _free_sum(prob, vals))
 
     rng = CountingRng(29)
     counts: dict = {}
@@ -266,11 +312,11 @@ def test_loose_upper_bound_keeps_law_exact():
     pivot = prob.marginals[0]
 
     def q(vals):
-        got = complete_from_sums(prob, free_partial_sums(prob, vals)[0])
+        got = complete_from_sums(prob, _free_sum(prob, vals))
         return 0.0 if got is None else pivot.pmf(got[0])
 
     def second_half(vals, rng):
-        return complete_from_sums(prob, free_partial_sums(prob, vals)[0])
+        return complete_from_sums(prob, _free_sum(prob, vals))
 
     rng = CountingRng(41)
     counts: dict = {}

@@ -22,7 +22,6 @@ from exactcond.structures import (
     MultiplicityVector,
     Multiset,
     Partition,
-    PlaneGrid,
     PlanePartitionGrid,
     Selection,
     SetPartition,
@@ -30,6 +29,7 @@ from exactcond.structures import (
     feller_permutation_cycles,
     grid_cells,
     materialize_set_partition,
+    outcome_counts,
     sample_structure,
     small_ball_sample,
     solve_tilt,
@@ -39,24 +39,9 @@ from exactcond.verify import chi_squared_gof, enumerate_conditional, tv_distance
 
 def gof_against(family, exact, trials, seed, method="dsh"):
     rng = CountingRng(seed)
-    counts: dict = {}
-    for _ in range(trials):
-        value, _ = sample_structure(family, rng, method=method)
-        key = value.entries if isinstance(value, PlaneGrid) else value.counts
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def dense_grid_counts(family, counts):
-    cells = grid_cells(family)
-    index = {c: i for i, c in enumerate(cells)}
-    out: dict = {}
-    for key, c in counts.items():
-        dense = [0] * len(cells)
-        for i, j, z in key:
-            dense[index[(i, j)]] = z
-        out[tuple(dense)] = out.get(tuple(dense), 0) + c
-    return out
+    return outcome_counts(
+        family, (sample_structure(family, rng, method=method)[0] for _ in range(trials))
+    )
 
 
 def test_default_tilts():
@@ -172,10 +157,10 @@ def test_dsh_sampling_matches_enumeration():
     assert p > 1e-3
 
 
-def test_soft_route_matches_enumeration():
+def test_selection_with_multiplicities_matches_enumeration():
     family = Selection(5, multiplicities=(2, 2, 1, 1, 1))
     exact = enumerate_conditional(build_problem(family))
-    counts = gof_against(family, exact, 5000, seed=53, method="soft")
+    counts = gof_against(family, exact, 5000, seed=53)
     _, _, p = chi_squared_gof(counts, {k: exact.prob(k) * 5000 for k in exact.support()})
     assert p > 1e-3
 
@@ -184,7 +169,7 @@ def test_sparse_grid_drawer_matches_enumeration():
     family = PlanePartitionGrid(6, tilt=0.6)
     exact = enumerate_conditional(build_problem(family))
     assert len(exact.support()) == 5
-    counts = dense_grid_counts(family, gof_against(family, exact, 4000, seed=57))
+    counts = gof_against(family, exact, 4000, seed=57)
     _, _, p = chi_squared_gof(counts, {k: exact.prob(k) * 4000 for k in exact.support()})
     assert p > 1e-3
 
@@ -216,10 +201,10 @@ def test_structure_totals_hit_the_target(n):
     assert value.total == n
 
 
-def test_hard_dsh_soft_same_law_on_multiset():
+def test_hard_dsh_same_law_on_multiset():
     family = Multiset(5, multiplicities=(2, 1, 1, 1, 1))
     exact = enumerate_conditional(build_problem(family))
-    for seed, method in ((63, "hard"), (67, "dsh"), (71, "soft")):
+    for seed, method in ((63, "hard"), (67, "dsh")):
         counts = gof_against(family, exact, 4000, seed=seed, method=method)
         _, _, p = chi_squared_gof(
             counts, {k: exact.prob(k) * 4000 for k in exact.support()}
@@ -328,8 +313,9 @@ def test_family_validation():
         build_problem(EwensProfile(4, 5))
     with pytest.raises(InvalidFamily):
         build_problem(EwensProfile(4, 2, theta=0.0))
-    with pytest.raises(ValueError):
-        sample_structure(Partition(5), CountingRng(1), method="bogus")
+    for method in ("bogus", "soft"):
+        with pytest.raises(ValueError):
+            sample_structure(Partition(5), CountingRng(1), method=method)
 
 
 @pytest.mark.parametrize("kind", [Selection, Multiset, Assembly])
