@@ -177,10 +177,14 @@ def _sample_one(target: str, args, rng: CountingRng):
     raise ConfigError(f"unknown sample target {target!r}")
 
 
-def run_sample(args) -> int:
-    seed = _resolve_seed(args)
+def _refuse_method(args):
     if args.method is not None and args.target not in FAMILY_NAMES:
         raise ConfigError(f"--method applies to structure families, not {args.target}")
+
+
+def run_sample(args) -> int:
+    seed = _resolve_seed(args)
+    _refuse_method(args)
     n_field = int(args.n) if args.n is not None else None
     out = sys.stdout
     if args.format == "csv":
@@ -315,7 +319,9 @@ def _verify_family(target: str, args, seed: int):
     exact = enumerate_conditional(problem, support_cap=args.support_cap)
     rng = CountingRng(derive_seed(seed, 0))
     counts = outcome_counts(family, (
-        sample_structure(family, rng, method=args.method, max_attempts=args.max_attempts)[0]
+        sample_structure(
+            family, rng, method=args.method or "dsh", max_attempts=args.max_attempts
+        )[0]
         for _ in range(args.trials)
     ))
     expected = {k: exact.prob(k) * args.trials for k in exact.support()}
@@ -349,6 +355,7 @@ def _verify_borel(args, seed: int):
 
 def run_verify(args) -> int:
     seed = _resolve_seed(args)
+    _refuse_method(args)
     if args.target == "borel":
         kind, cells, stat, dof, p = _verify_borel(args, seed)
         label = f"borel variant={args.variant}"
@@ -421,7 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("target", choices=FAMILY_NAMES + ("borel",))
     _add_common(p_verify)
     p_verify.add_argument("--trials", type=int, default=5000)
-    p_verify.add_argument("--method", choices=("hard", "dsh"), default="dsh")
+    p_verify.add_argument(
+        "--method", choices=("hard", "dsh"), default=None,
+        help="structure families only (default dsh)",
+    )
     p_verify.add_argument("--variant", type=int, choices=(1, 2, 3), default=1)
     p_verify.add_argument(
         "--support-cap", type=int, default=100_000, dest="support_cap"

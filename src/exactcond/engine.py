@@ -30,11 +30,17 @@ slack) and are never clamped; a genuine violation raises
 :class:`InvalidRejection`.
 
 Every engine draws its first halves (or full vectors) through the drawer
-the problem picks once at construction: the caller's hook if it gave one,
-else, when every coordinate inverts one uniform through a cached cdf table
-(Poisson, Binomial, NegativeBinomial), one vectorised lookup of a block of
-uniforms in those tables, else a per-coordinate ``sample`` plan.  The table
-lookup and the plan turn the same uniforms into the same values.
+the problem picks once, on first use: the caller's hook if it gave one,
+else one block of uniforms inverted by ``marginals.block_inversion`` and
+summed with int64 dot products (integer values) or ``math.fsum`` (real
+values), else a per-coordinate ``sample`` plan.  The block and the plan
+turn the same uniforms into the same values (see ``block_inversion`` for
+Geometric's last-bit caveat).
+
+Every engine raises :class:`InfeasibleTarget` before its first draw when
+an exact integer target lies outside the range of its weighted sum or off
+the sum's lattice, and hard rejection also when a continuous coordinate of
+nonzero weight makes the exact hit a null event.
 
 Costs are whatever the :class:`CountingRng` records; completability is
 checked before the acceptance uniform is drawn, so a dead first half
@@ -45,13 +51,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InfeasibleTarget, InvalidRejection, NonTerminating, SingularSystem
-from .marginals import ContinuousMarginal, CountingRng, DiscreteMarginal
+from .marginals import (
+    ContinuousMarginal, CountingRng, DiscreteMarginal, SignedUnit, block_inversion,
+)
 
 DEFAULT_MAX_ATTEMPTS = 10 ** 8
 
@@ -106,7 +114,6 @@ class ConditioningProblem:
     target: float
     index_set: tuple[int, ...]
     second: SecondConstraint | None = None
-    support_check: Callable[[int, float], bool] | None = None
     free_draw: DrawHook | None = None
     full_draw: DrawHook | None = None
 
@@ -161,8 +168,6 @@ class ConditioningProblem:
             )
         )
         object.__setattr__(self, "_exact_int", ints)
-        object.__setattr__(self, "_draw_free", self._drawer(self.free_draw, free))
-        object.__setattr__(self, "_draw_full", self._drawer(self.full_draw, range(n)))
 
     @property
     def size(self) -> int:
@@ -171,14 +176,45 @@ class ConditioningProblem:
     def is_discrete(self) -> bool:
         return self._discrete
 
+    @cached_property
+    def _draw_free(self) -> DrawHook:
+        return self._drawer(self.free_draw, self.free_indices)
+
+    @cached_property
+    def _draw_full(self) -> DrawHook:
+        return self._drawer(self.full_draw, range(self.size))
+
+    @cached_property
+    def _infeasible(self) -> tuple[str | None, str | None]:
+        """Why no draw can be accepted, by any engine and by hard rejection.
+
+        An exact integer target is out of reach when it lies outside the
+        range of its weighted sum or off the sum's lattice.  Hard rejection
+        also needs the full vector to hit the target exactly, a null event
+        once a continuous coordinate has nonzero weight.  None where a draw
+        may succeed.
+        """
+        reason = None
+        if self._exact_int:
+            constraints = [(self.weights, self.target)]
+            if self.second is not None:
+                constraints.append((self.second.coeffs, self.second.target))
+            for coeffs, target in constraints:
+                reason = reason or _unreachable(self.marginals, coeffs, int(target))
+        elif not self._discrete and any(
+            isinstance(m, ContinuousMarginal) and w != 0
+            for m, w in zip(self.marginals, self.weights)
+        ):
+            return None, "hard rejection cannot hit an exact value of a continuous sum"
+        return reason, reason
+
     def _drawer(self, hook: DrawHook | None, indices) -> DrawHook:
-        """The caller's hook, else one table lookup for ``indices``, else a ``sample`` plan."""
+        """The caller's hook, else one block inversion for ``indices``, else a ``sample`` plan."""
         if hook is not None:
             return hook
-        if self._discrete:
-            draw = _table_drawer(self, indices)
-            if draw is not None:
-                return draw
+        draw = _block_drawer(self, indices)
+        if draw is not None:
+            return draw
         sec = self.second
         return partial(_draw, tuple(
             (self.marginals[i].sample, self.weights[i], sec.coeffs[i] if sec else 0)
@@ -186,37 +222,72 @@ class ConditioningProblem:
         ))
 
 
-def _table_drawer(problem: ConditioningProblem, indices) -> DrawHook | None:
-    """Invert a block of uniforms through every coordinate's cdf table at once.
+def _unreachable(marginals, coeffs, target: int) -> str | None:
+    """Why sum_i a_i X_i never equals ``target``, or None if it may.
 
-    Coordinate i takes the number of entries of its table below u_i, which
-    is what its ``sample`` returns for that uniform.  The tables are
-    concatenated, so each attempt costs one compare over all entries.
-    None unless every coordinate has a table and the constraint sums are
-    exact in int64: integer weights and, since a value never exceeds its
-    table's length, sum |w_i| len_i below 2^63.
+    The sum lies between the sums of the a_i lo_i and a_i hi_i ends of the
+    supports (an unbounded end leaves its side open) and in base + g Z,
+    where base is its value at the lower ends and g the gcd of a_i step_i
+    over coordinates with more than one support point (step 2 for
+    SignedUnit, else 1).
     """
-    tables = [problem.marginals[i].cdf_table for i in indices]
-    if not tables or any(t is None for t in tables):
+    # the sum is base plus an offset in [down, up]; None is unbounded
+    base = down = up = gap = 0
+    for m, a in zip(marginals, map(int, coeffs)):
+        if a == 0:
+            continue
+        lo, hi = m.support_bounds()
+        base += a * lo
+        if hi == lo:
+            continue
+        gap = math.gcd(gap, a * (2 if isinstance(m, SignedUnit) else 1))
+        reach = None if hi is None else a * (hi - lo)
+        if a > 0:
+            up = None if up is None or reach is None else up + reach
+        else:
+            down = None if down is None or reach is None else down + reach
+    if (down is not None and target < base + down) or (up is not None and target > base + up):
+        low = "-inf" if down is None else base + down
+        high = "inf" if up is None else base + up
+        return f"target {target} lies outside the range [{low}, {high}] of its sum"
+    if gap and (target - base) % gap:
+        return f"target {target} is off the lattice {base} + {gap}Z of its sum"
+    return None
+
+
+def _block_drawer(problem: ConditioningProblem, indices) -> DrawHook | None:
+    """Draw ``indices`` as one block of uniforms through ``block_inversion``.
+
+    Integer values are summed by int64 dot products, so the block is used
+    only when the weights (and second coefficients) are integers with
+    sum |w_i| top_i below 2^63, top_i the largest value coordinate i can
+    take.  Real values are summed by ``math.fsum``.  None when the
+    marginals share no block rule.
+    """
+    block = block_inversion([problem.marginals[i] for i in indices])
+    if block is None:
         return None
-    weights = [problem.weights[i] for i in indices]
-    coeffs = [problem.second.coeffs[i] if problem.second else 0 for i in indices]
-    lengths = [len(t) for t in tables]
-    for vec in (weights, coeffs):
-        if not all(float(a).is_integer() for a in vec):
-            return None
-        if sum(abs(int(a)) * k for a, k in zip(vec, lengths)) >= 2 ** 63:
-            return None
-    count = len(tables)
-    flat = np.concatenate(tables)
-    rows = np.repeat(np.arange(count), lengths)
-    w = np.array(weights, dtype=np.int64)
-    c = np.array(coeffs, dtype=np.int64)
+    invert, tops = block
+    sec = problem.second
+    vecs = [[problem.weights[i] for i in indices]]
+    if sec is not None:
+        vecs.append([sec.coeffs[i] for i in indices])
+    if tops is None:
+        dtype, total = float, lambda a, z: math.fsum(a * z)
+    else:
+        for vec in vecs:
+            if not all(float(a).is_integer() for a in vec):
+                return None
+            if sum(abs(int(a)) * top for a, top in zip(vec, tops)) >= 2 ** 63:
+                return None
+        dtype, total = np.int64, lambda a, z: int(a @ z)
+    w = np.array(vecs[0], dtype=dtype)
+    c = None if sec is None else np.array(vecs[1], dtype=dtype)
+    count = len(w)
 
     def draw(rng: CountingRng):
-        u = rng.uniforms(count)
-        z = np.bincount(rows[flat < u[rows]], minlength=count)
-        return int(w @ z), int(c @ z), z
+        z = invert(rng.uniforms(count))
+        return total(w, z), 0 if c is None else total(c, z), z
 
     return draw
 
@@ -244,17 +315,8 @@ def _pivot_value(problem: ConditioningProblem, i: int, raw: float) -> float | No
         k = round(raw)
         if not _close(k, raw):
             return None
-        k = int(k)
-        if not m.in_support(k):
-            return None
-        if problem.support_check is not None and not problem.support_check(i, k):
-            return None
-        return k
-    if not m.in_support(raw):
-        return None
-    if problem.support_check is not None and not problem.support_check(i, raw):
-        return None
-    return raw
+        raw = int(k)
+    return raw if m.in_support(raw) else None
 
 
 def _complete_linear(problem: ConditioningProblem, partial_lin) -> tuple | None:
@@ -266,8 +328,6 @@ def _complete_linear(problem: ConditioningProblem, partial_lin) -> tuple | None:
         if r != 0:
             return None
         if not problem.marginals[i].in_support(q):
-            return None
-        if problem.support_check is not None and not problem.support_check(i, q):
             return None
         return (q,)
     y = _pivot_value(problem, i, resid / w)
@@ -290,8 +350,6 @@ def _complete_two(problem: ConditioningProblem, partial_lin, partial_sec) -> tup
             return None
         for idx, val in ((i, qi), (j, qj)):
             if not problem.marginals[idx].in_support(val):
-                return None
-            if problem.support_check is not None and not problem.support_check(idx, val):
                 return None
         return (qi, qj)
     yi = _pivot_value(problem, i, num_i / det)
@@ -354,6 +412,11 @@ def _constraint_met(problem: ConditioningProblem, lin, sec) -> bool:
     return problem.second is None or _close(sec, problem.second.target)
 
 
+def _refuse_infeasible(problem: ConditioningProblem, hit: bool = False) -> None:
+    """Raise InfeasibleTarget before the first draw of an engine that cannot accept."""
+    reason = problem._infeasible[hit]
+    if reason is not None:
+        raise InfeasibleTarget(reason)
 
 
 def _rejection_loop(
@@ -391,13 +454,10 @@ def hard_rejection_sample(
     """Draw the full vector until the constraint holds exactly.
 
     A continuous coordinate of nonzero weight makes the hit event a null
-    event, so such a problem raises InfeasibleTarget before drawing.
+    event, so such a problem raises InfeasibleTarget before drawing, as
+    does an integer target out of reach (for every engine).
     """
-    if not problem._discrete and any(
-        isinstance(m, ContinuousMarginal) and w != 0
-        for m, w in zip(problem.marginals, problem.weights)
-    ):
-        raise InfeasibleTarget("hard rejection cannot hit an exact value of a continuous sum")
+    _refuse_infeasible(problem, hit=True)
 
     def step(lin, sec, vals, _rng):
         if _constraint_met(problem, lin, sec):
@@ -421,6 +481,7 @@ def _dsh_sample(
 
     With no numerator every completable first half is accepted outright.
     """
+    _refuse_infeasible(problem)
 
     def step(lin, sec, vals, rng):
         pivot = complete_from_sums(problem, lin, sec)
@@ -525,6 +586,7 @@ def soft_rejection_sample(
     """
     if not (q_sup > 0.0 and math.isfinite(q_sup)):
         raise ValueError(f"q_sup must be a finite positive bound, got {q_sup}")
+    _refuse_infeasible(problem)
 
     def step(_lin, _sec, vals, rng):
         qa = q(vals)

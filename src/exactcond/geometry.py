@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,6 +76,18 @@ class IntervalUnion:
             if x < b:
                 return True
         return False
+
+
+@lru_cache(maxsize=64)
+def _problem(marginals: tuple, weights: tuple, target: float, pivot: int) -> ConditioningProblem:
+    """The conditioning problem of the samplers below, cached.
+
+    They are called once per draw, so without the cache every draw would
+    rebuild the problem and pick its first-half drawer again.
+    """
+    return ConditioningProblem(
+        marginals=marginals, weights=weights, target=target, index_set=(pivot,)
+    )
 
 
 def uniform_spacings(count: int, rng: CountingRng) -> tuple[float, ...]:
@@ -129,12 +142,7 @@ def sample_exponential_sum(
     if not total > 0.0:
         raise ValueError(f"the target sum must be positive, got {total}")
     marginals = tuple(Exponential(r) for r in rates)
-    problem = ConditioningProblem(
-        marginals=marginals,
-        weights=(1.0,) * len(marginals),
-        target=float(total),
-        index_set=(pivot,),
-    )
+    problem = _problem(marginals, (1.0,) * len(marginals), float(total), pivot)
     rec = dsh_continuous_sample(problem, rng, max_attempts=max_attempts)
     return rec.outcome, rec
 
@@ -158,12 +166,7 @@ def sample_beta_sum(
     if len(alphas) != len(betas):
         raise ValueError("alpha and beta vectors differ in length")
     marginals = tuple(Beta(a, b) for a, b in zip(alphas, betas))
-    problem = ConditioningProblem(
-        marginals=marginals,
-        weights=(1.0,) * len(marginals),
-        target=float(total),
-        index_set=(pivot,),
-    )
+    problem = _problem(marginals, (1.0,) * len(marginals), float(total), pivot)
     rec = dsh_continuous_sample(problem, rng, max_attempts=max_attempts)
     return rec.outcome, rec
 
@@ -208,28 +211,11 @@ def sample_sphere_surface(
         minus = marginal.pdf(-root)
         return (root if r.uniform() < plus / (plus + minus) else -root,)
 
-    problem = ConditioningProblem(
-        marginals=(marginal,) * n,
-        weights=(1.0,) * n,
-        target=float(square_radius),
-        index_set=(pivot,),
-    )
+    problem = _problem((marginal,) * n, (1.0,) * n, float(square_radius), pivot)
     rec = soft_rejection_sample(
         problem, square_density, sup_bound, rng, signed_root, max_attempts=max_attempts
     )
     return rec.outcome, rec
-
-
-def _unit_weight_hook(n: int, lo: float, hi: float):
-    # one bulk draw for the n-1 free coordinates; fsum keeps the residual
-    # correctly rounded, so resummed outcomes hit the target to the last bit
-    span = hi - lo
-
-    def draw(rng: CountingRng):
-        vals = lo + span * rng.uniforms(n - 1)
-        return math.fsum(vals), 0, vals
-
-    return draw
 
 
 def sample_hypersimplex(
@@ -249,13 +235,7 @@ def sample_hypersimplex(
         raise ValueError("the cube slice needs dimension >= 2")
     if not 0.0 < level < n:
         raise ValueError(f"an n-cube has slices only at levels in (0, {n}), got {level}")
-    problem = ConditioningProblem(
-        marginals=(UniformReal(0.0, 1.0),) * n,
-        weights=(1.0,) * n,
-        target=float(level),
-        index_set=(0,),
-        free_draw=_unit_weight_hook(n, 0.0, 1.0),
-    )
+    problem = _problem((UniformReal(0.0, 1.0),) * n, (1.0,) * n, float(level), 0)
     rec = dsh_uniform_weight_sample(problem, rng, max_attempts=max_attempts)
     return rec.outcome, rec
 
@@ -292,14 +272,7 @@ def sample_permutahedron(
     """
     if n < 2:
         raise ValueError("the permutahedron needs n >= 2")
-    total = n * (n + 1) / 2
-    problem = ConditioningProblem(
-        marginals=(UniformReal(1.0, float(n)),) * n,
-        weights=(1.0,) * n,
-        target=total,
-        index_set=(0,),
-        free_draw=_unit_weight_hook(n, 1.0, float(n)),
-    )
+    problem = _problem((UniformReal(1.0, float(n)),) * n, (1.0,) * n, n * (n + 1) / 2, 0)
     start = rng.calls
     attempts = 0
     while attempts < max_attempts:
@@ -351,12 +324,7 @@ def borel_conditional_sample(
     else:
         raise ValueError(f"variant must be 1, 2, or 3, got {variant}")
 
-    problem = ConditioningProblem(
-        marginals=(std, std),
-        weights=(1.0, -1.0),
-        target=0.0,
-        index_set=(1,),
-    )
+    problem = _problem((std, std), (1.0, -1.0), 0.0, 1)
 
     def mirror(vals, _rng: CountingRng):
         return (vals[0],)

@@ -22,8 +22,14 @@ Poisson (up to its scan limit), Binomial and NegativeBinomial invert
 their one uniform through a cached cdf table, ``cdf_table``: the running
 sums of their mass recurrence, cut where the sum stops changing past the
 mode.  A uniform maps to the number of entries below it, which is where
-the inversion scan would stop, so ``sample`` and the engine's vectorised
-draw read the same table.
+the inversion scan would stop.
+
+``block_inversion`` is the vector form of ``sample``: it turns a block of
+uniforms, one per marginal, into their values with one numpy call.  The
+cdf-table marginals (in any mix) count the entries below each uniform in
+their concatenated tables; Geometric uses floor(log1p(-u) / log r),
+Bernoulli u >= 1 - s, and UniformReal lo + (hi - lo) u.  The engine
+draws every first half through it when the coordinates allow.
 """
 
 from __future__ import annotations
@@ -612,3 +618,41 @@ class AbsWeightedGaussian(ContinuousMarginal):
 
     def in_support(self, y: float) -> bool:
         return True
+
+
+def block_inversion(marginals) -> tuple[Callable, list[int] | None] | None:
+    """The vector form of ``sample`` for a block of marginals, or None.
+
+    Returns ``(invert, tops)``: ``invert(u)`` maps one uniform per marginal
+    to its value (Geometric's numpy log1p and log may differ from math's in
+    the last bit), and ``tops`` bounds each integer value, or is None for
+    real values.  None for an empty block, a marginal without a rule, or a
+    mix of kinds other than cdf tables.
+    """
+    if not marginals:
+        return None
+    kinds = {type(m) for m in marginals}
+    if kinds == {Geometric}:
+        logr = np.log([m.ratio for m in marginals])
+
+        def invert(u):
+            return np.floor_divide(np.log1p(-u), logr).astype(np.int64)
+
+        # 1 - 2^-53 is the largest uniform a CountingRng hands out
+        return invert, invert(np.full(len(marginals), 1.0 - 2.0 ** -53)).tolist()
+    if kinds == {Bernoulli}:
+        fail = 1.0 - np.array([m.success for m in marginals])
+        return (lambda u: (u >= fail).astype(np.int64)), [1] * len(marginals)
+    if kinds == {UniformReal}:
+        lo = np.array([m.lo for m in marginals])
+        span = np.array([m.hi - m.lo for m in marginals])
+        return (lambda u: lo + span * u), None
+    tables = [getattr(m, "cdf_table", None) for m in marginals]
+    if any(t is None for t in tables):
+        return None
+    # u_i exceeds the first k entries of table i exactly when the value is k
+    count = len(tables)
+    lengths = [len(t) for t in tables]
+    flat = np.concatenate(tables)
+    rows = np.repeat(np.arange(count), lengths)
+    return (lambda u: np.bincount(rows[flat < u[rows]], minlength=count)), lengths

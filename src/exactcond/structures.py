@@ -261,35 +261,6 @@ def grid_cells(family: PlanePartitionGrid) -> list[tuple[int, int]]:
     return cells
 
 
-def _geometric_hook(weights, ratios, skip: int | None):
-    # one bulk uniform block, closed-form geometric inversion per coordinate
-    idx = [i for i in range(len(weights)) if i != skip]
-    w_arr = np.array([weights[i] for i in idx], dtype=np.int64)
-    logr = np.log(np.array([ratios[i] for i in idx]))
-    count = len(idx)
-
-    def draw(rng: CountingRng):
-        u = rng.uniforms(count)
-        z = np.floor_divide(np.log1p(-u), logr).astype(np.int64)
-        return int(w_arr @ z), 0, z
-
-    return draw
-
-
-def _bernoulli_hook(weights, successes, skip: int | None):
-    idx = [i for i in range(len(weights)) if i != skip]
-    w_arr = np.array([weights[i] for i in idx], dtype=np.int64)
-    fail = 1.0 - np.array([successes[i] for i in idx])
-    count = len(idx)
-
-    def draw(rng: CountingRng):
-        u = rng.uniforms(count)
-        z = (u >= fail).astype(np.int64)
-        return int(w_arr @ z), 0, z
-
-    return draw
-
-
 def _sparse_geometric_hook(weights, ratios, skip: int | None):
     # Scan for the next nonzero coordinate by inverting the waiting-time
     # law over the (1 - r_j) survival products: two uniforms per nonzero
@@ -342,27 +313,15 @@ def build_problem(family: Family) -> ConditioningProblem:
         powers = [x ** i for i in sizes]
         if isinstance(family, Partition):
             marginals = tuple(Geometric(p) for p in powers)
-            free = _geometric_hook(sizes, powers, 0)
-            full = _geometric_hook(sizes, powers, None)
-            return ConditioningProblem(
-                marginals=marginals, weights=sizes, target=n, index_set=(0,),
-                free_draw=free, full_draw=full,
-            )
-        if isinstance(family, DistinctPartition):
-            succ = [p / (1.0 + p) for p in powers]
-            marginals = tuple(Bernoulli(s) for s in succ)
-            free = _bernoulli_hook(sizes, succ, 0)
-            full = _bernoulli_hook(sizes, succ, None)
-            return ConditioningProblem(
-                marginals=marginals, weights=sizes, target=n, index_set=(0,),
-                free_draw=free, full_draw=full,
-            )
-        mult = _validate_mult(n, family.multiplicities)
-        if isinstance(family, Selection):
+        elif isinstance(family, DistinctPartition):
+            marginals = tuple(Bernoulli(p / (1.0 + p)) for p in powers)
+        elif isinstance(family, Selection):
+            mult = _validate_mult(n, family.multiplicities)
             marginals = tuple(
                 Binomial(m, p / (1.0 + p)) for m, p in zip(mult, powers)
             )
         else:
+            mult = _validate_mult(n, family.multiplicities)
             marginals = tuple(NegativeBinomial(m, p) for m, p in zip(mult, powers))
         return ConditioningProblem(
             marginals=marginals, weights=sizes, target=n,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import pytest
 
+from exactcond import cli
 from exactcond.cli import fmt, main
 
 
@@ -81,6 +83,30 @@ def test_sample_permutahedron_and_borel(capsys):
         assert isinstance(json.loads(line)["outcome"], float)
 
 
+# sha256 of the stdout of fixed-seed runs.  A change to any first-half
+# drawer, completion or output format that moves a byte shows up here,
+# not only as a mismatch between a run and its rerun.
+PINNED_STDOUT = [
+    ("sample partition --n 30 --count 5 --seed 12",
+     "46e1ba42c26a1186a76f18fe5045e3f9b51440fe2ada18cc84996a7dbffeb638"),
+    ("sample partition --n 30 --count 5 --seed 12 --method hard",
+     "6d2ec924d3ad7088bfd5d98910f9dbe1d0c7bc4e5f2818769b8b536e4e286288"),
+    ("sample distinct --n 20 --count 4 --seed 5",
+     "17903695206afa98813de1102cf693b9e52b272854a33eee04b880ed411fbbb6"),
+    ("sample hypersimplex --n 4 --k 2.5 --count 5",
+     "05024d2cb5780634e83aa48242e5ac63264902471486d267cde79b20c6639004"),
+    ("sample permutahedron --n 4 --count 2",
+     "107630a67b6613235b496eb51fe5d59f21e66de9dca1c171baa1ee04bf47014a"),
+]
+
+
+@pytest.mark.parametrize("command, digest", PINNED_STDOUT, ids=[c for c, _ in PINNED_STDOUT])
+def test_fixed_seed_stdout_is_pinned(command, digest, capsys):
+    code, out, _ = run_cli(command.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_sample_csv_layout(capsys):
     code, out, _ = run_cli(
         ["sample", "partition", "--n", "10", "--count", "2", "--format", "csv"], capsys
@@ -101,11 +127,17 @@ def test_uniform_method_needs_flat_pivot(capsys):
     assert "uniform" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("target", ["hypersimplex", "permutahedron", "borel"])
-def test_method_is_refused_where_it_has_no_effect(target, capsys):
-    code, out, err = run_cli(
-        ["sample", target, "--n", "4", "--k", "2.0", "--method", "hard"], capsys
-    )
+@pytest.mark.parametrize(
+    "command",
+    [
+        pytest.param(["sample", "hypersimplex"], id="hypersimplex"),
+        pytest.param(["sample", "permutahedron"], id="permutahedron"),
+        pytest.param(["sample", "borel"], id="borel"),
+        pytest.param(["verify", "borel"], id="verify-borel"),
+    ],
+)
+def test_method_is_refused_where_it_has_no_effect(command, capsys):
+    code, out, err = run_cli(command + ["--n", "4", "--k", "2.0", "--method", "hard"], capsys)
     assert code == 2
     assert out == ""
     assert "--method" in err
@@ -149,12 +181,11 @@ def test_verify_pass_line(capsys):
     assert line.endswith(" pass")
 
 
-def test_verify_fail_exits_one(capsys):
-    # the sampler is exact; this pinned seed is one of the ~1-in-1000
-    # chi-squared excursions, kept to exercise the failure exit path
-    code, out, _ = run_cli(
-        ["verify", "partition", "--n", "4", "--trials", "250", "--seed", "869"], capsys
-    )
+def test_verify_fail_exits_one(capsys, monkeypatch):
+    # the sampler is exact, so a goodness-of-fit test that reports p = 0
+    # drives the failure exit path
+    monkeypatch.setattr(cli, "chi_squared_gof", lambda counts, expected: (99.0, 4, 0.0))
+    code, out, _ = run_cli(["verify", "partition", "--n", "4", "--trials", "250"], capsys)
     assert code == 1
     assert out.strip().endswith(" FAIL")
 

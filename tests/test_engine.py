@@ -21,18 +21,22 @@ from exactcond.engine import (
 from exactcond.errors import InfeasibleTarget, InvalidRejection, NonTerminating, SingularSystem
 from exactcond.geometry import IntervalUnion
 from exactcond.marginals import (
+    Bernoulli,
     Binomial,
     CountingRng,
     Exponential,
     Geometric,
     NegativeBinomial,
     Poisson,
+    SignedUnit,
     UniformReal,
 )
 from exactcond.structures import (
     Assembly,
+    DistinctPartition,
     EwensProfile,
     Multiset,
+    Partition,
     Selection,
     SetPartition,
     build_problem,
@@ -240,6 +244,48 @@ def test_hard_rejection_refuses_continuous_problems():
     assert rng.calls == 0
 
 
+def _integer_problem(marginals, weights, target):
+    return ConditioningProblem(
+        marginals=tuple(marginals), weights=weights, target=target, index_set=(0,)
+    )
+
+
+# (marginals, weights, unreachable target, reachable target)
+UNREACHABLE = {
+    # three even terms never sum to an odd number
+    "even_geometric": ((Geometric(0.5),) * 3, (2, 2, 2), 5, 4),
+    # the block sums to at most 1 + 2 + 3 = 6
+    "bernoulli_max": ([Bernoulli(s) for s in (0.3, 0.5, 0.6)], (1, 2, 3), 7, 6),
+    # three signs sum to an odd number: the lattice step of a sign is 2
+    "signs": ((SignedUnit(),) * 3, (1, 1, 1), 0, 1),
+    # a negative weight on an unbounded coordinate leaves the range
+    # open below only
+    "negative_weight": ((Bernoulli(0.5), Poisson(1.0)), (1, -2), 2, -3),
+}
+
+ENGINES = {
+    "hard": hard_rejection_sample,
+    "dsh_discrete": dsh_discrete_sample,
+    "dsh_uniform_weight": dsh_uniform_weight_sample,
+    "soft": lambda prob, rng, max_attempts: soft_rejection_sample(
+        prob, lambda vals: 1.0, 1.0, rng, lambda vals, r: (0,), max_attempts=max_attempts
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", list(ENGINES))
+@pytest.mark.parametrize("case", list(UNREACHABLE))
+def test_unreachable_integer_target_fails_before_drawing(case, engine):
+    marginals, weights, unreachable, reachable = UNREACHABLE[case]
+    rng = CountingRng(5)
+    with pytest.raises(InfeasibleTarget):
+        ENGINES[engine](_integer_problem(marginals, weights, unreachable), rng, max_attempts=10)
+    assert rng.calls == 0
+    prob = _integer_problem(marginals, weights, reachable)
+    rec = hard_rejection_sample(prob, rng, max_attempts=10 ** 5)
+    assert sum(w * v for w, v in zip(weights, rec.outcome)) == reachable
+
+
 def _free_sum(prob, vals):
     return sum(prob.weights[i] * v for i, v in zip(prob.free_indices, vals))
 
@@ -345,6 +391,15 @@ def sample_plan(problem, indices):
     )
 
 
+# ten uniform reals with uneven weights: the block sums them with fsum
+UNIT_CUBE = ConditioningProblem(
+    marginals=(UniformReal(0.0, 1.0),) * 10,
+    weights=tuple(1.0 + 0.25 * i for i in range(10)),
+    target=5.0,
+    index_set=(0,),
+)
+
+
 @pytest.mark.parametrize(
     "family",
     [
@@ -355,21 +410,31 @@ def sample_plan(problem, indices):
         EwensProfile(50, 5),
         Selection(8, multiplicities=MULTIPLICITIES),
         Multiset(8, multiplicities=MULTIPLICITIES),
+        Partition(100),
+        DistinctPartition(100),
+        UNIT_CUBE,
     ],
-    ids=repr,
+    ids=lambda case: "UniformReal(0, 1) x 10" if case is UNIT_CUBE else repr(case),
 )
 def test_table_drawer_matches_the_sample_plan(family):
-    prob = build_problem(family)
+    prob = family if family is UNIT_CUBE else build_problem(family)
     for chosen, indices in (
         (prob._draw_free, prob.free_indices),
         (prob._draw_full, range(prob.size)),
     ):
-        assert not isinstance(chosen, partial)  # the table drawer, not a plan
+        assert not isinstance(chosen, partial)  # the block drawer, not a plan
         plan = sample_plan(prob, indices)
+        weights = [prob.weights[i] for i in indices]
         rng, ref_rng = CountingRng(3), CountingRng(3)
         for _ in range(200):
             lin, sec, vals = chosen(rng)
-            assert (lin, sec, vals.tolist()) == _draw(plan, ref_rng)
+            ref_lin, ref_sec, ref_vals = _draw(plan, ref_rng)
+            assert vals.tolist() == ref_vals
+            assert sec == ref_sec
+            if prob is UNIT_CUBE:
+                assert lin == math.fsum(w * v for w, v in zip(weights, ref_vals))
+            else:
+                assert lin == ref_lin
         assert rng.calls == ref_rng.calls
 
 
@@ -464,3 +529,12 @@ def test_table_drawer_needs_exact_int64_sums():
             marginals=marginals, weights=weights, target=1, index_set=(0,)
         )
         assert isinstance(prob._draw_free, partial) == planned
+    # a Geometric(1/2) value is at most 53 (its value at u = 1 - 2^-53), so
+    # 53 * 2^58 overflows int64 and 53 * 2^57 does not
+    marginals = (Geometric(0.5), Geometric(0.5))
+    for weights, planned in (((1, 2 ** 57), False), ((1, 2 ** 58), True)):
+        prob = ConditioningProblem(
+            marginals=marginals, weights=weights, target=1, index_set=(0,)
+        )
+        assert isinstance(prob._draw_free, partial) == planned
+        assert isinstance(prob._draw_full, partial) == planned

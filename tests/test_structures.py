@@ -332,11 +332,11 @@ def test_list_multiplicities_share_the_cached_problem(kind):
 def test_bulk_hooks_report_consistent_sums():
     prob = build_problem(Partition(12))
     rng = CountingRng(103)
-    lin, sec, vals = prob.free_draw(rng)
+    lin, sec, vals = prob._draw_free(rng)
     assert rng.calls == 11
     assert sec == 0
     assert lin == sum(w * v for w, v in zip(range(2, 13), vals))
-    lin, sec, vals = prob.full_draw(rng)
+    lin, sec, vals = prob._draw_full(rng)
     assert rng.calls == 23
     assert lin == sum(w * v for w, v in zip(range(1, 13), vals))
 
