@@ -16,7 +16,7 @@ import math
 import os
 import sys
 
-from .engine import DEFAULT_MAX_ATTEMPTS, SampleRecord, dsh_discrete_sample, hard_rejection_sample
+from .engine import DEFAULT_MAX_ATTEMPTS, SampleRecord, dsh_sample, hard_rejection_sample
 from .errors import (
     InfeasibleTarget,
     InvalidFamily,
@@ -226,7 +226,7 @@ def run_sample(args) -> int:
 
 def _benchmark_shard(family, method: str, trials: int, seed: int, max_attempts: int):
     problem = build_problem(family)
-    engine = hard_rejection_sample if method == "hard" else dsh_discrete_sample
+    engine = hard_rejection_sample if method == "hard" else dsh_sample
     return benchmark(
         lambda rng: engine(problem, rng, max_attempts=max_attempts), trials, CountingRng(seed)
     )

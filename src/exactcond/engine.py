@@ -12,20 +12,21 @@ reject it.  Only the loop counts attempts and uniforms and raises
 
 * ``hard_rejection_sample`` draws the full vector and keeps it when the
   constraint holds exactly.
-* ``dsh_discrete_sample`` draws every coordinate except a pivot block I,
-  solves the constraint for the pivot exactly (there is at most one
-  solution), and accepts with probability pmf(solution) / max pmf.
-* ``dsh_continuous_sample`` is the density analogue; the Jacobian of the
-  pivot map cancels in the ratio, leaving pdf(solution) / sup pdf.
-* ``dsh_uniform_weight_sample`` covers pivots whose density is constant
-  on their support: any completable first half is accepted outright, so
-  the rejection step consumes no uniforms at all.
+* ``dsh_sample`` draws every coordinate except a pivot block I, solves
+  the constraint for the pivot (there is at most one solution), and
+  accepts with probability density(solution) / sup density, multiplied
+  over the block.  The density is the mass of an integer pivot and the
+  pdf of a real one, where the Jacobian of the pivot map cancels in the
+  ratio.  When every pivot marginal is ``flat`` (its density constant on
+  its support) the ratio is 1, so any completable first half is accepted
+  without an acceptance uniform.
 * ``soft_rejection_sample`` generalises the pivot acceptance to a caller
   supplied weight q on first halves with upper bound q_sup, plus a caller
   supplied second-half sampler.
 
 ``structures.small_ball_sample`` passes its own sign draw and step to the
-same loop.  Acceptance ratios are asserted to lie in [0, 1] (up to float
+same loop, and ``geometry.sample_permutahedron`` the dsh step followed by
+its membership test.  Acceptance ratios are asserted to lie in [0, 1] (up to float
 slack) and are never clamped; a genuine violation raises
 :class:`InvalidRejection`.
 
@@ -34,8 +35,7 @@ the problem picks once, on first use: the caller's hook if it gave one,
 else one block of uniforms inverted by ``marginals.block_inversion`` and
 summed with int64 dot products (integer values) or ``math.fsum`` (real
 values), else a per-coordinate ``sample`` plan.  The block and the plan
-turn the same uniforms into the same values (see ``block_inversion`` for
-Geometric's last-bit caveat).
+turn the same uniforms into the same values.
 
 Every engine raises :class:`InfeasibleTarget` before its first draw when
 an exact integer target lies outside the range of its weighted sum or off
@@ -141,8 +141,10 @@ class ConditioningProblem:
         for i in idx:
             if self.weights[i] == 0:
                 raise SingularSystem(f"pivot coordinate {i} has zero weight")
-        if self.second is not None:
-            w = self.weights
+        w = self.weights
+        if self.second is None:
+            det, cramer = w[idx[0]], ((idx[0], 1, None),)
+        else:
             u = self.second.coeffs
             i, j = idx
             det = w[i] * u[j] - w[j] * u[i]
@@ -150,7 +152,9 @@ class ConditioningProblem:
                 raise SingularSystem(
                     f"constraint matrix for pivot block {idx} is singular"
                 )
-            object.__setattr__(self, "_det", det)
+            cramer = ((i, u[j], -w[j]), (j, -u[i], w[i]))
+        # pivot k is (r1 a_k + r2 b_k) / det for the residuals r1, r2
+        object.__setattr__(self, "_cramer", cramer)
         free = tuple(i for i in range(n) if i not in idx)
         object.__setattr__(self, "free_indices", free)
         discrete = all(isinstance(m, DiscreteMarginal) for m in self.marginals)
@@ -168,6 +172,7 @@ class ConditioningProblem:
             )
         )
         object.__setattr__(self, "_exact_int", ints)
+        object.__setattr__(self, "_det", int(det) if ints else det)
 
     @property
     def size(self) -> int:
@@ -183,6 +188,11 @@ class ConditioningProblem:
     @cached_property
     def _draw_full(self) -> DrawHook:
         return self._drawer(self.full_draw, range(self.size))
+
+    @cached_property
+    def _dsh_step(self) -> Callable:
+        """The ``dsh_sample`` step, built once; a problem it refuses raises on every use."""
+        return _pivot_step(self)
 
     @cached_property
     def _infeasible(self) -> tuple[str | None, str | None]:
@@ -319,51 +329,30 @@ def _pivot_value(problem: ConditioningProblem, i: int, raw: float) -> float | No
     return raw if m.in_support(raw) else None
 
 
-def _complete_linear(problem: ConditioningProblem, partial_lin) -> tuple | None:
-    i = problem.index_set[0]
-    w = problem.weights[i]
-    resid = problem.target - partial_lin
-    if problem._exact_int:
-        q, r = divmod(int(resid), int(w))
-        if r != 0:
-            return None
-        if not problem.marginals[i].in_support(q):
-            return None
-        return (q,)
-    y = _pivot_value(problem, i, resid / w)
-    return None if y is None else (y,)
-
-
-def _complete_two(problem: ConditioningProblem, partial_lin, partial_sec) -> tuple | None:
-    i, j = problem.index_set
-    w = problem.weights
-    u = problem.second.coeffs
-    det = problem._det
-    r1 = problem.target - partial_lin
-    r2 = problem.second.target - partial_sec
-    num_i = r1 * u[j] - r2 * w[j]
-    num_j = w[i] * r2 - u[i] * r1
-    if problem._exact_int:
-        qi, ri = divmod(int(num_i), int(det))
-        qj, rj = divmod(int(num_j), int(det))
-        if ri != 0 or rj != 0:
-            return None
-        for idx, val in ((i, qi), (j, qj)):
-            if not problem.marginals[idx].in_support(val):
-                return None
-        return (qi, qj)
-    yi = _pivot_value(problem, i, num_i / det)
-    if yi is None:
-        return None
-    yj = _pivot_value(problem, j, num_j / det)
-    return None if yj is None else (yi, yj)
-
-
 def complete_from_sums(problem: ConditioningProblem, partial_lin, partial_sec=0) -> tuple | None:
-    """Pivot values given the free coordinates' constraint sums; None if dead."""
-    if problem.second is None:
-        return _complete_linear(problem, partial_lin)
-    return _complete_two(problem, partial_lin, partial_sec)
+    """Pivot values given the free coordinates' constraint sums; None if dead.
+
+    Cramer's rule over the pivot block: with the constraints' residuals r1
+    (and r2), pivot k is (r1 a_k + r2 b_k) / det.  An exact-integer problem
+    divides with ``divmod`` and needs a zero remainder; any other problem
+    snaps each quotient through ``_pivot_value``.
+    """
+    r1 = problem.target - partial_lin
+    r2 = None if problem.second is None else problem.second.target - partial_sec
+    det = problem._det
+    pivot = ()
+    for i, a, b in problem._cramer:
+        num = r1 * a if r2 is None else r1 * a + r2 * b
+        if problem._exact_int:
+            y, rem = divmod(int(num), det)
+            if rem or not problem.marginals[i].in_support(y):
+                return None
+        else:
+            y = _pivot_value(problem, i, num / det)
+            if y is None:
+                return None
+        pivot += (y,)
+    return pivot
 
 
 def _assemble(problem: ConditioningProblem, free_vals, pivot_vals):
@@ -469,103 +458,58 @@ def hard_rejection_sample(
     )
 
 
-def _dsh_sample(
-    problem: ConditioningProblem,
-    rng: CountingRng,
-    numerator: Callable[[tuple], float] | None,
-    denominator: float,
-    max_attempts: int,
-    what: str,
-) -> SampleRecord:
-    """Complete each first half and accept with numerator(pivot) / denominator.
+def _pivot_step(problem: ConditioningProblem) -> Callable:
+    """Complete each first half and accept with the pivot block's density ratio.
 
-    With no numerator every completable first half is accepted outright.
+    The ratio is prod density(pivot) / prod sup_density; a flat block
+    accepts every completable first half without drawing a uniform.
     """
+    pivots = [problem.marginals[i] for i in problem.index_set]
+    if len({isinstance(m, DiscreteMarginal) for m in pivots}) > 1:
+        raise ValueError("a pivot block cannot mix discrete and continuous marginals")
+    flat = all(m.flat for m in pivots)
+    bound = None if flat else math.prod(m.sup_density() for m in pivots)
     _refuse_infeasible(problem)
 
     def step(lin, sec, vals, rng):
         pivot = complete_from_sums(problem, lin, sec)
         if pivot is None:
             return None
-        if numerator is not None:
-            num = numerator(pivot)
+        if not flat:
+            num = math.prod(m.density(v) for m, v in zip(pivots, pivot))
             if num <= 0.0:
                 return None
-            ratio = num / denominator
+            ratio = num / bound
             if ratio > 1.0 + _RATIO_SLACK:
                 raise InvalidRejection(
-                    f"{what} acceptance ratio {ratio} exceeds 1 at pivot {pivot}"
+                    f"pivot acceptance ratio {ratio} exceeds 1 at pivot {pivot}"
                 )
             if not rng.uniform() < ratio:
                 return None
         return _assemble(problem, vals, pivot)
 
-    return _rejection_loop(problem._draw_free, step, rng, max_attempts, what, problem.size)
+    return step
 
 
-def dsh_discrete_sample(
+def dsh_sample(
     problem: ConditioningProblem,
     rng: CountingRng,
     *,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> SampleRecord:
-    """Pivot-completion sampling for integer marginals.
+    """Pivot-completion sampling, the paper's deterministic second half.
 
     Accepts a completable first half with probability
-    prod_i pmf_i(pivot_i) / prod_i max_pmf_i, which leaves every accepted
-    outcome carrying the exact conditional law.  A dead or zero-mass
-    pivot restarts without spending the acceptance uniform.
+    prod_i density_i(pivot_i) / prod_i sup_density_i, which leaves every
+    accepted outcome carrying the exact conditional law.  A dead or
+    zero-density pivot restarts without spending the acceptance uniform,
+    and a flat pivot block never spends one.  A pivot block mixing
+    discrete and continuous marginals raises ValueError.
     """
-    pivots = [problem.marginals[i] for i in problem.index_set]
-    for m in pivots:
-        if not isinstance(m, DiscreteMarginal):
-            raise ValueError("dsh_discrete_sample needs discrete pivot marginals")
-    denom = math.prod(m.max_pmf()[1] for m in pivots)
-
-    def numerator(vals):
-        return math.prod(m.pmf(v) for m, v in zip(pivots, vals))
-
-    return _dsh_sample(problem, rng, numerator, denom, max_attempts, "discrete pivot sampling")
-
-
-def dsh_continuous_sample(
-    problem: ConditioningProblem,
-    rng: CountingRng,
-    *,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> SampleRecord:
-    """Pivot-completion sampling for real marginals.
-
-    The pivot solve is linear, so the density of the induced statistic at
-    the target is pdf(pivot) / |w|; the |w| appears in the bound as well
-    and cancels, leaving the ratio pdf(pivot) / sup pdf.
-    """
-    pivots = [problem.marginals[i] for i in problem.index_set]
-    for m in pivots:
-        if not isinstance(m, ContinuousMarginal):
-            raise ValueError("dsh_continuous_sample needs continuous pivot marginals")
-    denom = math.prod(m.sup_pdf() for m in pivots)
-
-    def numerator(vals):
-        return math.prod(m.pdf(v) for m, v in zip(pivots, vals))
-
-    return _dsh_sample(problem, rng, numerator, denom, max_attempts, "continuous pivot sampling")
-
-
-def dsh_uniform_weight_sample(
-    problem: ConditioningProblem,
-    rng: CountingRng,
-    *,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> SampleRecord:
-    """Pivot-completion sampling when the pivot density is flat.
-
-    Caller asserts the pivot marginal is uniform on its support (discrete
-    or continuous); then pdf(pivot) / sup pdf is 1 on the support and the
-    acceptance step degenerates to the completability check, costing zero
-    uniforms per attempt beyond the first-half draws.
-    """
-    return _dsh_sample(problem, rng, None, 1.0, max_attempts, "uniform-pivot sampling")
+    return _rejection_loop(
+        problem._draw_free, problem._dsh_step, rng, max_attempts,
+        "pivot-completion sampling", problem.size,
+    )
 
 
 def soft_rejection_sample(

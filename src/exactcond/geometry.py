@@ -1,10 +1,14 @@
 """Conditioned continuous laws: surfaces, polytope interiors, and a paradox.
 
 Everything here conditions a product of real marginals on the exact value
-of a statistic, which a plain hit-or-miss rejection can never reach.  The
-pivot-completion engines make the events reachable: one coordinate is
-solved from the constraint and the rejection acts on the pivot's density
-ratio (or, for flat pivots, on completability alone).
+of a statistic, which a plain hit-or-miss rejection can never reach.
+Pivot completion makes the events reachable: ``dsh_sample`` solves one
+coordinate from a linear constraint and accepts with the pivot's density
+ratio, which for a flat (UniformReal) pivot is 1, so completability alone
+decides.  The permutahedron runs the same step and then its membership
+test inside one rejection loop.  A nonlinear statistic (the sphere) and
+the Borel variants weight their first halves through
+``soft_rejection_sample``.
 
 Covered sample spaces:
 
@@ -33,11 +37,10 @@ from .engine import (
     DEFAULT_MAX_ATTEMPTS,
     ConditioningProblem,
     SampleRecord,
-    dsh_continuous_sample,
-    dsh_uniform_weight_sample,
+    _rejection_loop,
+    dsh_sample,
     soft_rejection_sample,
 )
-from .errors import NonTerminating
 from .marginals import (
     AbsWeightedGaussian,
     Beta,
@@ -143,7 +146,7 @@ def sample_exponential_sum(
         raise ValueError(f"the target sum must be positive, got {total}")
     marginals = tuple(Exponential(r) for r in rates)
     problem = _problem(marginals, (1.0,) * len(marginals), float(total), pivot)
-    rec = dsh_continuous_sample(problem, rng, max_attempts=max_attempts)
+    rec = dsh_sample(problem, rng, max_attempts=max_attempts)
     return rec.outcome, rec
 
 
@@ -167,7 +170,7 @@ def sample_beta_sum(
         raise ValueError("alpha and beta vectors differ in length")
     marginals = tuple(Beta(a, b) for a, b in zip(alphas, betas))
     problem = _problem(marginals, (1.0,) * len(marginals), float(total), pivot)
-    rec = dsh_continuous_sample(problem, rng, max_attempts=max_attempts)
+    rec = dsh_sample(problem, rng, max_attempts=max_attempts)
     return rec.outcome, rec
 
 
@@ -202,13 +205,13 @@ def sample_sphere_surface(
         if t <= 0.0:
             return 0.0
         root = math.sqrt(t)
-        return (marginal.pdf(root) + marginal.pdf(-root)) / (2.0 * root)
+        return (marginal.density(root) + marginal.density(-root)) / (2.0 * root)
 
     def signed_root(vals, r: CountingRng):
         t = square_radius - math.fsum(v * v for v in vals)
         root = math.sqrt(t)
-        plus = marginal.pdf(root)
-        minus = marginal.pdf(-root)
+        plus = marginal.density(root)
+        minus = marginal.density(-root)
         return (root if r.uniform() < plus / (plus + minus) else -root,)
 
     problem = _problem((marginal,) * n, (1.0,) * n, float(square_radius), pivot)
@@ -236,7 +239,7 @@ def sample_hypersimplex(
     if not 0.0 < level < n:
         raise ValueError(f"an n-cube has slices only at levels in (0, {n}), got {level}")
     problem = _problem((UniformReal(0.0, 1.0),) * n, (1.0,) * n, float(level), 0)
-    rec = dsh_uniform_weight_sample(problem, rng, max_attempts=max_attempts)
+    rec = dsh_sample(problem, rng, max_attempts=max_attempts)
     return rec.outcome, rec
 
 
@@ -265,26 +268,24 @@ def sample_permutahedron(
 ) -> tuple[tuple[float, ...], SampleRecord]:
     """Uniform point of the permutahedron of (1, 2, ..., n).
 
-    Stage one draws a uniform point of the [1, n]-cube slice at level
-    n(n+1)/2 with the flat-pivot engine; stage two keeps it when the
-    descending-partial-sum inequalities hold.  Attempts count every
-    stage-one first half.
+    Each attempt completes a uniform point of the [1, n]-cube slice at
+    level n(n+1)/2 through the flat-pivot dsh step and keeps it when the
+    descending-partial-sum inequalities hold.  Attempts count every first
+    half.
     """
     if n < 2:
         raise ValueError("the permutahedron needs n >= 2")
     problem = _problem((UniformReal(1.0, float(n)),) * n, (1.0,) * n, n * (n + 1) / 2, 0)
-    start = rng.calls
-    attempts = 0
-    while attempts < max_attempts:
-        rec = dsh_uniform_weight_sample(problem, rng, max_attempts=max_attempts - attempts)
-        attempts += rec.attempts
-        if rado_check(rec.outcome):
-            return rec.outcome, SampleRecord(rec.outcome, attempts, rng.calls - start)
-    raise NonTerminating(
-        f"permutahedron sampling exhausted {max_attempts} attempts",
-        attempts=attempts,
-        rng_calls=rng.calls - start,
+    complete = problem._dsh_step
+
+    def step(lin, sec, vals, rng):
+        point = complete(lin, sec, vals, rng)
+        return point if point is not None and rado_check(point) else None
+
+    rec = _rejection_loop(
+        problem._draw_free, step, rng, max_attempts, "permutahedron sampling", n
     )
+    return rec.outcome, rec
 
 
 def borel_conditional_sample(
@@ -315,11 +316,11 @@ def borel_conditional_sample(
         return v, SampleRecord((v, v), 1, rng.calls - start)
     if variant == 1:
         def weight(vals) -> float:
-            return std.pdf(vals[0])
-        q_sup = std.sup_pdf()
+            return std.density(vals[0])
+        q_sup = std.sup_density()
     elif variant == 2:
         def weight(vals) -> float:
-            return abs(vals[0]) * std.pdf(vals[0])
+            return abs(vals[0]) * std.density(vals[0])
         q_sup = math.exp(-0.5) / math.sqrt(2.0 * math.pi)
     else:
         raise ValueError(f"variant must be 1, 2, or 3, got {variant}")

@@ -13,10 +13,13 @@ variate generators:
 * Beta uses a two-gamma construction whose draw count is random; only
   totals are meaningful for it.
 
-Each discrete marginal exposes ``pmf``, ``max_pmf`` (argmax and value, the
-smaller argmax on ties) and ``sample``.  Each continuous marginal exposes
-``pdf``, ``sup_pdf`` and ``sample``.  Both kinds expose ``in_support``,
-used by the completion solvers.
+Every marginal exposes one density surface: ``density`` (the mass of an
+integer-valued marginal, the pdf of a real-valued one), its supremum
+``sup_density``, ``sample`` and ``in_support``.  ``flat`` marks the
+classes whose density is constant on their support (UniformInt,
+SignedUnit, UniformReal), so a pivot of theirs needs no acceptance
+uniform.  A discrete marginal also names its ``mode`` (the smaller
+argmax on ties), where its cdf table stops being scanned.
 
 Poisson (up to its scan limit), Binomial and NegativeBinomial invert
 their one uniform through a cached cdf table, ``cdf_table``: the running
@@ -28,8 +31,9 @@ the inversion scan would stop.
 uniforms, one per marginal, into their values with one numpy call.  The
 cdf-table marginals (in any mix) count the entries below each uniform in
 their concatenated tables; Geometric uses floor(log1p(-u) / log r),
-Bernoulli u >= 1 - s, and UniformReal lo + (hi - lo) u.  The engine
-draws every first half through it when the coordinates allow.
+through the same numpy expression as its ``sample``; Bernoulli uses
+u >= 1 - s, and UniformReal lo + (hi - lo) u.  The engine draws every
+first half through it when the coordinates allow.
 """
 
 from __future__ import annotations
@@ -129,22 +133,38 @@ def _gamma_variate(shape: float, rng: CountingRng) -> float:
             return d * v
 
 
-class DiscreteMarginal:
-    """Common surface of the integer-valued marginals."""
+class Marginal:
+    """Common surface of every marginal: a density, its bound, a sampler."""
+
+    # the density is constant on the support
+    flat = False
+
+    def density(self, x) -> float:
+        raise NotImplementedError
+
+    def sup_density(self) -> float:
+        raise NotImplementedError
+
+    def sample(self, rng: CountingRng):
+        raise NotImplementedError
+
+    def in_support(self, x) -> bool:
+        raise NotImplementedError
+
+
+class DiscreteMarginal(Marginal):
+    """Integer-valued marginals; the density is the mass."""
 
     # the table ``sample`` inverts its one uniform through; None when it
     # draws otherwise
     cdf_table: np.ndarray | None = None
 
-    def pmf(self, k: int) -> float:
+    def mode(self) -> int:
+        """The smaller argmax of the mass."""
         raise NotImplementedError
 
-    def max_pmf(self) -> tuple[int, float]:
-        """Mode and its mass; the smaller argmax on ties."""
-        raise NotImplementedError
-
-    def sample(self, rng: CountingRng) -> int:
-        raise NotImplementedError
+    def sup_density(self) -> float:
+        return self.density(self.mode())
 
     def support_bounds(self) -> tuple[int, int | None]:
         """Inclusive lower and upper bound of the support; None if unbounded."""
@@ -162,20 +182,8 @@ class DiscreteMarginal:
             k += 1
 
 
-class ContinuousMarginal:
-    """Common surface of the real-valued marginals."""
-
-    def pdf(self, y: float) -> float:
-        raise NotImplementedError
-
-    def sup_pdf(self) -> float:
-        raise NotImplementedError
-
-    def sample(self, rng: CountingRng) -> float:
-        raise NotImplementedError
-
-    def in_support(self, y: float) -> bool:
-        raise NotImplementedError
+class ContinuousMarginal(Marginal):
+    """Real-valued marginals; the density is the pdf."""
 
 
 def _cdf_table(
@@ -189,15 +197,15 @@ def _cdf_table(
     from there, so the sum never changes again).  The table keeps the sums
     it compares against, so u maps to the number of entries below it.  A
     first mass that underflows would zero every mass after it, so then each
-    mass comes from the log-space pmf instead.
+    mass comes from the log-space ``density`` instead.
     """
     if first >= sys.float_info.min:
         masses = itertools.accumulate(
             itertools.count(), lambda mass, k: mass * ratio(k), initial=first
         )
     else:
-        masses = map(marginal.pmf, itertools.count())
-    mode = marginal.max_pmf()[0]
+        masses = map(marginal.density, itertools.count())
+    mode = marginal.mode()
     last = marginal.support_bounds()[1]
     sums = []
     cdf = 0.0
@@ -226,18 +234,20 @@ class Geometric(DiscreteMarginal):
         if not 0.0 < self.ratio < 1.0:
             raise ValueError(f"geometric ratio must lie in (0,1), got {self.ratio}")
 
-    def pmf(self, k: int) -> float:
+    def density(self, k: int) -> float:
         if k < 0:
             return 0.0
         return self.ratio ** k * (1.0 - self.ratio)
 
-    def max_pmf(self) -> tuple[int, float]:
-        return 0, 1.0 - self.ratio
+    def mode(self) -> int:
+        return 0
+
+    @cached_property
+    def _log_ratio(self) -> np.float64:
+        return np.log(self.ratio)
 
     def sample(self, rng: CountingRng) -> int:
-        # closed-form inversion of the geometric cdf, one uniform
-        u = rng.uniform()
-        return int(math.log1p(-u) // math.log(self.ratio))
+        return int(_geometric_inverse(rng.uniform(), self._log_ratio))
 
     def support_bounds(self) -> tuple[int, int | None]:
         return 0, None
@@ -260,16 +270,15 @@ class Poisson(DiscreteMarginal):
         if self.rate < 0.0 or not math.isfinite(self.rate):
             raise ValueError(f"poisson rate must be finite and >= 0, got {self.rate}")
 
-    def pmf(self, k: int) -> float:
+    def density(self, k: int) -> float:
         if k < 0:
             return 0.0
         if self.rate == 0.0:
             return 1.0 if k == 0 else 0.0
         return math.exp(k * math.log(self.rate) - self.rate - math.lgamma(k + 1))
 
-    def max_pmf(self) -> tuple[int, float]:
-        k = max(0, math.ceil(self.rate) - 1)
-        return k, self.pmf(k)
+    def mode(self) -> int:
+        return max(0, math.ceil(self.rate) - 1)
 
     @cached_property
     def cdf_table(self) -> np.ndarray | None:
@@ -305,17 +314,15 @@ class Bernoulli(DiscreteMarginal):
         if not 0.0 < self.success < 1.0:
             raise ValueError(f"bernoulli success must lie in (0,1), got {self.success}")
 
-    def pmf(self, k: int) -> float:
+    def density(self, k: int) -> float:
         if k == 1:
             return self.success
         if k == 0:
             return 1.0 - self.success
         return 0.0
 
-    def max_pmf(self) -> tuple[int, float]:
-        if self.success > 0.5:
-            return 1, self.success
-        return 0, 1.0 - self.success
+    def mode(self) -> int:
+        return 1 if self.success > 0.5 else 0
 
     def sample(self, rng: CountingRng) -> int:
         return 0 if rng.uniform() < 1.0 - self.success else 1
@@ -337,7 +344,7 @@ class Binomial(DiscreteMarginal):
         if not 0.0 < self.success < 1.0:
             raise ValueError(f"binomial success must lie in (0,1), got {self.success}")
 
-    def pmf(self, k: int) -> float:
+    def density(self, k: int) -> float:
         m, p = self.trials, self.success
         if k < 0 or k > m:
             return 0.0
@@ -347,13 +354,12 @@ class Binomial(DiscreteMarginal):
         )
         return math.exp(log_p)
 
-    def max_pmf(self) -> tuple[int, float]:
+    def mode(self) -> int:
         edge = (self.trials + 1) * self.success
         k = math.floor(edge)
         if k == edge and k >= 1:
             k -= 1  # tie with k-1; report the smaller argmax
-        k = min(max(k, 0), self.trials)
-        return k, self.pmf(k)
+        return min(max(k, 0), self.trials)
 
     @cached_property
     def cdf_table(self) -> np.ndarray:
@@ -385,7 +391,7 @@ class NegativeBinomial(DiscreteMarginal):
         if not 0.0 < self.ratio < 1.0:
             raise ValueError(f"negative binomial ratio must lie in (0,1), got {self.ratio}")
 
-    def pmf(self, k: int) -> float:
+    def density(self, k: int) -> float:
         if k < 0:
             return 0.0
         m, x = self.blocks, self.ratio
@@ -395,12 +401,12 @@ class NegativeBinomial(DiscreteMarginal):
         )
         return math.exp(log_p)
 
-    def max_pmf(self) -> tuple[int, float]:
+    def mode(self) -> int:
         edge = (self.blocks - 1) * self.ratio / (1.0 - self.ratio)
         k = math.floor(edge)
         if k == edge and k >= 1:
             k -= 1
-        return k, self.pmf(k)
+        return k
 
     @cached_property
     def cdf_table(self) -> np.ndarray:
@@ -423,17 +429,19 @@ class UniformInt(DiscreteMarginal):
     lo: int
     hi: int
 
+    flat = True
+
     def __post_init__(self):
         if self.hi < self.lo:
             raise ValueError(f"empty integer range [{self.lo}, {self.hi}]")
 
-    def pmf(self, k: int) -> float:
+    def density(self, k: int) -> float:
         if self.lo <= k <= self.hi:
             return 1.0 / (self.hi - self.lo + 1)
         return 0.0
 
-    def max_pmf(self) -> tuple[int, float]:
-        return self.lo, 1.0 / (self.hi - self.lo + 1)
+    def mode(self) -> int:
+        return self.lo
 
     def sample(self, rng: CountingRng) -> int:
         span = self.hi - self.lo + 1
@@ -448,11 +456,13 @@ class UniformInt(DiscreteMarginal):
 class SignedUnit(DiscreteMarginal):
     """Uniform on {-1, +1}."""
 
-    def pmf(self, k: int) -> float:
+    flat = True
+
+    def density(self, k: int) -> float:
         return 0.5 if k in (-1, 1) else 0.0
 
-    def max_pmf(self) -> tuple[int, float]:
-        return -1, 0.5
+    def mode(self) -> int:
+        return -1
 
     def sample(self, rng: CountingRng) -> int:
         return -1 if rng.uniform() < 0.5 else 1
@@ -475,16 +485,18 @@ class UniformReal(ContinuousMarginal):
     lo: float
     hi: float
 
+    flat = True
+
     def __post_init__(self):
         if not self.hi > self.lo:
             raise ValueError(f"empty real interval [{self.lo}, {self.hi}]")
 
-    def pdf(self, y: float) -> float:
+    def density(self, y: float) -> float:
         if self.lo <= y <= self.hi:
             return 1.0 / (self.hi - self.lo)
         return 0.0
 
-    def sup_pdf(self) -> float:
+    def sup_density(self) -> float:
         return 1.0 / (self.hi - self.lo)
 
     def sample(self, rng: CountingRng) -> float:
@@ -504,12 +516,12 @@ class Exponential(ContinuousMarginal):
         if not self.rate > 0.0:
             raise ValueError(f"exponential rate must be > 0, got {self.rate}")
 
-    def pdf(self, y: float) -> float:
+    def density(self, y: float) -> float:
         if y < 0.0:
             return 0.0
         return self.rate * math.exp(-self.rate * y)
 
-    def sup_pdf(self) -> float:
+    def sup_density(self) -> float:
         return self.rate
 
     def sample(self, rng: CountingRng) -> float:
@@ -523,7 +535,7 @@ class Exponential(ContinuousMarginal):
 class Beta(ContinuousMarginal):
     """Beta(alpha, beta) on (0, 1).
 
-    sup_pdf is the density value at the interior mode
+    sup_density is the density value at the interior mode
     (alpha-1)/(alpha+beta-2) and exists only for alpha >= 1, beta >= 1
     (the density is unbounded otherwise).  Sampling uses the two-gamma
     construction G1/(G1+G2), so its uniform consumption is random.
@@ -539,7 +551,7 @@ class Beta(ContinuousMarginal):
     def _log_norm(self) -> float:
         return math.lgamma(self.alpha + self.beta) - math.lgamma(self.alpha) - math.lgamma(self.beta)
 
-    def pdf(self, y: float) -> float:
+    def density(self, y: float) -> float:
         a, b = self.alpha, self.beta
         if y < 0.0 or y > 1.0:
             return 0.0
@@ -553,14 +565,14 @@ class Beta(ContinuousMarginal):
             return math.exp(self._log_norm()) if b == 1.0 else math.inf
         return math.exp(self._log_norm() + (a - 1.0) * math.log(y) + (b - 1.0) * math.log1p(-y))
 
-    def sup_pdf(self) -> float:
+    def sup_density(self) -> float:
         a, b = self.alpha, self.beta
         if a < 1.0 or b < 1.0:
             raise UnboundedDensity(f"Beta({a}, {b}) density is unbounded")
         if a == 1.0 and b == 1.0:
             return 1.0
         mode = (a - 1.0) / (a + b - 2.0)
-        return self.pdf(mode)
+        return self.density(mode)
 
     def sample(self, rng: CountingRng) -> float:
         g1 = _gamma_variate(self.alpha, rng)
@@ -582,11 +594,11 @@ class Normal(ContinuousMarginal):
         if not self.variance > 0.0:
             raise ValueError(f"normal variance must be > 0, got {self.variance}")
 
-    def pdf(self, y: float) -> float:
+    def density(self, y: float) -> float:
         z = (y - self.mean) ** 2 / (2.0 * self.variance)
         return math.exp(-z) / math.sqrt(2.0 * math.pi * self.variance)
 
-    def sup_pdf(self) -> float:
+    def sup_density(self) -> float:
         return 1.0 / math.sqrt(2.0 * math.pi * self.variance)
 
     def sample(self, rng: CountingRng) -> float:
@@ -605,10 +617,10 @@ class AbsWeightedGaussian(ContinuousMarginal):
     and attach a fair sign (two uniforms total).
     """
 
-    def pdf(self, y: float) -> float:
+    def density(self, y: float) -> float:
         return abs(y) * math.exp(-y * y)
 
-    def sup_pdf(self) -> float:
+    def sup_density(self) -> float:
         # |y| e^(-y^2) peaks at |y| = 1/sqrt(2)
         return math.exp(-0.5) / math.sqrt(2.0)
 
@@ -620,23 +632,27 @@ class AbsWeightedGaussian(ContinuousMarginal):
         return True
 
 
+def _geometric_inverse(u, log_ratio):
+    """floor(log1p(-u) / log r): Geometric's inversion, for one uniform or a block."""
+    return np.floor_divide(np.log1p(-u), log_ratio)
+
+
 def block_inversion(marginals) -> tuple[Callable, list[int] | None] | None:
     """The vector form of ``sample`` for a block of marginals, or None.
 
     Returns ``(invert, tops)``: ``invert(u)`` maps one uniform per marginal
-    to its value (Geometric's numpy log1p and log may differ from math's in
-    the last bit), and ``tops`` bounds each integer value, or is None for
-    real values.  None for an empty block, a marginal without a rule, or a
-    mix of kinds other than cdf tables.
+    to the value its ``sample`` gives, and ``tops`` bounds each integer
+    value, or is None for real values.  None for an empty block, a marginal
+    without a rule, or a mix of kinds other than cdf tables.
     """
     if not marginals:
         return None
     kinds = {type(m) for m in marginals}
     if kinds == {Geometric}:
-        logr = np.log([m.ratio for m in marginals])
+        logr = np.array([m._log_ratio for m in marginals])
 
         def invert(u):
-            return np.floor_divide(np.log1p(-u), logr).astype(np.int64)
+            return _geometric_inverse(u, logr).astype(np.int64)
 
         # 1 - 2^-53 is the largest uniform a CountingRng hands out
         return invert, invert(np.full(len(marginals), 1.0 - 2.0 ** -53)).tolist()

@@ -46,7 +46,7 @@ from .engine import (
     SecondConstraint,
     SparseVector,
     _rejection_loop,
-    dsh_discrete_sample,
+    dsh_sample,
     hard_rejection_sample,
 )
 from .errors import InvalidFamily, InvalidProfile
@@ -291,8 +291,8 @@ def _sparse_geometric_hook(weights, ratios, skip: int | None):
     return draw
 
 
-def _argmin_max_pmf(marginals) -> int:
-    return min(range(len(marginals)), key=lambda i: marginals[i].max_pmf()[1])
+def _argmin_sup_density(marginals) -> int:
+    return min(range(len(marginals)), key=lambda i: marginals[i].sup_density())
 
 
 @lru_cache(maxsize=64)
@@ -325,7 +325,7 @@ def build_problem(family: Family) -> ConditioningProblem:
             marginals = tuple(NegativeBinomial(m, p) for m, p in zip(mult, powers))
         return ConditioningProblem(
             marginals=marginals, weights=sizes, target=n,
-            index_set=(_argmin_max_pmf(marginals),),
+            index_set=(_argmin_sup_density(marginals),),
         )
 
     if isinstance(family, (Assembly, SetPartition)):
@@ -340,7 +340,7 @@ def build_problem(family: Family) -> ConditioningProblem:
         if isinstance(family, SetPartition):
             pivot = min(max(round(math.log(n)), 1), n) - 1
         else:
-            pivot = _argmin_max_pmf(marginals)
+            pivot = _argmin_sup_density(marginals)
         return ConditioningProblem(
             marginals=marginals, weights=sizes, target=n, index_set=(pivot,),
         )
@@ -391,7 +391,7 @@ def sample_structure(
     """
     problem = build_problem(family)
     if method == "dsh":
-        rec = dsh_discrete_sample(problem, rng, max_attempts=max_attempts)
+        rec = dsh_sample(problem, rng, max_attempts=max_attempts)
     elif method == "hard":
         rec = hard_rejection_sample(problem, rng, max_attempts=max_attempts)
     else:

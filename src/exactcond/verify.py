@@ -53,7 +53,7 @@ def enumerate_conditional(
     """Exact conditional law of a problem by exhaustive enumeration.
 
     Walks all joint outcomes satisfying the constraint(s), weighting each
-    by its product pmf, and normalises.  Coordinates with unbounded
+    by its product mass, and normalises.  Coordinates with unbounded
     support require a positive weight so the residual budget bounds them.
     Raises SupportTooLarge past ``support_cap`` feasible outcomes and
     InfeasibleTarget when the conditioning event is empty.
@@ -144,7 +144,7 @@ def enumerate_conditional(
                 ):
                     break
                 continue
-            pk = m.pmf(k)
+            pk = m.density(k)
             values[i] = k
             if pk > 0.0:
                 walk(i + 1, nr1, nr2, weight * pk)

@@ -12,7 +12,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from exactcond.cli import main
-from exactcond.engine import dsh_discrete_sample, hard_rejection_sample
+from exactcond.engine import dsh_sample, hard_rejection_sample
 from exactcond.geometry import (
     borel_conditional_sample,
     rado_check,
@@ -70,7 +70,7 @@ def gof_p_value(family, method: str, trials: int, seed: int) -> float:
 
 
 def accept_rate(problem, method: str, accepts: int, seed: int) -> float:
-    sampler = hard_rejection_sample if method == "hard" else dsh_discrete_sample
+    sampler = hard_rejection_sample if method == "hard" else dsh_sample
     rng = CountingRng(seed)
     attempts = 0
     for _ in range(accepts):

@@ -3,11 +3,58 @@ import json
 import math
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
 from exactcond import cli
 from exactcond.cli import fmt, main
+from exactcond.engine import (
+    DEFAULT_MAX_ATTEMPTS,
+    ConditioningProblem,
+    SampleRecord,
+    SecondConstraint,
+    dsh_sample,
+    hard_rejection_sample,
+)
+from exactcond.errors import NonTerminating
+from exactcond.geometry import (
+    IntervalUnion,
+    borel_conditional_sample,
+    feller_polytope_sample,
+    sample_beta_sum,
+    sample_exponential_sum,
+    sample_hypersimplex,
+    sample_permutahedron,
+    sample_sphere_surface,
+)
+from exactcond.marginals import (
+    AbsWeightedGaussian,
+    Bernoulli,
+    CountingRng,
+    Exponential,
+    Geometric,
+    Normal,
+    Poisson,
+    SignedUnit,
+    UniformInt,
+    UniformReal,
+)
+from exactcond.structures import (
+    Assembly,
+    DistinctPartition,
+    EwensProfile,
+    MultiplicityVector,
+    Multiset,
+    Partition,
+    PlanePartitionGrid,
+    Selection,
+    SetPartition,
+    feller_permutation_cycles,
+    materialize_set_partition,
+    sample_structure,
+    small_ball_sample,
+)
 
 
 def run_cli(argv, capsys):
@@ -105,6 +152,136 @@ def test_fixed_seed_stdout_is_pinned(command, digest, capsys):
     code, out, _ = run_cli(command.split(), capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+PIN_MULT = (3, 2, 1, 4, 1, 2, 1, 1)
+
+
+def _user_problem(marginals, weights, target, pivots, second=None):
+    return ConditioningProblem(
+        marginals=tuple(marginals), weights=tuple(weights), target=target,
+        index_set=pivots, second=second,
+    )
+
+
+def _family_samplers():
+    families = [
+        Partition(12), DistinctPartition(12), Selection(10), Multiset(10), Assembly(10),
+        SetPartition(10), PlanePartitionGrid(8), PlanePartitionGrid(6, truncate_cells=False),
+        EwensProfile(8, 3), Selection(8, multiplicities=PIN_MULT),
+        Multiset(8, multiplicities=PIN_MULT), Assembly(8, multiplicities=PIN_MULT),
+    ]
+    for family in families:
+        for method in ("dsh", "hard"):
+            for cap in (DEFAULT_MAX_ATTEMPTS, 2):
+                yield partial(sample_structure, family, method=method, max_attempts=cap)
+    yield partial(feller_permutation_cycles, 8)
+    yield partial(materialize_set_partition, MultiplicityVector((2, 1, 1)))
+
+
+def _geometry_samplers():
+    for cap in (DEFAULT_MAX_ATTEMPTS, 2):
+        yield partial(sample_exponential_sum, [1.0] * 4, 2.0, max_attempts=cap)
+        yield partial(sample_exponential_sum, [0.5, 1.0, 2.0], 1.5, pivot=2, max_attempts=cap)
+        yield partial(sample_beta_sum, [2.0] * 3, [2.0] * 3, 1.5, max_attempts=cap)
+        yield partial(sample_beta_sum, [1.0, 2.0, 3.0], [1.0, 2.0, 1.5], 1.2, max_attempts=cap)
+        yield partial(sample_sphere_surface, AbsWeightedGaussian(), 4, 2.0, max_attempts=cap)
+        yield partial(sample_hypersimplex, 4, 1.5, max_attempts=cap)
+        yield partial(sample_hypersimplex, 3, 2.5, max_attempts=cap)
+        yield partial(
+            small_ball_sample, (1.0,) * 8, IntervalUnion.open(1.5, 2.5), 0, max_attempts=cap
+        )
+        for variant in (1, 2, 3):
+            yield partial(borel_conditional_sample, variant, max_attempts=cap)
+    yield partial(sample_permutahedron, 5)
+    yield partial(sample_permutahedron, 4)
+    yield partial(feller_polytope_sample, ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+
+
+def _engine_samplers(problems, hard=True):
+    for problem in problems:
+        for cap in (DEFAULT_MAX_ATTEMPTS, 2):
+            yield partial(dsh_sample, problem, max_attempts=cap)
+            if hard and problem.is_discrete():
+                yield partial(hard_rejection_sample, problem, max_attempts=cap)
+
+
+def _user_built_samplers():
+    geo, poi, exp = Geometric, Poisson, Exponential
+    two = SecondConstraint(coeffs=(1, 1, 1, 1), target=2)
+    return _engine_samplers([
+        _user_problem((geo(0.5), geo(0.25), geo(0.7)), (1, 2, 1), 4, (0,)),
+        _user_problem((geo(0.5), geo(0.5), geo(0.5)), (2, 1, 3), 10, (0,)),
+        _user_problem((poi(1.0), poi(2.0), poi(0.5)), (1, 1, 2), 4, (1,)),
+        _user_problem((poi(1.0), poi(2.0), poi(0.5)), (1.0, 0.5, 2.0), 3.0, (0,)),
+        _user_problem((geo(0.5), Bernoulli(0.3), poi(1.5)), (1, 2, 1), 3, (0,)),
+        _user_problem((poi(1.0), poi(0.5), poi(0.4), poi(0.2)), (1, 2, 3, 4), 5, (0, 1), two),
+        _user_problem(
+            (poi(1.0), poi(0.5), poi(0.4), poi(0.2)), (1, 2, 3, 4), 5, (0, 1),
+            SecondConstraint(coeffs=(1, 0.5, 1, 1), target=2.0),
+        ),
+        _user_problem((UniformReal(0.0, 1.0),) * 4, (1.0,) * 4, 1.5, (0,)),
+        _user_problem((UniformReal(0.0, 2.0),) * 3, (1.0, 0.5, 2.0), 2.0, (1,)),
+        _user_problem((exp(1.0),) * 3, (1.0, 2.0, 0.5), 1.0, (0,)),
+        _user_problem(
+            (exp(1.0),) * 4, (1.0,) * 4, 2.0, (0, 1),
+            SecondConstraint(coeffs=(1.0, 2.0, 3.0, 4.0), target=5.0),
+        ),
+        _user_problem((Normal(0.0, 1.0),) * 3, (1.0,) * 3, 0.5, (0,)),
+    ])
+
+
+def _flat_integer_pivot_samplers():
+    return _engine_samplers([
+        _user_problem((UniformInt(0, 3), Geometric(0.5), Geometric(0.5)), (1, 1, 1), 3, (0,)),
+        _user_problem((SignedUnit(),) * 5, (1,) * 5, 1, (0,)),
+        _user_problem((UniformInt(1, 6),) * 4, (1,) * 4, 12, (2,)),
+    ], hard=False)
+
+
+def library_digest(samplers) -> str:
+    """sha256 over (outcome, attempts, rng_calls) of three draws at seeds 1-4 per sampler.
+
+    A draw that exhausts its attempt cap contributes the counts its
+    NonTerminating reports.
+    """
+    rows = []
+    for sampler in samplers:
+        for seed in range(1, 5):
+            rng = CountingRng(seed)
+            for _ in range(3):
+                try:
+                    got = sampler(rng=rng)
+                except NonTerminating as err:
+                    rows.append(("gave up", err.attempts, err.rng_calls))
+                    continue
+                rec = got if isinstance(got, SampleRecord) else got[1]
+                rows.append((rec.outcome, rec.attempts, rec.rng_calls))
+    return hashlib.sha256("\n".join(map(repr, rows)).encode()).hexdigest()
+
+
+# Library outputs at fixed seeds.  Every family under dsh and hard, every
+# geometry sampler, and user-built problems (integer, float-weighted,
+# two-constraint and continuous pivots) keep the same draws and costs.  A
+# UniformInt or SignedUnit pivot is flat, so it spends no acceptance
+# uniform: those draws equal the flat-pivot engine's.
+PINNED_LIBRARY = [
+    ("families", _family_samplers,
+     "efbb712212a1e2fc218b36ebdc7068e559b9b6badb800338627f7c9b829b4422"),
+    ("geometry", _geometry_samplers,
+     "4e4112a1e2d7b20c1d042f1dd78f21f7fcf47224a5f9a612ab73796e66e3e0e1"),
+    ("user-built", _user_built_samplers,
+     "d3a379c982eb2a38f95540d766c699b8bc11cb105eb6d11ab350f6217951d5f0"),
+    ("flat-integer-pivots", _flat_integer_pivot_samplers,
+     "01da51651f9419e64e9fa9e013c83ad6ab18e517543b8d6db1cf002f92b3514f"),
+]
+
+
+@pytest.mark.parametrize(
+    "group, samplers, digest", PINNED_LIBRARY, ids=[g for g, _, _ in PINNED_LIBRARY]
+)
+def test_fixed_seed_library_outputs_are_pinned(group, samplers, digest):
+    assert library_digest(samplers()) == digest
 
 
 def test_sample_csv_layout(capsys):

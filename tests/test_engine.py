@@ -1,25 +1,32 @@
 import itertools
 import math
 import sys
+from collections import Counter
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from exactcond.engine import (
     ConditioningProblem,
     SecondConstraint,
     SparseVector,
     complete_from_sums,
-    dsh_continuous_sample,
-    dsh_discrete_sample,
-    dsh_uniform_weight_sample,
+    dsh_sample,
     hard_rejection_sample,
     soft_rejection_sample,
     _draw,
 )
-from exactcond.errors import InfeasibleTarget, InvalidRejection, NonTerminating, SingularSystem
-from exactcond.geometry import IntervalUnion
+from exactcond.errors import (
+    InfeasibleTarget,
+    InvalidRejection,
+    NonTerminating,
+    SingularSystem,
+    SupportTooLarge,
+)
+from exactcond.geometry import IntervalUnion, sample_permutahedron
 from exactcond.marginals import (
     Bernoulli,
     Binomial,
@@ -29,7 +36,9 @@ from exactcond.marginals import (
     NegativeBinomial,
     Poisson,
     SignedUnit,
+    UniformInt,
     UniformReal,
+    block_inversion,
 )
 from exactcond.structures import (
     Assembly,
@@ -135,7 +144,7 @@ def test_two_constraint_completion_by_exact_elimination():
 def test_hard_and_dsh_agree_with_enumeration():
     prob = geometric_problem()
     exact = enumerate_conditional(prob)
-    for sampler in (hard_rejection_sample, dsh_discrete_sample):
+    for sampler in (hard_rejection_sample, dsh_sample):
         rng = CountingRng(101)
         counts: dict = {}
         for _ in range(5000):
@@ -148,10 +157,57 @@ def test_hard_and_dsh_agree_with_enumeration():
         assert p > 1e-3
 
 
+# a small discrete marginal of the catalog, with its mean
+CATALOG_MARGINALS = st.one_of(
+    st.floats(0.1, 0.7).map(lambda r: (Geometric(r), r / (1.0 - r))),
+    st.floats(0.2, 3.0).map(lambda a: (Poisson(a), a)),
+    st.floats(0.1, 0.9).map(lambda s: (Bernoulli(s), s)),
+    st.tuples(st.integers(1, 5), st.floats(0.1, 0.9)).map(
+        lambda t: (Binomial(*t), t[0] * t[1])
+    ),
+    st.tuples(st.integers(1, 3), st.floats(0.1, 0.6)).map(
+        lambda t: (NegativeBinomial(*t), t[0] * t[1] / (1.0 - t[1]))
+    ),
+    st.tuples(st.integers(0, 2), st.integers(0, 3)).map(
+        lambda t: (UniformInt(t[0], t[0] + t[1]), t[0] + t[1] / 2)
+    ),
+    st.just((SignedUnit(), 0.0)),
+)
+
+
+@given(
+    coords=st.lists(st.tuples(CATALOG_MARGINALS, st.integers(1, 3)), min_size=2, max_size=4),
+    offset=st.integers(-1, 1),
+    pivot=st.integers(0, 3),
+)
+@settings(max_examples=25, derandomize=True, deadline=None)
+def test_engines_match_the_oracle_on_catalog_problems(coords, offset, pivot):
+    # the target sits next to the mean of the weighted sum
+    marginals = tuple(m for (m, _), _ in coords)
+    weights = tuple(w for _, w in coords)
+    target = round(sum(w * mean for (_, mean), w in coords)) + offset
+    prob = ConditioningProblem(
+        marginals=marginals, weights=weights, target=target,
+        index_set=(pivot % len(marginals),),
+    )
+    try:
+        exact = enumerate_conditional(prob, support_cap=60)
+    except (InfeasibleTarget, SupportTooLarge):
+        assume(False)
+    assume(len(exact.support()) >= 2)
+    # 25 examples of two engines each: 1e-4 per check keeps a chance
+    # failure of the whole test near 0.5%
+    for sampler, seed in ((dsh_sample, 11), (hard_rejection_sample, 13)):
+        rng = CountingRng(seed)
+        counts = Counter(sampler(prob, rng, max_attempts=10 ** 5).outcome for _ in range(2000))
+        _, _, p = chi_squared_gof(counts, exact.probs)
+        assert p > 1e-4, (sampler.__name__, prob)
+
+
 def test_record_rng_calls_match_generator_deltas():
     prob = geometric_problem()
     rng = CountingRng(7)
-    for sampler in (hard_rejection_sample, dsh_discrete_sample):
+    for sampler in (hard_rejection_sample, dsh_sample):
         before = rng.calls
         rec = sampler(prob, rng)
         assert rec.rng_calls == rng.calls - before
@@ -170,11 +226,42 @@ def test_uniform_weight_rejection_is_free():
     rng = CountingRng(19)
     total_attempts = 0
     for _ in range(500):
-        rec = dsh_uniform_weight_sample(prob, rng)
+        rec = dsh_sample(prob, rng)
         total_attempts += rec.attempts
         assert math.fsum(rec.outcome) == pytest.approx(1.5, abs=1e-9)
         assert all(0.0 < v < 1.0 for v in rec.outcome)
     assert rng.calls == 2 * total_attempts
+    # the same holds for a flat integer pivot: three dice summing to 10
+    dice = ConditioningProblem(
+        marginals=(UniformInt(1, 6),) * 3, weights=(1, 1, 1), target=10, index_set=(0,)
+    )
+    rng = CountingRng(19)
+    counts: dict = {}
+    total_attempts = 0
+    for _ in range(3000):
+        rec = dsh_sample(dice, rng)
+        total_attempts += rec.attempts
+        counts[rec.outcome] = counts.get(rec.outcome, 0) + 1
+    assert rng.calls == 2 * total_attempts
+    exact = enumerate_conditional(dice)
+    assert set(counts) <= set(exact.support())
+    _, _, p = chi_squared_gof(counts, {k: exact.prob(k) * 3000 for k in exact.support()})
+    assert p > 1e-3
+
+
+def test_mixed_pivot_block_is_refused():
+    # a two-coordinate pivot block of one integer and one real marginal
+    prob = ConditioningProblem(
+        marginals=(Poisson(1.0), UniformReal(0.0, 2.0), Poisson(2.0)),
+        weights=(1, 1, 1),
+        target=3,
+        index_set=(0, 1),
+        second=SecondConstraint(coeffs=(1, 2, 3), target=4),
+    )
+    rng = CountingRng(3)
+    with pytest.raises(ValueError, match="mix"):
+        dsh_sample(prob, rng)
+    assert rng.calls == 0
 
 
 def test_continuous_dsh_exponential_sum():
@@ -185,7 +272,7 @@ def test_continuous_dsh_exponential_sum():
         index_set=(0,),
     )
     rng = CountingRng(23)
-    rec = dsh_continuous_sample(prob, rng)
+    rec = dsh_sample(prob, rng)
     assert math.fsum(rec.outcome) == pytest.approx(1.0, abs=1e-9)
     assert all(v > 0.0 for v in rec.outcome)
     # per attempt: two free exponentials, plus one acceptance uniform on
@@ -194,7 +281,9 @@ def test_continuous_dsh_exponential_sum():
 
 
 def _give_up_cases():
-    # every engine, plus the sign sampler, on a problem it almost never accepts
+    # every engine, plus the sign and permutahedron samplers, on a problem
+    # it almost never accepts; dsh runs on a discrete, a continuous and a
+    # flat pivot
     far = ConditioningProblem(
         marginals=(Geometric(0.01), Geometric(0.01)),
         weights=(1, 1),
@@ -210,17 +299,16 @@ def _give_up_cases():
     ball = IntervalUnion.open(29.5, 30.5)
     return {
         "hard": lambda rng, cap: hard_rejection_sample(far, rng, max_attempts=cap),
-        "dsh_discrete": lambda rng, cap: dsh_discrete_sample(far, rng, max_attempts=cap),
-        "dsh_continuous": lambda rng, cap: dsh_continuous_sample(exp_sum, rng, max_attempts=cap),
-        "dsh_uniform_weight": lambda rng, cap: dsh_uniform_weight_sample(
-            cube, rng, max_attempts=cap
-        ),
+        "dsh_discrete": lambda rng, cap: dsh_sample(far, rng, max_attempts=cap),
+        "dsh_continuous": lambda rng, cap: dsh_sample(exp_sum, rng, max_attempts=cap),
+        "dsh_uniform_weight": lambda rng, cap: dsh_sample(cube, rng, max_attempts=cap),
         "soft": lambda rng, cap: soft_rejection_sample(
             far, lambda vals: 1e-300, 1.0, rng, lambda vals, r: (0,), max_attempts=cap
         ),
         "small_ball": lambda rng, cap: small_ball_sample(
             (1.0,) * 30, ball, 0, rng, max_attempts=cap
         ),
+        "permutahedron": lambda rng, cap: sample_permutahedron(30, rng, max_attempts=cap),
     }
 
 
@@ -265,8 +353,7 @@ UNREACHABLE = {
 
 ENGINES = {
     "hard": hard_rejection_sample,
-    "dsh_discrete": dsh_discrete_sample,
-    "dsh_uniform_weight": dsh_uniform_weight_sample,
+    "dsh_discrete": dsh_sample,  # every problem here is discrete
     "soft": lambda prob, rng, max_attempts: soft_rejection_sample(
         prob, lambda vals: 1.0, 1.0, rng, lambda vals, r: (0,), max_attempts=max_attempts
     ),
@@ -291,7 +378,7 @@ def _free_sum(prob, vals):
 
 
 def test_soft_with_pivot_mass_weight_is_dsh():
-    # weight pmf(pivot) with bound max pmf is the dsh acceptance: same
+    # weight density(pivot) with bound sup_density is the dsh acceptance: same
     # uniforms, same accepted outcomes, same records
     for family in (Multiset(8, multiplicities=MULTIPLICITIES), SetPartition(12)):
         prob = build_problem(family)
@@ -299,15 +386,15 @@ def test_soft_with_pivot_mass_weight_is_dsh():
 
         def q(vals):
             got = complete_from_sums(prob, _free_sum(prob, vals))
-            return 0.0 if got is None else pivot.pmf(got[0])
+            return 0.0 if got is None else pivot.density(got[0])
 
         def second_half(vals, rng):
             return complete_from_sums(prob, _free_sum(prob, vals))
 
         soft_rng, dsh_rng = CountingRng(43), CountingRng(43)
         for _ in range(50):
-            soft = soft_rejection_sample(prob, q, pivot.max_pmf()[1], soft_rng, second_half)
-            assert soft == dsh_discrete_sample(prob, dsh_rng)
+            soft = soft_rejection_sample(prob, q, pivot.sup_density(), soft_rng, second_half)
+            assert soft == dsh_sample(prob, dsh_rng)
         assert soft_rng.calls == dsh_rng.calls
 
 
@@ -317,7 +404,7 @@ def test_soft_rejection_matches_dsh_law():
 
     def q(vals):
         got = complete_from_sums(prob, _free_sum(prob, vals))
-        return 0.0 if got is None else pivot.pmf(got[0])
+        return 0.0 if got is None else pivot.density(got[0])
 
     def second_half(vals, rng):
         return complete_from_sums(prob, _free_sum(prob, vals))
@@ -325,7 +412,7 @@ def test_soft_rejection_matches_dsh_law():
     rng = CountingRng(29)
     counts: dict = {}
     for _ in range(5000):
-        rec = soft_rejection_sample(prob, q, pivot.max_pmf()[1], rng, second_half)
+        rec = soft_rejection_sample(prob, q, pivot.sup_density(), rng, second_half)
         counts[rec.outcome] = counts.get(rec.outcome, 0) + 1
     exact = enumerate_conditional(prob)
     _, _, p = chi_squared_gof(counts, {k: exact.prob(k) * 5000 for k in exact.support()})
@@ -359,7 +446,7 @@ def test_loose_upper_bound_keeps_law_exact():
 
     def q(vals):
         got = complete_from_sums(prob, _free_sum(prob, vals))
-        return 0.0 if got is None else pivot.pmf(got[0])
+        return 0.0 if got is None else pivot.density(got[0])
 
     def second_half(vals, rng):
         return complete_from_sums(prob, _free_sum(prob, vals))
@@ -367,7 +454,7 @@ def test_loose_upper_bound_keeps_law_exact():
     rng = CountingRng(41)
     counts: dict = {}
     for _ in range(5000):
-        rec = soft_rejection_sample(prob, q, 4.0 * pivot.max_pmf()[1], rng, second_half)
+        rec = soft_rejection_sample(prob, q, 4.0 * pivot.sup_density(), rng, second_half)
         counts[rec.outcome] = counts.get(rec.outcome, 0) + 1
     exact = enumerate_conditional(prob)
     _, _, p = chi_squared_gof(counts, {k: exact.prob(k) * 5000 for k in exact.support()})
@@ -455,7 +542,7 @@ class FixedUniforms:
 
 
 def reference_masses(m):
-    """pmf(0), pmf(1), ... by the recurrence the per-draw scans multiplied."""
+    """density(0), density(1), ... by the recurrence the per-draw scans multiplied."""
     if isinstance(m, Poisson):
         first, ratio = math.exp(-m.rate), lambda k: m.rate / (k + 1)
     elif isinstance(m, Binomial):
@@ -466,7 +553,7 @@ def reference_masses(m):
         first = math.exp(m.blocks * math.log1p(-m.ratio))
         ratio = lambda k: m.ratio * (m.blocks + k) / (k + 1)  # noqa: E731
     if first < sys.float_info.min:
-        yield from map(m.pmf, itertools.count())
+        yield from map(m.density, itertools.count())
         return
     mass = first
     for k in itertools.count():
@@ -480,7 +567,7 @@ def reference_scan(m, u):
     The walk stops at the support's last point, or past the mode where the
     next mass no longer changes the cdf.
     """
-    mode, last = m.max_pmf()[0], m.support_bounds()[1]
+    mode, last = m.mode(), m.support_bounds()[1]
     cdf = 0.0
     for k, mass in enumerate(reference_masses(m)):
         if k == last or (k > mode and cdf + mass == cdf):
@@ -518,6 +605,25 @@ def test_table_lookup_matches_the_scan_at_edge_uniforms(marginal):
         want = reference_scan(marginal, u)
         assert marginal.sample(FixedUniforms([u])) == want
         assert prob._draw_free(rng)[2].tolist() == [want]
+
+
+# (ratio, u) where math's and numpy's log1p and log differ in the last bit
+# across an integer quotient on an x86-64 host with AVX-512 and numpy 2.4
+GEOMETRIC_EDGES = [
+    (0.77, 0.40709999999999996),
+    (0.9, 0.9576088417247838),
+    (0.95, 0.36975059027539087),
+]
+
+
+def test_geometric_plan_and_block_agree():
+    marginals = [Geometric(r) for r, _ in GEOMETRIC_EDGES]
+    us = np.array([u for _, u in GEOMETRIC_EDGES])
+    invert, _ = block_inversion(marginals)
+    plan = [m.sample(FixedUniforms([u])) for m, (_, u) in zip(marginals, GEOMETRIC_EDGES)]
+    assert invert(us).tolist() == plan
+    for m, u, want in zip(marginals, us, plan):
+        assert block_inversion([m])[0](np.array([u])).tolist() == [want]
 
 
 def test_table_drawer_needs_exact_int64_sums():

@@ -70,10 +70,11 @@ def test_derive_seed_spreads_indices():
 
 def test_geometric_pmf_and_mode():
     g = Geometric(0.5)
-    assert g.pmf(0) == pytest.approx(0.5)
-    assert g.pmf(3) == pytest.approx(0.5 ** 3 * 0.5)
-    assert g.pmf(-1) == 0.0
-    assert g.max_pmf() == (0, pytest.approx(0.5))
+    assert g.density(0) == pytest.approx(0.5)
+    assert g.density(3) == pytest.approx(0.5 ** 3 * 0.5)
+    assert g.density(-1) == 0.0
+    assert g.mode() == 0
+    assert g.sup_density() == pytest.approx(0.5)
     assert g.support_bounds() == (0, None)
 
 
@@ -87,24 +88,24 @@ def test_geometric_sampling_costs_one_uniform_and_matches_pmf():
         counts[k] = counts.get(k, 0) + 1
     support = range(0, max(counts) + 1)
     _, _, p = chi_squared_gof(
-        {k: counts.get(k, 0) for k in support}, {k: g.pmf(k) for k in support}
+        {k: counts.get(k, 0) for k in support}, {k: g.density(k) for k in support}
     )
     assert p > 1e-3
 
 
 def test_poisson_mode_breaks_ties_downward():
-    assert Poisson(3.7).max_pmf()[0] == 3
+    assert Poisson(3.7).mode() == 3
     # integer rate ties pmf(rate-1) == pmf(rate); report the smaller
     p4 = Poisson(4.0)
-    assert p4.max_pmf()[0] == 3
-    assert p4.pmf(3) == pytest.approx(p4.pmf(4))
-    assert Poisson(0.3).max_pmf()[0] == 0
+    assert p4.mode() == 3
+    assert p4.density(3) == pytest.approx(p4.density(4))
+    assert Poisson(0.3).mode() == 0
 
 
 def test_poisson_zero_rate_is_point_mass():
     p = Poisson(0.0)
-    assert p.pmf(0) == 1.0
-    assert p.pmf(1) == 0.0
+    assert p.density(0) == 1.0
+    assert p.density(1) == 0.0
     rng = CountingRng(5)
     assert p.sample(rng) == 0
     assert p.support_bounds() == (0, 0)
@@ -120,7 +121,7 @@ def test_poisson_sampling_law_and_cost():
         counts[k] = counts.get(k, 0) + 1
     support = range(0, max(counts) + 1)
     _, _, pval = chi_squared_gof(
-        {k: counts.get(k, 0) for k in support}, {k: p.pmf(k) for k in support}
+        {k: counts.get(k, 0) for k in support}, {k: p.density(k) for k in support}
     )
     assert pval > 1e-3
 
@@ -137,12 +138,13 @@ def test_poisson_large_rate_splits_deterministically():
 
 def test_bernoulli_and_binomial_modes():
     b = Bernoulli(0.3)
-    assert b.max_pmf() == (0, pytest.approx(0.7))
-    assert Binomial(10, 0.5).max_pmf()[0] == 5
+    assert b.mode() == 0
+    assert b.sup_density() == pytest.approx(0.7)
+    assert Binomial(10, 0.5).mode() == 5
     # (m+1)p integral ties the pmf at two neighbours; take the smaller
     tie = Binomial(9, 0.5)
-    assert tie.max_pmf()[0] == 4
-    assert tie.pmf(4) == pytest.approx(tie.pmf(5))
+    assert tie.mode() == 4
+    assert tie.density(4) == pytest.approx(tie.density(5))
 
 
 def test_binomial_law():
@@ -153,17 +155,17 @@ def test_binomial_law():
     counts = {k: 0 for k in range(7)}
     for k in draws:
         counts[k] += 1
-    _, _, pval = chi_squared_gof(counts, {k: b.pmf(k) for k in range(7)})
+    _, _, pval = chi_squared_gof(counts, {k: b.density(k) for k in range(7)})
     assert pval > 1e-3
-    assert sum(b.pmf(k) for k in range(7)) == pytest.approx(1.0)
+    assert sum(b.density(k) for k in range(7)) == pytest.approx(1.0)
 
 
 def test_negative_binomial_mode_tie():
     nb = NegativeBinomial(3, 0.5)
     # (m-1)x/(1-x) = 2 exactly, so pmf(1) == pmf(2); smaller argmax wins
-    assert nb.pmf(1) == pytest.approx(nb.pmf(2))
-    assert nb.max_pmf()[0] == 1
-    assert NegativeBinomial(1, 0.4).max_pmf()[0] == 0
+    assert nb.density(1) == pytest.approx(nb.density(2))
+    assert nb.mode() == 1
+    assert NegativeBinomial(1, 0.4).mode() == 0
 
 
 def test_negative_binomial_law():
@@ -176,7 +178,7 @@ def test_negative_binomial_law():
         counts[k] = counts.get(k, 0) + 1
     support = range(0, max(counts) + 1)
     _, _, pval = chi_squared_gof(
-        {k: counts.get(k, 0) for k in support}, {k: nb.pmf(k) for k in support}
+        {k: counts.get(k, 0) for k in support}, {k: nb.density(k) for k in support}
     )
     assert pval > 1e-3
 
@@ -213,21 +215,22 @@ def test_underflowing_start_mass_keeps_the_law(marginal):
     counts: dict = {}
     for k in draws:
         counts[k] = counts.get(k, 0) + 1
-    mode = marginal.max_pmf()[0]
+    mode = marginal.mode()
     support = range(min(mode - 400, *counts), max(mode + 400, *counts) + 1)
     _, _, pval = chi_squared_gof(
-        {k: counts.get(k, 0) for k in support}, {k: marginal.pmf(k) for k in support}
+        {k: counts.get(k, 0) for k in support}, {k: marginal.density(k) for k in support}
     )
     assert pval > 1e-3
 
 
 def test_uniform_int_and_signed_unit():
     u = UniformInt(2, 5)
-    assert u.pmf(2) == pytest.approx(0.25)
-    assert u.pmf(6) == 0.0
-    assert u.max_pmf() == (2, pytest.approx(0.25))
+    assert u.density(2) == pytest.approx(0.25)
+    assert u.density(6) == 0.0
+    assert u.mode() == 2
+    assert u.sup_density() == pytest.approx(0.25)
     s = SignedUnit()
-    assert s.pmf(0) == 0.0
+    assert s.density(0) == 0.0
     assert s.in_support(-1) and s.in_support(1) and not s.in_support(0)
     assert list(s.support_iter()) == [-1, 1]
     rng = CountingRng(23)
@@ -239,14 +242,14 @@ def test_uniform_int_and_signed_unit():
 @given(st.floats(min_value=0.05, max_value=0.95), st.integers(min_value=0, max_value=60))
 def test_geometric_max_pmf_dominates(ratio, k):
     g = Geometric(ratio)
-    assert g.max_pmf()[1] >= g.pmf(k)
+    assert g.sup_density() >= g.density(k)
 
 
 @given(st.floats(min_value=0.05, max_value=30.0), st.integers(min_value=0, max_value=80))
 @settings(max_examples=60)
 def test_poisson_max_pmf_dominates(rate, k):
     p = Poisson(rate)
-    assert p.max_pmf()[1] >= p.pmf(k) * (1.0 - 1e-12)
+    assert p.sup_density() >= p.density(k) * (1.0 - 1e-12)
 
 
 @given(
@@ -257,7 +260,7 @@ def test_poisson_max_pmf_dominates(rate, k):
 @settings(max_examples=60)
 def test_binomial_max_pmf_dominates(m, p, k):
     b = Binomial(m, p)
-    assert b.max_pmf()[1] >= b.pmf(k) * (1.0 - 1e-12)
+    assert b.sup_density() >= b.density(k) * (1.0 - 1e-12)
 
 
 def test_exponential_inversion():
@@ -267,15 +270,15 @@ def test_exponential_inversion():
     assert rng.calls == 20000
     _, p = ks_statistic(draws, lambda y: -math.expm1(-2.0 * y) if y > 0 else 0.0)
     assert p > 1e-3
-    assert e.sup_pdf() == pytest.approx(2.0)
-    assert e.pdf(-0.5) == 0.0
+    assert e.sup_density() == pytest.approx(2.0)
+    assert e.density(-0.5) == 0.0
 
 
 def test_uniform_real():
     u = UniformReal(1.0, 3.0)
-    assert u.pdf(2.0) == pytest.approx(0.5)
-    assert u.pdf(0.0) == 0.0
-    assert u.sup_pdf() == pytest.approx(0.5)
+    assert u.density(2.0) == pytest.approx(0.5)
+    assert u.density(0.0) == 0.0
+    assert u.sup_density() == pytest.approx(0.5)
     rng = CountingRng(31)
     draws = [u.sample(rng) for _ in range(5000)]
     assert rng.calls == 5000
@@ -289,14 +292,14 @@ def test_normal_costs_two_uniforms():
     assert rng.calls == 40000
     _, p = ks_statistic(draws, lambda y: 0.5 * (1.0 + math.erf(y / math.sqrt(2.0))))
     assert p > 1e-3
-    assert n.sup_pdf() == pytest.approx(1.0 / math.sqrt(2.0 * math.pi))
+    assert n.sup_density() == pytest.approx(1.0 / math.sqrt(2.0 * math.pi))
 
 
 def test_beta_density_and_sampling():
     b = Beta(2.0, 3.0)
     # B(2,3) = 1/12, density 12 y (1-y)^2
-    assert b.pdf(0.25) == pytest.approx(12 * 0.25 * 0.75 ** 2)
-    assert b.sup_pdf() == pytest.approx(12 * (1 / 3) * (2 / 3) ** 2)
+    assert b.density(0.25) == pytest.approx(12 * 0.25 * 0.75 ** 2)
+    assert b.sup_density() == pytest.approx(12 * (1 / 3) * (2 / 3) ** 2)
     rng = CountingRng(41)
     from scipy.stats import beta as beta_dist
 
@@ -306,19 +309,19 @@ def test_beta_density_and_sampling():
 
 
 def test_beta_flat_and_unbounded_cases():
-    assert Beta(1.0, 1.0).sup_pdf() == pytest.approx(1.0)
-    assert Beta(1.0, 2.0).sup_pdf() == pytest.approx(2.0)
+    assert Beta(1.0, 1.0).sup_density() == pytest.approx(1.0)
+    assert Beta(1.0, 2.0).sup_density() == pytest.approx(2.0)
     with pytest.raises(UnboundedDensity):
-        Beta(0.5, 0.5).sup_pdf()
+        Beta(0.5, 0.5).sup_density()
     with pytest.raises(ValueError):
         Beta(0.0, 1.0)
 
 
 def test_abs_weighted_gaussian():
     a = AbsWeightedGaussian()
-    assert a.pdf(1.0) == pytest.approx(math.exp(-1.0))
+    assert a.density(1.0) == pytest.approx(math.exp(-1.0))
     peak = 1.0 / math.sqrt(2.0)
-    assert a.sup_pdf() == pytest.approx(a.pdf(peak))
+    assert a.sup_density() == pytest.approx(a.density(peak))
     rng = CountingRng(43)
     draws = [a.sample(rng) for _ in range(20000)]
     assert rng.calls == 40000

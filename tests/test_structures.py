@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactcond.engine import dsh_discrete_sample, hard_rejection_sample
+from exactcond.engine import dsh_sample, hard_rejection_sample
 from exactcond.errors import InvalidFamily, InvalidProfile
 from exactcond.geometry import IntervalUnion
 from exactcond.marginals import (
@@ -376,5 +376,5 @@ def test_set_partition_dsh_beats_hard_rejection():
     # pivot's point mass makes dsh accept strictly more often
     problem = build_problem(SetPartition(30))
     hard = _accept_rate(problem, hard_rejection_sample, 200, 71)
-    dsh = _accept_rate(problem, dsh_discrete_sample, 400, 72)
+    dsh = _accept_rate(problem, dsh_sample, 400, 72)
     assert dsh > 1.5 * hard
