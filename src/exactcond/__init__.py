@@ -6,18 +6,20 @@ the completed block's density to its maximum.  Accepted draws follow
 the conditional law exactly, and the accounting counts every uniform
 the generator hands out, so rejection schemes can be compared by cost
 per delivered sample.
+
+The package names the structure families and their sampler, the engine
+surface for building and sampling a problem of one's own, and the error
+types.  Everything else (marginal laws, geometry samplers, oracles and
+statistics) is imported from its module: ``exactcond.marginals``,
+``exactcond.geometry``, ``exactcond.verify`` and so on.
 """
 
 from .engine import (
-    DEFAULT_MAX_ATTEMPTS,
     ConditioningProblem,
     SampleRecord,
     SecondConstraint,
-    SparseVector,
-    complete_from_sums,
     dsh_sample,
     hard_rejection_sample,
-    soft_rejection_sample,
 )
 from .errors import (
     ExactcondError,
@@ -30,146 +32,47 @@ from .errors import (
     SupportTooLarge,
     UnboundedDensity,
 )
-from .geometry import (
-    IntervalUnion,
-    borel_conditional_sample,
-    feller_polytope_sample,
-    rado_check,
-    sample_beta_sum,
-    sample_exponential_sum,
-    sample_hypersimplex,
-    sample_permutahedron,
-    sample_sphere_surface,
-    uniform_spacings,
-)
-from .marginals import (
-    AbsWeightedGaussian,
-    Bernoulli,
-    Beta,
-    Binomial,
-    ContinuousMarginal,
-    CountingRng,
-    DiscreteMarginal,
-    Exponential,
-    Geometric,
-    NegativeBinomial,
-    Normal,
-    Poisson,
-    SignedUnit,
-    UniformInt,
-    UniformReal,
-    derive_seed,
-)
+from .marginals import CountingRng, derive_seed
 from .structures import (
     Assembly,
     DistinctPartition,
     EwensProfile,
-    Family,
     Multiset,
-    MultiplicityVector,
     Partition,
-    PlaneGrid,
     PlanePartitionGrid,
     Selection,
     SetPartition,
     build_problem,
-    feller_permutation_cycles,
-    grid_cells,
-    materialize_set_partition,
     sample_structure,
-    small_ball_sample,
-    solve_tilt,
-)
-from .verify import (
-    CostStats,
-    ExactDistribution,
-    benchmark,
-    chi_squared_gof,
-    counting_oracle,
-    empirical,
-    enumerate_conditional,
-    ks_statistic,
-    ks_two_sample,
-    merge_cost_stats,
-    speedup_ratio,
-    tv_distance,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbsWeightedGaussian",
     "Assembly",
-    "Bernoulli",
-    "Beta",
-    "Binomial",
     "ConditioningProblem",
-    "ContinuousMarginal",
-    "CostStats",
     "CountingRng",
-    "DEFAULT_MAX_ATTEMPTS",
-    "DiscreteMarginal",
     "DistinctPartition",
     "EwensProfile",
-    "ExactDistribution",
     "ExactcondError",
-    "Exponential",
-    "Family",
-    "Geometric",
     "InfeasibleTarget",
-    "IntervalUnion",
     "InvalidFamily",
     "InvalidProfile",
     "InvalidRejection",
     "Multiset",
-    "MultiplicityVector",
-    "NegativeBinomial",
     "NonTerminating",
-    "Normal",
     "Partition",
-    "PlaneGrid",
     "PlanePartitionGrid",
-    "Poisson",
     "SampleRecord",
     "SecondConstraint",
     "Selection",
     "SetPartition",
-    "SignedUnit",
     "SingularSystem",
-    "SparseVector",
     "SupportTooLarge",
     "UnboundedDensity",
-    "UniformInt",
-    "UniformReal",
-    "benchmark",
-    "borel_conditional_sample",
     "build_problem",
-    "chi_squared_gof",
-    "complete_from_sums",
-    "counting_oracle",
     "derive_seed",
     "dsh_sample",
-    "empirical",
-    "enumerate_conditional",
-    "feller_permutation_cycles",
-    "feller_polytope_sample",
-    "grid_cells",
     "hard_rejection_sample",
-    "ks_statistic",
-    "ks_two_sample",
-    "materialize_set_partition",
-    "merge_cost_stats",
-    "rado_check",
-    "sample_beta_sum",
-    "sample_exponential_sum",
-    "sample_hypersimplex",
-    "sample_permutahedron",
-    "sample_sphere_surface",
     "sample_structure",
-    "small_ball_sample",
-    "soft_rejection_sample",
-    "solve_tilt",
-    "speedup_ratio",
-    "tv_distance",
-    "uniform_spacings",
 ]

@@ -46,6 +46,7 @@ from .verify import (
     enumerate_conditional,
     ks_statistic,
     merge_cost_stats,
+    speedup_ratio,
 )
 
 DEFAULT_SEED = 1729
@@ -144,7 +145,7 @@ def _make_family(name: str, args):
     raise ConfigError(f"unknown family {name!r}")
 
 
-def _outcome_payload(target: str, value):
+def _outcome_payload(value):
     if isinstance(value, PlaneGrid):
         return [list(entry) for entry in value.entries]
     if hasattr(value, "counts"):
@@ -192,7 +193,7 @@ def run_sample(args) -> int:
     for index in range(args.count):
         rng = CountingRng(derive_seed(seed, index))
         value, rec = _sample_one(args.target, args, rng)
-        payload = _outcome_payload(args.target, value)
+        payload = _outcome_payload(value)
         if args.format == "jsonl":
             line = _record_line(
                 [
@@ -288,7 +289,7 @@ def run_benchmark(args) -> int:
                     s.trials,
                     s.accept_rate,
                     s.rng_calls_per_sample,
-                    baseline.rng_calls_per_sample / s.rng_calls_per_sample,
+                    speedup_ratio(baseline, s),
                 ]
             )
 

@@ -22,7 +22,8 @@ reject it.  Only the loop counts attempts and uniforms and raises
   without an acceptance uniform.
 * ``soft_rejection_sample`` generalises the pivot acceptance to a caller
   supplied weight q on first halves with upper bound q_sup, plus a caller
-  supplied second-half sampler.
+  supplied second-half sampler.  It serves the statistics no pivot solve
+  completes: the sphere's sum of squares and the second Borel variant.
 
 ``structures.small_ball_sample`` passes its own sign draw and step to the
 same loop, and ``geometry.sample_permutahedron`` the dsh step followed by
@@ -31,10 +32,11 @@ slack) and are never clamped; a genuine violation raises
 :class:`InvalidRejection`.
 
 Every engine draws its first halves (or full vectors) through the drawer
-the problem picks once, on first use: the caller's hook if it gave one,
-else one block of uniforms inverted by ``marginals.block_inversion`` and
-summed with int64 dot products (integer values) or ``math.fsum`` (real
-values), else a per-coordinate ``sample`` plan.  The block and the plan
+the problem picks once, on first use: the hook its ``draw_hook`` factory
+builds for the drawn index list if it has one, else one block of
+uniforms inverted by ``marginals.block_inversion`` and summed with int64
+dot products (integer values) or ``math.fsum`` (real values), else a
+per-coordinate ``sample`` plan.  The block and the plan
 turn the same uniforms into the same values.
 
 Every engine raises :class:`InfeasibleTarget` before its first draw when
@@ -68,7 +70,8 @@ _RATIO_SLACK = 1e-9
 
 # Draw hooks return (linear sum, second sum, values); values may be a
 # sequence aligned with the drawn index list or a sparse {index: value}
-# dict over the full coordinate space (absent keys are zero).
+# dict over the full coordinate space (absent keys are zero).  A problem's
+# ``draw_hook`` maps an index list to the hook that draws those indices.
 DrawHook = Callable[[CountingRng], tuple[float, float, Sequence | dict]]
 
 
@@ -114,8 +117,7 @@ class ConditioningProblem:
     target: float
     index_set: tuple[int, ...]
     second: SecondConstraint | None = None
-    free_draw: DrawHook | None = None
-    full_draw: DrawHook | None = None
+    draw_hook: Callable[[tuple[int, ...]], DrawHook] | None = None
 
     # derived, filled by __post_init__
     free_indices: tuple[int, ...] = field(init=False)
@@ -183,11 +185,11 @@ class ConditioningProblem:
 
     @cached_property
     def _draw_free(self) -> DrawHook:
-        return self._drawer(self.free_draw, self.free_indices)
+        return self._drawer(self.free_indices)
 
     @cached_property
     def _draw_full(self) -> DrawHook:
-        return self._drawer(self.full_draw, range(self.size))
+        return self._drawer(tuple(range(self.size)))
 
     @cached_property
     def _dsh_step(self) -> Callable:
@@ -218,10 +220,10 @@ class ConditioningProblem:
             return None, "hard rejection cannot hit an exact value of a continuous sum"
         return reason, reason
 
-    def _drawer(self, hook: DrawHook | None, indices) -> DrawHook:
-        """The caller's hook, else one block inversion for ``indices``, else a ``sample`` plan."""
-        if hook is not None:
-            return hook
+    def _drawer(self, indices: tuple[int, ...]) -> DrawHook:
+        """The ``draw_hook`` hook for ``indices``, else one block inversion, else a ``sample`` plan."""
+        if self.draw_hook is not None:
+            return self.draw_hook(indices)
         draw = _block_drawer(self, indices)
         if draw is not None:
             return draw

@@ -6,9 +6,10 @@ Pivot completion makes the events reachable: ``dsh_sample`` solves one
 coordinate from a linear constraint and accepts with the pivot's density
 ratio, which for a flat (UniformReal) pivot is 1, so completability alone
 decides.  The permutahedron runs the same step and then its membership
-test inside one rejection loop.  A nonlinear statistic (the sphere) and
-the Borel variants weight their first halves through
-``soft_rejection_sample``.
+test inside one rejection loop, and the first Borel variant is a plain
+pivot completion of U - V = 0.  A nonlinear statistic (the sphere) and
+the second Borel variant, whose weight carries the ratio's |U| Jacobian,
+weight their first halves through ``soft_rejection_sample``.
 
 Covered sample spaces:
 
@@ -314,21 +315,20 @@ def borel_conditional_sample(
         start = rng.calls
         v = std.sample(rng)
         return v, SampleRecord((v, v), 1, rng.calls - start)
-    if variant == 1:
-        def weight(vals) -> float:
-            return std.density(vals[0])
-        q_sup = std.sup_density()
-    elif variant == 2:
-        def weight(vals) -> float:
-            return abs(vals[0]) * std.density(vals[0])
-        q_sup = math.exp(-0.5) / math.sqrt(2.0 * math.pi)
-    else:
+    if variant not in (1, 2):
         raise ValueError(f"variant must be 1, 2, or 3, got {variant}")
-
     problem = _problem((std, std), (1.0, -1.0), 0.0, 1)
+    if variant == 1:
+        # the pivot solve of U - V = 0 gives V = U, accepted with phi(U) / sup phi
+        rec = dsh_sample(problem, rng, max_attempts=max_attempts)
+        return rec.outcome[1], rec
+
+    def weight(vals) -> float:
+        return abs(vals[0]) * std.density(vals[0])
 
     def mirror(vals, _rng: CountingRng):
         return (vals[0],)
 
+    q_sup = math.exp(-0.5) / math.sqrt(2.0 * math.pi)
     rec = soft_rejection_sample(problem, weight, q_sup, rng, mirror, max_attempts=max_attempts)
     return rec.outcome[1], rec

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .engine import (
     ConditioningProblem,
     SampleRecord,
     SecondConstraint,
-    SparseVector,
     _rejection_loop,
     dsh_sample,
     hard_rejection_sample,
@@ -261,13 +260,13 @@ def grid_cells(family: PlanePartitionGrid) -> list[tuple[int, int]]:
     return cells
 
 
-def _sparse_geometric_hook(weights, ratios, skip: int | None):
-    # Scan for the next nonzero coordinate by inverting the waiting-time
-    # law over the (1 - r_j) survival products: two uniforms per nonzero
-    # cell plus one closing draw, instead of one uniform per cell.  The
-    # joint law of the drawn vector is unchanged; only the draw count
-    # (the cost unit) differs from the per-variate scheme.
-    idx = [i for i in range(len(weights)) if i != skip]
+def _sparse_geometric_hook(weights, ratios, indices):
+    # Scan ``indices`` for the next nonzero coordinate by inverting the
+    # waiting-time law over the (1 - r_j) survival products: two uniforms
+    # per nonzero cell plus one closing draw, instead of one uniform per
+    # cell.  The joint law of the drawn vector is unchanged; only the draw
+    # count (the cost unit) differs from the per-variate scheme.
+    idx = list(indices)
     w = [weights[i] for i in idx]
     r = np.array([ratios[i] for i in idx])
     neg_log_survival = -np.cumsum(np.log1p(-r))
@@ -354,11 +353,9 @@ def build_problem(family: Family) -> ConditioningProblem:
         weights = tuple(i + j + 1 for i, j in cells)
         ratios = [x ** w for w in weights]
         marginals = tuple(Geometric(r) for r in ratios)
-        free = _sparse_geometric_hook(weights, ratios, 0)
-        full = _sparse_geometric_hook(weights, ratios, None)
         return ConditioningProblem(
             marginals=marginals, weights=weights, target=n, index_set=(0,),
-            free_draw=free, full_draw=full,
+            draw_hook=partial(_sparse_geometric_hook, weights, ratios),
         )
 
     if isinstance(family, EwensProfile):
@@ -398,13 +395,10 @@ def sample_structure(
         raise ValueError(f"method must be hard or dsh, got {method!r}")
 
     if isinstance(family, PlanePartitionGrid):
+        # the grid's draw hook reports sparse values, so its outcome is a SparseVector
         cells = grid_cells(family)
-        out = rec.outcome
-        pairs = out.entries if isinstance(out, SparseVector) else [
-            (i, v) for i, v in enumerate(out) if v
-        ]
         value = PlaneGrid(
-            family.n, tuple((cells[i][0], cells[i][1], int(v)) for i, v in pairs)
+            family.n, tuple((cells[i][0], cells[i][1], v) for i, v in rec.outcome.entries)
         )
     else:
         value = MultiplicityVector(tuple(int(v) for v in rec.outcome))

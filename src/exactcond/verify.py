@@ -118,20 +118,17 @@ def enumerate_conditional(
                 return False
         return True
 
-    def walk(i: int, r1: int, r2: int, weight: float):
-        nonlocal leaves
-        if i == n:
-            if r1 == 0 and (not sec or r2 == 0):
-                leaves += 1
-                if leaves > support_cap:
-                    raise SupportTooLarge(
-                        f"conditional support exceeds cap {support_cap}"
-                    )
-                if weight > 0.0:
-                    probs[tuple(values)] = probs.get(tuple(values), 0.0) + weight
-            return
-        m = problem.marginals[i]
-        for k in m.support_iter():
+    # depth-first walk with an explicit stack, one frame per fixed prefix:
+    # the residuals and product mass so far and the next coordinate's
+    # remaining support, so a long vector cannot exhaust the call stack
+    marginals = problem.marginals
+    frames = [(t1, t2, 1.0, iter(marginals[0].support_iter()))]
+    while frames:
+        i = len(frames) - 1
+        r1, r2, weight, ks = frames[-1]
+        m = marginals[i]
+        descended = False
+        for k in ks:
             nr1 = r1 - w[i] * k
             nr2 = r2 - u[i] * k
             if not feasible(i + 1, nr1, nr2):
@@ -146,11 +143,24 @@ def enumerate_conditional(
                 continue
             pk = m.density(k)
             values[i] = k
-            if pk > 0.0:
-                walk(i + 1, nr1, nr2, weight * pk)
-        values[i] = 0
+            if not pk > 0.0:
+                continue
+            if i + 1 < n:
+                frames.append((nr1, nr2, weight * pk, iter(marginals[i + 1].support_iter())))
+                descended = True
+                break
+            if nr1 == 0 and (not sec or nr2 == 0):
+                leaves += 1
+                if leaves > support_cap:
+                    raise SupportTooLarge(f"conditional support exceeds cap {support_cap}")
+                mass = weight * pk
+                if mass > 0.0:
+                    key = tuple(values)
+                    probs[key] = probs.get(key, 0.0) + mass
+        if not descended:
+            values[i] = 0
+            frames.pop()
 
-    walk(0, t1, t2, 1.0)
     total = math.fsum(probs.values())
     if not probs or total <= 0.0:
         raise InfeasibleTarget(

@@ -1,12 +1,15 @@
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 from functools import partial
+from pathlib import Path
 
 import pytest
 
+import exactcond
 from exactcond import cli
 from exactcond.cli import fmt, main
 from exactcond.engine import (
@@ -420,6 +423,18 @@ def test_env_seed_override(capsys, monkeypatch):
     monkeypatch.setenv("EXACTCOND_SEED", "not-a-number")
     code, _, _ = run_cli(["sample", "partition", "--n", "15"], capsys)
     assert code == 2
+
+
+def test_package_names_the_readme_list():
+    # the names the README's "Library use" bullets give for the top level
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    bullets = section.split("\n- ", 1)[1].split("\n\n", 1)[0]
+    listed = sorted(re.findall(r"`(\w+)`", bullets))
+    assert sorted(exactcond.__all__) == listed
+    assert len(listed) == 26
+    for name in listed:
+        assert getattr(exactcond, name) is not None
 
 
 def test_import_leaves_scipy_unloaded():

@@ -204,6 +204,79 @@ def test_engines_match_the_oracle_on_catalog_problems(coords, offset, pivot):
         assert p > 1e-4, (sampler.__name__, prob)
 
 
+# a bounded marginal of the catalog: the oracle enumerates a bounded
+# coordinate under a weight of either sign
+BOUNDED_MARGINALS = st.one_of(
+    st.floats(0.1, 0.9).map(Bernoulli),
+    st.tuples(st.integers(1, 5), st.floats(0.1, 0.9)).map(lambda t: Binomial(*t)),
+    st.tuples(st.integers(-2, 2), st.integers(0, 3)).map(
+        lambda t: UniformInt(t[0], t[0] + t[1])
+    ),
+    st.just(SignedUnit()),
+)
+
+# a marginal with its weight: any catalog marginal under a positive
+# weight, a bounded one under a negative weight too
+SIGNED_COORDS = st.one_of(
+    st.tuples(CATALOG_MARGINALS.map(lambda t: t[0]), st.integers(1, 3)),
+    st.tuples(BOUNDED_MARGINALS, st.sampled_from((-3, -2, -1, 1, 2, 3))),
+)
+
+
+def _near_mode(m, step):
+    return m.mode() + step if m.in_support(m.mode() + step) else m.mode()
+
+
+@pytest.mark.parametrize("two", [False, True], ids=["one-constraint", "two-constraint"])
+@given(
+    coords=st.lists(
+        st.tuples(SIGNED_COORDS, st.integers(0, 2), st.integers(0, 2)), min_size=3, max_size=5
+    ),
+    pivots=st.tuples(st.integers(0, 4), st.integers(0, 3)),
+)
+@settings(max_examples=15, derandomize=True, deadline=None)
+def test_engines_match_the_oracle_on_signed_and_two_constraint_problems(two, coords, pivots):
+    # the targets are the statistics of a vector at or just above the
+    # marginals' modes, so the event is never empty; a second constraint
+    # with coefficients 0-2 needs a nonsingular two-coordinate pivot block
+    marginals = tuple(m for (m, _), _, _ in coords)
+    weights = tuple(w for (_, w), _, _ in coords)
+    coeffs = tuple(c for _, c, _ in coords)
+    point = [_near_mode(m, step) for (m, _), _, step in coords]
+    n = len(coords)
+    i = pivots[0] % n
+    if two:
+        j = (i + 1 + pivots[1] % (n - 1)) % n
+        assume(weights[i] * coeffs[j] != weights[j] * coeffs[i])
+        index_set = tuple(sorted((i, j)))
+        second = SecondConstraint(coeffs=coeffs, target=sum(c * v for c, v in zip(coeffs, point)))
+    else:
+        index_set, second = (i,), None
+    prob = ConditioningProblem(
+        marginals=marginals, weights=weights,
+        target=sum(w * v for w, v in zip(weights, point)),
+        index_set=index_set, second=second,
+    )
+    try:
+        exact = enumerate_conditional(prob, support_cap=60)
+    except SupportTooLarge:
+        assume(False)
+    assume(len(exact.support()) >= 2)
+    # the chance that a full draw hits the targets bounds the cost of
+    # either engine, which never needs more attempts than hard rejection
+    hit = math.fsum(
+        math.prod(m.density(v) for m, v in zip(marginals, outcome)) for outcome in exact.probs
+    )
+    assume(hit > 0.02)
+    # 2 x 15 examples of two engines each: 1e-4 per check keeps a chance
+    # failure of the whole test near 0.6%
+    for sampler, seed in ((dsh_sample, 17), (hard_rejection_sample, 19)):
+        rng = CountingRng(seed)
+        counts = Counter(sampler(prob, rng, max_attempts=10 ** 5).outcome for _ in range(1000))
+        _, _, p = chi_squared_gof(counts, exact.probs)
+        assert p > 1e-4, (sampler.__name__, prob)
+
+
 def test_record_rng_calls_match_generator_deltas():
     prob = geometric_problem()
     rng = CountingRng(7)

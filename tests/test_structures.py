@@ -346,7 +346,7 @@ def test_sparse_hook_reports_consistent_sums():
     weights = prob.weights
     rng = CountingRng(107)
     for _ in range(50):
-        lin, sec, vals = prob.full_draw(rng)
+        lin, sec, vals = prob._draw_full(rng)
         assert sec == 0
         assert lin == sum(weights[i] * v for i, v in vals.items())
         assert all(v >= 1 for v in vals.values())

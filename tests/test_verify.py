@@ -50,6 +50,13 @@ def test_counting_oracle_rejects_bad_input():
         counting_oracle("permutation", 4)
 
 
+@pytest.mark.parametrize("n", [1000, 1500])
+def test_enumeration_walks_long_vectors_without_recursion(n):
+    # one coordinate per part size: the walk is n coordinates deep
+    with pytest.raises(SupportTooLarge):
+        enumerate_conditional(build_problem(Partition(n)), support_cap=10)
+
+
 def test_counting_oracle_agrees_with_enumeration_support():
     # the recurrence and the exhaustive walk are independent code paths
     for n in (4, 6, 8):
