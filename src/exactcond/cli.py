@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import math
+import operator
 import os
 import sys
+from functools import partial
 
 from .engine import DEFAULT_MAX_ATTEMPTS, SampleRecord, dsh_sample, hard_rejection_sample
 from .errors import (
@@ -52,16 +55,11 @@ from .verify import (
 DEFAULT_SEED = 1729
 SEED_ENV_VAR = "EXACTCOND_SEED"
 
-FAMILY_NAMES = (
-    "partition",
-    "distinct",
-    "selection",
-    "multiset",
-    "assembly",
-    "setpartition",
-    "planegrid",
-    "ewens",
-)
+FAMILIES = {cls.kind: cls for cls in (
+    Partition, DistinctPartition, Selection, Multiset, Assembly, SetPartition,
+    PlanePartitionGrid, EwensProfile,
+)}
+FAMILY_NAMES = tuple(FAMILIES)
 GEOMETRY_NAMES = ("hypersimplex", "permutahedron", "borel")
 
 P_THRESHOLD = 1e-3
@@ -90,11 +88,6 @@ def fmt(value) -> str:
     return fmt(float(value))
 
 
-def _record_line(fields: list[tuple[str, object]]) -> str:
-    body = ",".join(f"{json.dumps(k)}:{fmt(v)}" for k, v in fields)
-    return "{" + body + "}"
-
-
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -107,75 +100,94 @@ def _resolve_seed(args) -> int:
     return DEFAULT_SEED
 
 
-def _parse_multiplicities(text: str | None):
-    if text is None:
-        return None
+def _parse_multiplicities(text: str):
     try:
         return tuple(int(v) for v in text.split(","))
     except ValueError:
         raise ConfigError(f"bad multiplicity list {text!r}")
 
 
+def _block_count(k: float) -> int:
+    if not k.is_integer():
+        raise ConfigError(f"--k must be a whole number of blocks, got {k}")
+    return int(k)
+
+
+# family field -> (the flag that sets it, how the parsed flag becomes the field)
+_FAMILY_FLAGS = {
+    "n": ("--n", int),
+    "blocks": ("--k", _block_count),
+    "multiplicities": ("--multiplicities", _parse_multiplicities),
+    "theta": ("--theta", float),
+    "tilt": ("--tilt", float),
+    "truncate_cells": ("--full-grid", operator.not_),
+}
+
+
 def _make_family(name: str, args):
-    if args.n is None:
-        raise ConfigError(f"{name} needs --n")
-    n = int(args.n)
-    tilt = args.tilt
-    mult = _parse_multiplicities(getattr(args, "multiplicities", None))
-    if name == "partition":
-        return Partition(n, tilt=tilt)
-    if name == "distinct":
-        return DistinctPartition(n, tilt=tilt)
-    if name == "selection":
-        return Selection(n, multiplicities=mult, tilt=tilt)
-    if name == "multiset":
-        return Multiset(n, multiplicities=mult, tilt=tilt)
-    if name == "assembly":
-        return Assembly(n, multiplicities=mult, tilt=tilt)
-    if name == "setpartition":
-        return SetPartition(n, tilt=tilt)
-    if name == "planegrid":
-        return PlanePartitionGrid(
-            n, tilt=tilt, truncate_cells=not getattr(args, "full_grid", False)
-        )
-    if name == "ewens":
-        if args.k is None:
-            raise ConfigError("ewens needs --k (number of blocks)")
-        return EwensProfile(n, blocks=int(args.k), theta=args.theta, tilt=tilt)
-    raise ConfigError(f"unknown family {name!r}")
+    """Build family ``name`` from the flags its dataclass declares; refuse any other."""
+    cls = FAMILIES[name]
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for field, (flag, convert) in _FAMILY_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if field not in fields:
+            if value is not None:
+                raise ConfigError(f"{name} takes no {flag}")
+        elif value is not None:
+            kwargs[field] = convert(value)
+        elif fields[field].default is dataclasses.MISSING:
+            raise ConfigError(f"{name} needs {flag}")
+    return cls(**kwargs)
 
 
 def _outcome_payload(value):
     if isinstance(value, PlaneGrid):
-        return [list(entry) for entry in value.entries]
-    if hasattr(value, "counts"):
-        return list(value.counts)
-    if isinstance(value, tuple):
-        return list(value)
-    return value
+        return value.entries
+    return getattr(value, "counts", value)
 
 
-def _sample_one(target: str, args, rng: CountingRng):
+def _sampler(args):
+    """The draw of one sample of ``args.target``; its options are checked first."""
+    target = args.target
     if target in FAMILY_NAMES:
         family = _make_family(target, args)
-        return sample_structure(
-            family, rng, method=args.method or "dsh", max_attempts=args.max_attempts
+        method = args.method or "dsh"
+        return lambda rng: sample_structure(
+            family, rng, method=method, max_attempts=args.max_attempts
         )
     if target == "hypersimplex":
         if args.n is None or args.k is None:
             raise ConfigError("hypersimplex needs --n and --k")
-        return sample_hypersimplex(int(args.n), float(args.k), rng)
+        return partial(sample_hypersimplex, int(args.n), args.k)
     if target == "permutahedron":
         if args.n is None:
             raise ConfigError("permutahedron needs --n")
-        return sample_permutahedron(
-            int(args.n), rng, max_attempts=args.max_attempts
-        )
-    if target == "borel":
-        return borel_conditional_sample(
-            args.variant, rng, max_attempts=args.max_attempts
-        )
-    raise ConfigError(f"unknown sample target {target!r}")
+        return partial(sample_permutahedron, int(args.n), max_attempts=args.max_attempts)
+    return partial(borel_conditional_sample, args.variant, max_attempts=args.max_attempts)
+
+
+def _write_rows(header, rows, format: str) -> None:
+    """Write each row as it comes, as a JSONL record or a CSV line under ``header``.
+
+    CSV prints strings bare and quotes the ``outcome`` cell.
+    """
+    out = sys.stdout
+    if format == "csv":
+        out.write(",".join(header) + "\n")
+    for row in rows:
+        if format == "jsonl":
+            line = "{" + ",".join(f"{json.dumps(k)}:{fmt(v)}" for k, v in zip(header, row)) + "}"
+        else:
+            line = ",".join(_csv_cell(k, v) for k, v in zip(header, row))
+        out.write(line + "\n")
+
+
+def _csv_cell(name: str, value) -> str:
+    if isinstance(value, str):
+        return value
+    text = fmt(value)
+    return '"' + text.replace('"', '""') + '"' if name == "outcome" else text
 
 
 def _refuse_method(args):
@@ -183,45 +195,28 @@ def _refuse_method(args):
         raise ConfigError(f"--method applies to structure families, not {args.target}")
 
 
+def _refuse_below(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ConfigError(f"{flag} must be at least {least}, got {value}")
+
+
 def run_sample(args) -> int:
     seed = _resolve_seed(args)
     _refuse_method(args)
+    _refuse_below("--count", args.count, 0)
+    draw = _sampler(args)
     n_field = int(args.n) if args.n is not None else None
-    out = sys.stdout
-    if args.format == "csv":
-        out.write("schema,family,n,seed,index,outcome,attempts,rng_calls\n")
-    for index in range(args.count):
-        rng = CountingRng(derive_seed(seed, index))
-        value, rec = _sample_one(args.target, args, rng)
-        payload = _outcome_payload(value)
-        if args.format == "jsonl":
-            line = _record_line(
-                [
-                    ("schema", 1),
-                    ("family", args.target),
-                    ("n", n_field),
-                    ("seed", seed),
-                    ("index", index),
-                    ("outcome", payload),
-                    ("attempts", rec.attempts),
-                    ("rng_calls", rec.rng_calls),
-                ]
-            )
-        else:
-            outcome_text = fmt(payload).replace('"', '""')
-            line = ",".join(
-                [
-                    "1",
-                    args.target,
-                    fmt(n_field),
-                    str(seed),
-                    str(index),
-                    f'"{outcome_text}"',
-                    str(rec.attempts),
-                    str(rec.rng_calls),
-                ]
-            )
-        out.write(line + "\n")
+
+    def rows():
+        for index in range(args.count):
+            value, rec = draw(CountingRng(derive_seed(seed, index)))
+            payload = _outcome_payload(value)
+            yield 1, args.target, n_field, seed, index, payload, rec.attempts, rec.rng_calls
+
+    _write_rows(
+        ("schema", "family", "n", "seed", "index", "outcome", "attempts", "rng_calls"),
+        rows(), args.format,
+    )
     return 0
 
 
@@ -258,8 +253,8 @@ def run_benchmark(args) -> int:
     for m in methods:
         if m not in ("hard", "dsh"):
             raise ConfigError(f"unknown benchmark method {m!r}")
-    if args.jobs < 1:
-        raise ConfigError("--jobs must be at least 1")
+    _refuse_below("--trials", args.trials, 1)
+    _refuse_below("--jobs", args.jobs, 1)
 
     rows = []
     for n_index, n in enumerate(ns):
@@ -293,24 +288,11 @@ def run_benchmark(args) -> int:
                 ]
             )
 
-    header = [
-        "schema",
-        "family",
-        "n",
-        "method",
-        "trials",
-        "accept_rate",
-        "rng_calls_per_sample",
-        "speedup_vs_hard",
-    ]
-    out = sys.stdout
-    if args.format == "csv":
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
-    else:
-        for row in rows:
-            out.write(_record_line(list(zip(header, row))) + "\n")
+    header = (
+        "schema", "family", "n", "method", "trials", "accept_rate",
+        "rng_calls_per_sample", "speedup_vs_hard",
+    )
+    _write_rows(header, rows, args.format)
     return 0
 
 
@@ -357,16 +339,15 @@ def _verify_borel(args, seed: int):
 def run_verify(args) -> int:
     seed = _resolve_seed(args)
     _refuse_method(args)
+    _refuse_below("--trials", args.trials, 1)
     if args.target == "borel":
         kind, cells, stat, dof, p = _verify_borel(args, seed)
         label = f"borel variant={args.variant}"
-    elif args.target in FAMILY_NAMES:
+    else:
         kind, cells, stat, dof, p = _verify_family(args.target, args, seed)
         label = f"{args.target} n={int(args.n)}"
         if args.target == "ewens":
             label += f" k={int(args.k)}"
-    else:
-        raise ConfigError(f"unknown verify target {args.target!r}")
     passed = p > P_THRESHOLD
     verdict = "pass" if passed else "FAIL"
     print(
@@ -379,13 +360,15 @@ def run_verify(args) -> int:
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--n", default=None, help="structure size (benchmark: comma list)")
     p.add_argument("--k", type=float, default=None, help="block count or level")
-    p.add_argument("--theta", type=float, default=1.0, help="cycle-weight parameter")
+    p.add_argument(
+        "--theta", type=float, default=None, help="cycle-weight parameter (default 1)"
+    )
     p.add_argument("--tilt", type=float, default=None, help="override the default tilt")
     p.add_argument(
         "--multiplicities", default=None, help="comma list of per-size type counts"
     )
     p.add_argument(
-        "--full-grid", action="store_true",
+        "--full-grid", action="store_true", default=None,
         help="keep grid cells whose weight already exceeds the target",
     )
     p.add_argument("--seed", type=int, default=None)

@@ -39,6 +39,11 @@ dot products (integer values) or ``math.fsum`` (real values), else a
 per-coordinate ``sample`` plan.  The block and the plan
 turn the same uniforms into the same values.
 
+An accepted attempt becomes its outcome once, in ``_assemble``: a sparse
+draw becomes a :class:`SparseVector` of its nonzero entries, any other a
+tuple of Python scalars, with the pivot block inserted at ``index_set``.
+Later layers use that outcome as it is.
+
 Every engine raises :class:`InfeasibleTarget` before its first draw when
 an exact integer target lies outside the range of its weighted sum or off
 the sum's lattice, and hard rejection also when a continuous coordinate of
@@ -69,7 +74,7 @@ _REL_TOL = 1e-9
 _RATIO_SLACK = 1e-9
 
 # Draw hooks return (linear sum, second sum, values); values may be a
-# sequence aligned with the drawn index list or a sparse {index: value}
+# sequence aligned with the drawn index list or a sparse {index: int}
 # dict over the full coordinate space (absent keys are zero).  A problem's
 # ``draw_hook`` maps an index list to the hook that draws those indices.
 DrawHook = Callable[[CountingRng], tuple[float, float, Sequence | dict]]
@@ -357,40 +362,21 @@ def complete_from_sums(problem: ConditioningProblem, partial_lin, partial_sec=0)
     return pivot
 
 
-def _assemble(problem: ConditioningProblem, free_vals, pivot_vals):
-    if isinstance(free_vals, dict):
-        entries = {i: int(v) for i, v in free_vals.items() if v}
-        for i, v in zip(problem.index_set, pivot_vals):
-            if v:
-                entries[i] = int(v)
+def _assemble(problem: ConditioningProblem, vals, pivot_vals=()):
+    """The outcome of an accepted attempt: ``vals`` with ``pivot_vals`` at ``index_set``."""
+    if isinstance(vals, dict):
+        entries = {i: v for i, v in vals.items() if v}
+        entries.update((i, v) for i, v in zip(problem.index_set, pivot_vals) if v)
         return SparseVector(problem.size, tuple(sorted(entries.items())))
-    out = _scalars(free_vals)
+    out = vals.tolist() if isinstance(vals, np.ndarray) else [_as_scalar(v) for v in vals]
     # index_set is ascending, so each insert lands at its final position
     for i, v in zip(problem.index_set, pivot_vals):
         out.insert(i, _as_scalar(v))
     return tuple(out)
 
 
-def _assemble_full(problem: ConditioningProblem, vals):
-    if isinstance(vals, dict):
-        return SparseVector(
-            problem.size, tuple(sorted((i, int(v)) for i, v in vals.items() if v))
-        )
-    return tuple(_scalars(vals))
-
-
-def _scalars(vals) -> list:
-    if isinstance(vals, np.ndarray):
-        return vals.tolist()
-    return [_as_scalar(v) for v in vals]
-
-
 def _as_scalar(v):
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    return v
+    return v.item() if isinstance(v, np.generic) else v
 
 
 def _constraint_met(problem: ConditioningProblem, lin, sec) -> bool:
@@ -452,7 +438,7 @@ def hard_rejection_sample(
 
     def step(lin, sec, vals, _rng):
         if _constraint_met(problem, lin, sec):
-            return _assemble_full(problem, vals)
+            return _assemble(problem, vals)
         return None
 
     return _rejection_loop(

@@ -71,7 +71,7 @@ class MultiplicityVector:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        if any(c < 0 for c in self.counts):
+        if min(self.counts, default=0) < 0:
             raise InvalidProfile(f"negative multiplicity in {self.counts}")
 
     @property
@@ -401,7 +401,7 @@ def sample_structure(
             family.n, tuple((cells[i][0], cells[i][1], v) for i, v in rec.outcome.entries)
         )
     else:
-        value = MultiplicityVector(tuple(int(v) for v in rec.outcome))
+        value = MultiplicityVector(rec.outcome)
     return value, rec
 
 

@@ -192,7 +192,8 @@ def chi_squared_gof(counts, expected) -> tuple[float, int, float]:
     ``counts`` and ``expected`` are parallel sequences, or mappings over
     the same outcomes.  Cells whose expected count falls below 5 are
     merged, smallest expected first, before the statistic is formed.
-    Returns (statistic, degrees of freedom, p-value).
+    Returns (statistic, degrees of freedom, p-value); no observations at
+    all raise ValueError.
     """
     if isinstance(counts, Mapping) or isinstance(expected, Mapping):
         if not (isinstance(counts, Mapping) and isinstance(expected, Mapping)):
@@ -208,6 +209,8 @@ def chi_squared_gof(counts, expected) -> tuple[float, int, float]:
     if np.any((exp_p <= 0.0) & (obs > 0)):
         raise ValueError("observed mass on an outcome of zero expected probability")
     total = obs.sum()
+    if not total > 0:
+        raise ValueError("a goodness-of-fit test needs at least one observation")
     exp_c = exp_p / exp_p.sum() * total
 
     order = np.argsort(exp_c, kind="stable")

@@ -147,6 +147,16 @@ PINNED_STDOUT = [
      "05024d2cb5780634e83aa48242e5ac63264902471486d267cde79b20c6639004"),
     ("sample permutahedron --n 4 --count 2",
      "107630a67b6613235b496eb51fe5d59f21e66de9dca1c171baa1ee04bf47014a"),
+    ("sample borel --variant 2 --count 3 --format csv",
+     "d73280d8c6d906c749edd1c3fbe57f272069fac6ddf2c514ce166f4881779bd7"),
+    ("sample planegrid --n 12 --count 3 --format csv",
+     "63c2674ab6cf3e20debb498b9853a704b2e4e8040a1297efb8a27c29f35aae29"),
+    ("sample ewens --n 10 --k 3 --count 3 --format csv",
+     "ae70b8049b0ba757e77d66684b0a757471066504cc99e3d92558aaf80eec72b7"),
+    ("benchmark partition --n 10 --trials 100 --seed 12 --format jsonl",
+     "aba8759c90d65a5226e08bf8454407d0be2275ee2699171515a602b38588939a"),
+    ("benchmark partition --n 10,20 --trials 100 --seed 12",
+     "6ffd924904f4a3d075f3bc0272ca0190003d8c2d6d80aba308f0392a66d1f46c"),
 ]
 
 
@@ -381,6 +391,33 @@ def test_config_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sample", "florp"])
     assert exc.value.code == 2
+
+
+# commands that once exited 0 after sampling, or checking, something other
+# than what was asked, and the flag each must name when it is refused
+REFUSED = [
+    ("sample partition --n 5 --multiplicities 1,2,3,4,5", "--multiplicities"),
+    ("sample setpartition --n 5 --full-grid", "--full-grid"),
+    ("sample assembly --n 5 --theta 3", "--theta"),
+    ("sample assembly --n 5 --k 2", "--k"),
+    ("sample partition --n 5 --multiplicities 1,2,3,4,5 --format csv", "--multiplicities"),
+    ("benchmark distinct --n 5 --theta 2 --trials 10", "--theta"),
+    ("sample ewens --n 6 --k 2.5", "--k"),
+    ("verify ewens --n 6 --k 3.9", "--k"),
+    ("verify partition --n 8 --trials 0", "--trials"),
+    ("verify partition --n 8 --trials -3", "--trials"),
+    ("verify borel --trials 0", "--trials"),
+    ("benchmark partition --n 10 --trials 0", "--trials"),
+    ("sample partition --n 5 --count -1", "--count"),
+]
+
+
+@pytest.mark.parametrize("command, flag", REFUSED, ids=[c for c, _ in REFUSED])
+def test_options_without_effect_are_refused(command, flag, capsys):
+    code, out, err = run_cli(command.split(), capsys)
+    assert code == 2
+    assert out == ""
+    assert flag in err
 
 
 def test_attempt_cap_exits_three(capsys):

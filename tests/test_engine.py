@@ -353,6 +353,26 @@ def test_continuous_dsh_exponential_sum():
     assert 2 * rec.attempts < rec.rng_calls <= 3 * rec.attempts
 
 
+def test_numpy_marginal_parameters_give_python_floats():
+    # a numpy-typed rate makes every drawn value and the pivot numpy
+    # floats; the outcome still holds Python floats
+    prob = ConditioningProblem(
+        marginals=(Exponential(np.float64(1.0)),) * 3,
+        weights=(1.0, 1.0, 1.0),
+        target=1.0,
+        index_set=(1,),
+    )
+    soft = partial(
+        soft_rejection_sample, q=lambda a: 1.0, q_sup=1.0,
+        second_half=lambda a, _rng: (1.0 - sum(a),),
+    )
+    rng = CountingRng(23)
+    for engine in (dsh_sample, soft):
+        rec = engine(prob, rng=rng)
+        assert [type(v) for v in rec.outcome] == [float] * 3
+        assert math.fsum(rec.outcome) == pytest.approx(1.0, abs=1e-9)
+
+
 def _give_up_cases():
     # every engine, plus the sign and permutahedron samplers, on a problem
     # it almost never accepts; dsh runs on a discrete, a continuous and a

@@ -22,6 +22,7 @@ from exactcond.structures import (
     MultiplicityVector,
     Multiset,
     Partition,
+    PlaneGrid,
     PlanePartitionGrid,
     Selection,
     SetPartition,
@@ -183,6 +184,29 @@ def test_grid_outcome_totals():
         for i, j, z in value.entries:
             assert i >= 1 and j >= 1 and z >= 1
             assert i + j + 1 <= 40
+
+
+@pytest.mark.parametrize("method", ["dsh", "hard"])
+@pytest.mark.parametrize(
+    "family",
+    [
+        Partition(6),
+        DistinctPartition(6),
+        Selection(6, multiplicities=(1, 2, 1, 2, 1, 2)),
+        Multiset(6),
+        Assembly(6),
+        SetPartition(6),
+        PlanePartitionGrid(6),
+        EwensProfile(6, blocks=2),
+    ],
+    ids=lambda family: family.kind,
+)
+def test_sampled_values_hold_python_ints(family, method):
+    rng = CountingRng(31)
+    for _ in range(5):
+        value, _ = sample_structure(family, rng, method=method)
+        rows = value.entries if isinstance(value, PlaneGrid) else (value.counts,)
+        assert rows and all(type(v) is int for row in rows for v in row)
 
 
 def test_multiplicity_vector_properties():

@@ -139,6 +139,17 @@ def test_chi_squared_collapses_to_trivial():
     assert (stat, dof, p) == (0.0, 0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "counts, expected",
+    [([0, 0, 0], [0.5, 0.3, 0.2]), ({}, {"a": 0.5, "b": 0.5})],
+    ids=["sequence", "mapping"],
+)
+def test_chi_squared_refuses_zero_observations(counts, expected):
+    # with nothing observed there is nothing to test, not a perfect fit
+    with pytest.raises(ValueError, match="observation"):
+        chi_squared_gof(counts, expected)
+
+
 def test_chi_squared_matches_reference_when_cells_are_large():
     obs = [30, 70]
     stat, dof, p = chi_squared_gof(obs, [0.4, 0.6])
