@@ -124,13 +124,17 @@ _FAMILY_FLAGS = {
 }
 
 
+def _flag_value(args, flag: str):
+    return getattr(args, flag[2:].replace("-", "_"))
+
+
 def _make_family(name: str, args):
     """Build family ``name`` from the flags its dataclass declares; refuse any other."""
     cls = FAMILIES[name]
     fields = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
     for field, (flag, convert) in _FAMILY_FLAGS.items():
-        value = getattr(args, flag[2:].replace("-", "_"))
+        value = _flag_value(args, flag)
         if field not in fields:
             if value is not None:
                 raise ConfigError(f"{name} takes no {flag}")
@@ -139,6 +143,25 @@ def _make_family(name: str, args):
         elif fields[field].default is dataclasses.MISSING:
             raise ConfigError(f"{name} needs {flag}")
     return cls(**kwargs)
+
+
+# the family flags each geometry target reads; it refuses the others
+_GEOMETRY_FLAGS = {"hypersimplex": ("--n", "--k"), "permutahedron": ("--n",), "borel": ()}
+
+
+def _refuse_flags(target: str, args) -> None:
+    for flag, _ in _FAMILY_FLAGS.values():
+        if flag not in _GEOMETRY_FLAGS[target] and _flag_value(args, flag) is not None:
+            raise ConfigError(f"{target} takes no {flag}")
+
+
+def _variant(args) -> int | None:
+    """The Borel variant asked for (1 unless given); refuse --variant for any other target."""
+    if args.target == "borel":
+        return 1 if args.variant is None else args.variant
+    if args.variant is not None:
+        raise ConfigError(f"--variant applies to borel, not {args.target}")
+    return None
 
 
 def _outcome_payload(value):
@@ -150,21 +173,24 @@ def _outcome_payload(value):
 def _sampler(args):
     """The draw of one sample of ``args.target``; its options are checked first."""
     target = args.target
+    variant = _variant(args)
     if target in FAMILY_NAMES:
         family = _make_family(target, args)
         method = args.method or "dsh"
         return lambda rng: sample_structure(
             family, rng, method=method, max_attempts=args.max_attempts
         )
+    _refuse_flags(target, args)
+    cap = {"max_attempts": args.max_attempts}
     if target == "hypersimplex":
         if args.n is None or args.k is None:
             raise ConfigError("hypersimplex needs --n and --k")
-        return partial(sample_hypersimplex, int(args.n), args.k)
+        return partial(sample_hypersimplex, int(args.n), args.k, **cap)
     if target == "permutahedron":
         if args.n is None:
             raise ConfigError("permutahedron needs --n")
-        return partial(sample_permutahedron, int(args.n), max_attempts=args.max_attempts)
-    return partial(borel_conditional_sample, args.variant, max_attempts=args.max_attempts)
+        return partial(sample_permutahedron, int(args.n), **cap)
+    return partial(borel_conditional_sample, variant, **cap)
 
 
 def _write_rows(header, rows, format: str) -> None:
@@ -324,15 +350,13 @@ def _borel_cdf(variant: int):
     return lambda v: 0.5 * (1.0 + math.erf(v / math.sqrt(2.0)))
 
 
-def _verify_borel(args, seed: int):
+def _verify_borel(variant: int, args, seed: int):
     rng = CountingRng(derive_seed(seed, 0))
     draws = []
     for _ in range(args.trials):
-        value, _rec = borel_conditional_sample(
-            args.variant, rng, max_attempts=args.max_attempts
-        )
+        value, _rec = borel_conditional_sample(variant, rng, max_attempts=args.max_attempts)
         draws.append(value)
-    stat, p = ks_statistic(draws, _borel_cdf(args.variant))
+    stat, p = ks_statistic(draws, _borel_cdf(variant))
     return ("ks", args.trials, stat, 0, p)
 
 
@@ -340,9 +364,11 @@ def run_verify(args) -> int:
     seed = _resolve_seed(args)
     _refuse_method(args)
     _refuse_below("--trials", args.trials, 1)
+    variant = _variant(args)
     if args.target == "borel":
-        kind, cells, stat, dof, p = _verify_borel(args, seed)
-        label = f"borel variant={args.variant}"
+        _refuse_flags("borel", args)
+        kind, cells, stat, dof, p = _verify_borel(variant, args, seed)
+        label = f"borel variant={variant}"
     else:
         kind, cells, stat, dof, p = _verify_family(args.target, args, seed)
         label = f"{args.target} n={int(args.n)}"
@@ -395,7 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=("hard", "dsh"), default=None,
         help="structure families only (default dsh)",
     )
-    p_sample.add_argument("--variant", type=int, choices=(1, 2, 3), default=1)
+    p_sample.add_argument(
+        "--variant", type=int, choices=(1, 2, 3), default=None, help="borel only (default 1)"
+    )
     p_sample.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p_sample.set_defaults(run=run_sample)
 
@@ -416,7 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=("hard", "dsh"), default=None,
         help="structure families only (default dsh)",
     )
-    p_verify.add_argument("--variant", type=int, choices=(1, 2, 3), default=1)
+    p_verify.add_argument(
+        "--variant", type=int, choices=(1, 2, 3), default=None, help="borel only (default 1)"
+    )
     p_verify.add_argument(
         "--support-cap", type=int, default=100_000, dest="support_cap"
     )

@@ -71,7 +71,8 @@ class CountingRng:
     always the j-th double of the stream regardless of whether it was
     requested through ``uniform`` or ``uniforms``, so a run is reproduced
     exactly by replaying the same seed and call pattern.  ``calls`` is the
-    number of uniforms consumed so far.
+    number of uniforms consumed so far; ``peek`` reads ahead without
+    consuming, and ``consume`` spends what was read.
     """
 
     _BLOCK = 4096
@@ -104,6 +105,23 @@ class CountingRng:
             out[take:] = self._gen.random(count - take)
         self.calls += count
         return out
+
+    def peek(self, count: int) -> np.ndarray:
+        """The next ``count`` uniforms, in stream order, left unconsumed (a read-only view)."""
+        have = self._buf.shape[0] - self._pos
+        if have < count:
+            # unread doubles stay at the front, so the stream order holds
+            fresh = self._gen.random(max(self._BLOCK, count - have))
+            self._buf = np.concatenate((self._buf[self._pos:], fresh))
+            self._pos = 0
+        view = self._buf[self._pos:self._pos + count]
+        view.flags.writeable = False
+        return view
+
+    def consume(self, count: int) -> None:
+        """Spend the next ``count`` uniforms, which a ``peek`` has read."""
+        self._pos += count
+        self.calls += count
 
 
 def _standard_normal(rng: CountingRng) -> float:
@@ -643,7 +661,9 @@ def block_inversion(marginals) -> tuple[Callable, list[int] | None] | None:
     Returns ``(invert, tops)``: ``invert(u)`` maps one uniform per marginal
     to the value its ``sample`` gives, and ``tops`` bounds each integer
     value, or is None for real values.  None for an empty block, a marginal
-    without a rule, or a mix of kinds other than cdf tables.
+    without a rule, or a mix of kinds other than cdf tables.  A closed-form
+    ``invert`` is elementwise, so it maps a K x c array row by row; a
+    cdf-table one takes a single row.
     """
     if not marginals:
         return None

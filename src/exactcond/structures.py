@@ -33,6 +33,7 @@ second constraint and a two-coordinate pivot block {1, 2}.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -265,12 +266,14 @@ def _sparse_geometric_hook(weights, ratios, indices):
     # waiting-time law over the (1 - r_j) survival products: two uniforms
     # per nonzero cell plus one closing draw, instead of one uniform per
     # cell.  The joint law of the drawn vector is unchanged; only the draw
-    # count (the cost unit) differs from the per-variate scheme.
+    # count (the cost unit) differs from the per-variate scheme.  The scan
+    # is sequential, so it runs on Python floats: bisect_right finds what
+    # searchsorted(side="right") would, and float // floors as numpy does.
     idx = list(indices)
     w = [weights[i] for i in idx]
     r = np.array([ratios[i] for i in idx])
-    neg_log_survival = -np.cumsum(np.log1p(-r))
-    logr = np.log(r)
+    neg_log_survival = (-np.cumsum(np.log1p(-r))).tolist()
+    logr = np.log(r).tolist()
     count = len(idx)
 
     def draw(rng: CountingRng):
@@ -278,14 +281,13 @@ def _sparse_geometric_hook(weights, ratios, indices):
         vals: dict[int, int] = {}
         base = 0.0
         while True:
-            u = rng.uniform()
-            k = int(np.searchsorted(neg_log_survival, base - math.log1p(-u), side="right"))
+            k = bisect_right(neg_log_survival, base - math.log1p(-rng.uniform()))
             if k >= count:
                 return lin, 0, vals
             z = 1 + int(math.log1p(-rng.uniform()) // logr[k])
             vals[idx[k]] = z
             lin += w[k] * z
-            base = float(neg_log_survival[k])
+            base = neg_log_survival[k]
 
     return draw
 

@@ -252,6 +252,30 @@ def _flat_integer_pivot_samplers():
     ], hard=False)
 
 
+def _batched_samplers():
+    # dead-heavy problems whose runs of dead attempts are drawn in batches
+    # (integer sums under one and two constraints, and real sums through
+    # the hypersimplex at level 2.5), the grid's sparse scan, and two
+    # slices whose dead runs are too short to batch; caps 37 and 200 cut
+    # runs short, so what NonTerminating reports is pinned too
+    caps = (DEFAULT_MAX_ATTEMPTS, 37, 200)
+    bits = _user_problem(
+        (Bernoulli(0.3),) * 10, range(1, 11), 20, (0, 1),
+        SecondConstraint(coeffs=(1,) * 10, target=4),
+    )
+    for cap in caps:
+        for method, engine in (("dsh", dsh_sample), ("hard", hard_rejection_sample)):
+            yield partial(
+                sample_structure, DistinctPartition(100), method=method, max_attempts=cap
+            )
+            yield partial(engine, bits, max_attempts=cap)
+        yield partial(sample_structure, Partition(100), method="hard", max_attempts=cap)
+        yield partial(sample_structure, PlanePartitionGrid(30), max_attempts=cap)
+        yield partial(sample_hypersimplex, 10, 5.0, max_attempts=cap)
+        yield partial(sample_hypersimplex, 10, 2.5, max_attempts=cap)
+        yield partial(sample_permutahedron, 8, max_attempts=cap)
+
+
 def library_digest(samplers) -> str:
     """sha256 over (outcome, attempts, rng_calls) of three draws at seeds 1-4 per sampler.
 
@@ -287,6 +311,8 @@ PINNED_LIBRARY = [
      "d3a379c982eb2a38f95540d766c699b8bc11cb105eb6d11ab350f6217951d5f0"),
     ("flat-integer-pivots", _flat_integer_pivot_samplers,
      "01da51651f9419e64e9fa9e013c83ad6ab18e517543b8d6db1cf002f92b3514f"),
+    ("batched", _batched_samplers,
+     "a060b293bd7d848f5427f910a8bb56a6fd3cba7c21021053a276fee324da879f"),
 ]
 
 
@@ -409,6 +435,15 @@ REFUSED = [
     ("verify borel --trials 0", "--trials"),
     ("benchmark partition --n 10 --trials 0", "--trials"),
     ("sample partition --n 5 --count -1", "--count"),
+    ("sample hypersimplex --n 4 --k 2.5 --tilt 0.3 --multiplicities 1,2", "--multiplicities"),
+    ("sample hypersimplex --n 4 --k 2.5 --tilt 0.3", "--tilt"),
+    ("sample permutahedron --n 4 --k 2", "--k"),
+    ("sample borel --n 7 --theta 2", "--n"),
+    ("sample borel --full-grid --format csv", "--full-grid"),
+    ("verify borel --n 7 --trials 10", "--n"),
+    ("sample partition --n 5 --variant 2", "--variant"),
+    ("sample hypersimplex --n 4 --k 2.5 --variant 3", "--variant"),
+    ("verify partition --n 5 --variant 2", "--variant"),
 ]
 
 
@@ -430,6 +465,16 @@ def test_attempt_cap_exits_three(capsys):
     )
     assert code == 3
     assert "attempts" in err
+
+
+def test_hypersimplex_attempt_cap_exits_three(capsys):
+    # seed 1729's first hypersimplex(10, 5) draw needs more than one attempt
+    code, out, err = run_cli(
+        "sample hypersimplex --n 10 --k 5 --max-attempts 1 --count 3".split(), capsys
+    )
+    assert code == 3
+    assert "exhausted 1 attempts" in err
+    assert out == ""
 
 
 def test_support_cap_exits_four(capsys):

@@ -57,6 +57,28 @@ def test_counting_rng_bulk_spans_buffer_boundary():
     assert left == right
 
 
+def test_counting_rng_peek_and_consume_keep_the_stream():
+    # reading ahead across the 4096-double block edge, then consuming
+    # through every entry point, must hand out the plain uniform() stream
+    a = CountingRng(5)
+    got = a.uniforms(4000).tolist() + [a.uniform()]
+    ahead = a.peek(300).tolist()
+    assert a.calls == 4001
+    assert a.peek(300).tolist() == ahead
+    a.consume(50)
+    got += ahead[:50]
+    got += a.uniforms(100).tolist()
+    assert got[-100:] == ahead[50:150]
+    got += [a.uniform() for _ in range(200)]
+    got += a.peek(9000).tolist()
+    a.consume(9000)
+    got += a.uniforms(10).tolist()
+    assert a.calls == len(got) == 13361
+    b = CountingRng(5)
+    assert got == [b.uniform() for _ in range(len(got))]
+    assert b.calls == a.calls
+
+
 def test_counting_rng_reproducible():
     assert [CountingRng(9).uniform() for _ in range(1)] == [CountingRng(9).uniform()]
 
