@@ -39,17 +39,19 @@ dot products (integer values) or ``math.fsum`` (real values), else a
 per-coordinate ``sample`` plan.  The block and the plan
 turn the same uniforms into the same values.
 
-A closed-form block (Geometric, Bernoulli, UniformReal) can also draw K
-attempts at once: the loop peeks K blocks of the stream, inverts them in
-one numpy call, and runs the step on each window in stream order,
-consuming the window first.  A dead attempt (rejected before drawing an
-acceptance uniform) draws nothing after its window, so the next window
-is exactly the next attempt's; the first step that draws a uniform or
-returns an outcome ends the batch.  A run batches when the earlier runs
-on the same drawer saw at least 8 dead attempts per live one, and K is
-that ratio, capped at one CountingRng block of uniforms and at the
-attempts left.  Other runs, and cdf-table blocks always, draw one
-attempt at a time through the plain loop.
+A block can also draw K attempts at once: the loop peeks K blocks of
+the stream, inverts them in one numpy call, and runs the step on each
+window in stream order, consuming the window first.  A dead attempt
+(rejected before drawing an acceptance uniform) draws nothing after its
+window, so the next window is exactly the next attempt's; the first step
+that draws a uniform or returns an outcome ends the batch.  A run
+batches when the earlier runs on the same drawer saw at least 8 dead
+attempts per live one, and K is that ratio, capped at the attempts left
+and at 4096 comparisons a batch: a row costs its uniforms in a
+closed-form block (Geometric, Bernoulli, UniformReal) and the larger of
+its uniforms and its table entries in a cdf-table block.  A block whose
+cap falls below 8, a plan or a hook, and other runs draw one attempt at
+a time through the plain loop.
 
 An accepted attempt becomes its outcome once, in ``_assemble``: a sparse
 draw becomes a :class:`SparseVector` of its nonzero entries, any other a
@@ -291,8 +293,9 @@ def _unreachable(marginals, coeffs, target: int) -> str | None:
 # runs waste most of a batch (batching from 2 to 1 took permutahedron n=8
 # from 72 to 96 us a sample).
 _MIN_BATCH = 8
-# At most one CountingRng block per batch, which bounds a batch's arrays:
-# struct-hooks peak RSS grew 1.1 MB with a cap of 16384, 0.7 MB with 4096.
+# At most one CountingRng block of uniforms, and as many table-entry
+# comparisons, per batch, which bounds a batch's arrays: struct-hooks peak
+# RSS grew 1.1 MB with a cap of 16384, 0.7 MB with 4096.
 _BATCH_UNIFORMS = 4096
 
 
@@ -305,12 +308,14 @@ def _block_drawer(problem: ConditioningProblem, indices) -> DrawHook | None:
     take.  Real values are summed by ``math.fsum``.  None when the
     marginals share no block rule.
 
-    A closed-form block narrow enough for a batch of 8 also carries
-    ``width`` (uniforms per attempt), ``seen`` ([dead, live] attempts the
-    loop ran on it) and ``batch``, which maps K peeked blocks to the sums
-    and values K calls would give: the inversion is elementwise, int64
-    products are exact and ``math.fsum`` rounds each row's exact sum.  A
-    cdf-table inversion counts table entries per row, so it takes one row.
+    A block cheap enough for a batch of 8 also carries ``width``
+    (uniforms per attempt), ``most`` (the largest batch), ``seen``
+    ([dead, live] attempts the loop ran on it) and ``batch``, which maps K
+    peeked blocks to the sums and values K calls would give: the
+    inversion maps each row as it maps one, int64 products are exact and
+    ``math.fsum`` rounds each row's exact sum.  A row of a cdf-table block
+    compares every table entry, so ``most`` is 4096 over the larger of
+    the uniforms and the table entries.
     """
     marginals = [problem.marginals[i] for i in indices]
     block = block_inversion(marginals)
@@ -344,9 +349,11 @@ def _block_drawer(problem: ConditioningProblem, indices) -> DrawHook | None:
         z = invert(u.reshape(-1, count))
         return totals(w, z), repeat(0) if c is None else totals(c, z), z
 
-    closed_form = getattr(marginals[0], "cdf_table", None) is None
-    if closed_form and count * _MIN_BATCH <= _BATCH_UNIFORMS:
-        draw.width, draw.batch, draw.seen = count, batch, [0, 0]
+    tables = [getattr(m, "cdf_table", None) for m in marginals]
+    entries = sum(len(t) for t in tables if t is not None)
+    most = _BATCH_UNIFORMS // max(count, entries)
+    if most >= _MIN_BATCH:
+        draw.width, draw.most, draw.batch, draw.seen = count, most, batch, [0, 0]
     return draw
 
 
@@ -458,7 +465,7 @@ def _rejection_loop(
     if ratio < _MIN_BATCH:
         outcome, attempts = _single_attempts(draw, step, rng, max_attempts)
     else:
-        k = min(ratio, _BATCH_UNIFORMS // draw.width)
+        k = min(ratio, draw.most)
         outcome, attempts = _batched_attempts(draw, step, rng, max_attempts, k)
     if seen is not None:
         # each draw spent width uniforms, and a live attempt's step drew one

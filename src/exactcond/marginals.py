@@ -661,9 +661,11 @@ def block_inversion(marginals) -> tuple[Callable, list[int] | None] | None:
     Returns ``(invert, tops)``: ``invert(u)`` maps one uniform per marginal
     to the value its ``sample`` gives, and ``tops`` bounds each integer
     value, or is None for real values.  None for an empty block, a marginal
-    without a rule, or a mix of kinds other than cdf tables.  A closed-form
-    ``invert`` is elementwise, so it maps a K x c array row by row; a
-    cdf-table one takes a single row.
+    without a rule, or a mix of kinds other than cdf tables.  ``invert``
+    also maps a K x c array row by row, to the values the K rows give one
+    at a time: a closed-form one is elementwise, and a cdf-table one counts
+    the entries below each uniform per (row, coordinate), never shifting
+    a table by its row (that would drop low bits of the cdf).
     """
     if not marginals:
         return None
@@ -691,4 +693,14 @@ def block_inversion(marginals) -> tuple[Callable, list[int] | None] | None:
     lengths = [len(t) for t in tables]
     flat = np.concatenate(tables)
     rows = np.repeat(np.arange(count), lengths)
-    return (lambda u: np.bincount(rows[flat < u[rows]], minlength=count)), lengths
+
+    def invert(u):
+        if u.ndim == 1:
+            return np.bincount(rows[flat < u[rows]], minlength=count)
+        # the hits of row r land in bins r * count + i, so an empty table
+        # counts 0 in every row
+        bins = rows + count * np.arange(u.shape[0])[:, None]
+        hits = bins[flat < u[:, rows]]
+        return np.bincount(hits, minlength=u.size).reshape(u.shape)
+
+    return invert, lengths

@@ -368,6 +368,12 @@ def build_problem(family: Family) -> ConditioningProblem:
         if not family.theta > 0.0:
             raise InvalidFamily(f"theta must be positive, got {family.theta}")
         marginals = tuple(Poisson(family.theta * x ** i / i) for i in sizes)
+        if n == 1:
+            # one cycle of length 1: the size constraint already pins the
+            # block count, so one pivot completes it
+            return ConditioningProblem(
+                marginals=marginals, weights=sizes, target=n, index_set=(0,),
+            )
         return ConditioningProblem(
             marginals=marginals, weights=sizes, target=n, index_set=(0, 1),
             second=SecondConstraint(coeffs=(1,) * n, target=family.blocks),

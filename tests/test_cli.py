@@ -34,6 +34,7 @@ from exactcond.geometry import (
 from exactcond.marginals import (
     AbsWeightedGaussian,
     Bernoulli,
+    Binomial,
     CountingRng,
     Exponential,
     Geometric,
@@ -276,6 +277,30 @@ def _batched_samplers():
         yield partial(sample_permutahedron, 8, max_attempts=cap)
 
 
+def _batched_table_samplers():
+    # dead-heavy cdf-table families whose dead runs are drawn in batches:
+    # Selection (one-entry Binomial tables), Ewens (two constraints),
+    # SetPartition(100) and Assembly(100); SetPartition(400) (154 zero-rate
+    # coordinates with empty tables) and Multiset(100) hold more table
+    # entries than one batch may compare, so they draw one attempt at a
+    # time, and a user-built problem batches four empty tables among
+    # one-entry ones; caps 37 and 200 cut runs short, so what
+    # NonTerminating reports is pinned too
+    families = (
+        Selection(60), EwensProfile(50, 5), SetPartition(100), SetPartition(400),
+        Assembly(100), Multiset(100),
+    )
+    empties = _user_problem(
+        (Binomial(1, 0.5),) * 12 + (Poisson(0.0),) * 4, range(1, 17), 20, (0,)
+    )
+    for cap in (DEFAULT_MAX_ATTEMPTS, 37, 200):
+        for family in families:
+            for method in ("dsh", "hard"):
+                yield partial(sample_structure, family, method=method, max_attempts=cap)
+        yield partial(dsh_sample, empties, max_attempts=cap)
+        yield partial(hard_rejection_sample, empties, max_attempts=cap)
+
+
 def library_digest(samplers) -> str:
     """sha256 over (outcome, attempts, rng_calls) of three draws at seeds 1-4 per sampler.
 
@@ -313,6 +338,8 @@ PINNED_LIBRARY = [
      "01da51651f9419e64e9fa9e013c83ad6ab18e517543b8d6db1cf002f92b3514f"),
     ("batched", _batched_samplers,
      "a060b293bd7d848f5427f910a8bb56a6fd3cba7c21021053a276fee324da879f"),
+    ("batched-tables", _batched_table_samplers,
+     "9810debe9df151f83226832611f5f8b897dd83e7099ff339827fc80fde6f03b5"),
 ]
 
 
@@ -417,6 +444,19 @@ def test_config_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sample", "florp"])
     assert exc.value.code == 2
+
+
+def test_one_element_ewens_profile(capsys):
+    # the one permutation of one element: sampled, and checked against
+    # its one-cell law; two cycles is refused with the reason
+    code, out, err = run_cli(["sample", "ewens", "--n", "1", "--k", "1", "--count", "3"], capsys)
+    assert code == 0 and err == ""
+    assert [json.loads(line)["outcome"] for line in out.splitlines()] == [[1]] * 3
+    code, out, _ = run_cli(["verify", "ewens", "--n", "1", "--k", "1", "--trials", "50"], capsys)
+    assert code == 0 and out.strip().endswith(" pass")
+    code, out, err = run_cli(["sample", "ewens", "--n", "1", "--k", "2"], capsys)
+    assert code == 2 and out == ""
+    assert "between 1 and 1 cycles" in err
 
 
 # commands that once exited 0 after sampling, or checking, something other

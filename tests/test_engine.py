@@ -46,6 +46,7 @@ from exactcond.structures import (
     EwensProfile,
     Multiset,
     Partition,
+    PlanePartitionGrid,
     Selection,
     SetPartition,
     build_problem,
@@ -670,6 +671,12 @@ def reference_scan(m, u):
             return k
 
 
+def edge_uniforms(marginal):
+    """0, each cdf-table entry and the double above it, and the largest uniform."""
+    table = marginal.cdf_table
+    return [0.0, *table, *(math.nextafter(e, 1.0) for e in table), 1.0 - 2.0 ** -53]
+
+
 @pytest.mark.parametrize(
     "marginal",
     [
@@ -687,8 +694,7 @@ def reference_scan(m, u):
     ids=repr,
 )
 def test_table_lookup_matches_the_scan_at_edge_uniforms(marginal):
-    table = marginal.cdf_table
-    edges = [0.0, *table, *(math.nextafter(e, 1.0) for e in table), 1.0 - 2.0 ** -53]
+    edges = edge_uniforms(marginal)
     # the problem's one free coordinate is drawn by the vectorised lookup
     prob = ConditioningProblem(
         marginals=(marginal, marginal), weights=(1, 1), target=0, index_set=(0,)
@@ -717,6 +723,47 @@ def test_geometric_plan_and_block_agree():
     assert invert(us).tolist() == plan
     for m, u, want in zip(marginals, us, plan):
         assert block_inversion([m])[0](np.array([u])).tolist() == [want]
+
+
+def test_table_block_inverts_k_rows_exactly():
+    # an empty table (Poisson(0) is always 0) at both ends of the block, a
+    # one-entry table as Selection uses, and the log-pmf table: every row
+    # of a K x c inversion is the one-row inversion and the scan
+    block = [Poisson(0.0), Binomial(1, 0.3), Binomial(354, 0.94), Poisson(0.0)]
+    columns = [edge_uniforms(m) for m in block]
+    k = max(map(len, columns))
+    us = np.column_stack([np.resize(col, k) for col in columns])
+    invert, lengths = block_inversion(block)
+    assert lengths[0] == lengths[-1] == 0 < lengths[1] == 1
+    rows = invert(us)
+    assert rows.shape == us.shape
+    for u, got in zip(us, rows.tolist()):
+        assert got == invert(u).tolist() == [reference_scan(m, x) for m, x in zip(block, u)]
+    # a batch narrower than the block, and a single row, through the same form
+    assert invert(us[:1]).tolist() == rows[:1].tolist()
+    assert invert(us[:5]).tolist() == rows[:5].tolist()
+
+
+def test_batch_form_is_attached_within_one_block_of_comparisons():
+    def drawers(marginals, weights):
+        prob = ConditioningProblem(
+            marginals=tuple(marginals), weights=weights, target=3, index_set=(0,)
+        )
+        return prob._draw_free, prob._draw_full
+
+    # a closed-form block batches up to 4096 / 8 = 512 coordinates
+    free, full = drawers([Geometric(0.5)] * 513, (1,) * 513)
+    assert hasattr(free, "batch") and not hasattr(full, "batch")
+    # a table block costs max(coordinates, table entries) comparisons a row
+    for family in (Selection(60), EwensProfile(50, 5), SetPartition(100), Assembly(100)):
+        assert hasattr(build_problem(family)._draw_free, "batch"), family
+    for family in (Multiset(100), SetPartition(400)):
+        free, full = build_problem(family)._draw_free, build_problem(family)._draw_full
+        assert not hasattr(free, "batch") and not hasattr(full, "batch"), family
+    # a plan-drawn block (fractional weights) and a draw hook never batch
+    free, full = drawers([Poisson(1.0), Poisson(2.0)], weights=(1, 0.5))
+    assert isinstance(free, partial) and not hasattr(free, "batch")
+    assert not hasattr(build_problem(PlanePartitionGrid(30))._draw_free, "batch")
 
 
 def test_table_drawer_needs_exact_int64_sums():

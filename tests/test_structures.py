@@ -342,6 +342,20 @@ def test_family_validation():
             sample_structure(Partition(5), CountingRng(1), method=method)
 
 
+def test_one_cycle_ewens_profile_is_the_point_mass():
+    # a permutation of one element has one cycle of length 1; the size
+    # constraint alone pins it, so the family is a valid point mass
+    family = EwensProfile(1, 1)
+    assert enumerate_conditional(build_problem(family)).probs == {(1,): 1.0}
+    rng = CountingRng(3)
+    for method in ("dsh", "hard"):
+        for _ in range(20):
+            value, rec = sample_structure(family, rng, method=method)
+            assert value.counts == (1,) and rec.outcome == (1,)
+    with pytest.raises(InvalidFamily):
+        build_problem(EwensProfile(1, 2))
+
+
 @pytest.mark.parametrize("kind", [Selection, Multiset, Assembly])
 def test_list_multiplicities_share_the_cached_problem(kind):
     family = kind(4, multiplicities=[2, 1, 1, 1])
