@@ -1,10 +1,12 @@
 """Command-line surface: sample, benchmark, verify.
 
 Data goes to stdout, logs to stderr.  Every float is printed with 12
-significant digits so fixed-seed runs diff byte-for-byte.  Exit codes:
-0 success (verify: all checks passed), 1 a verification check failed,
-2 bad configuration, 3 the rejection loop hit its attempt cap, 4 the
-enumeration oracle refused the support size.
+significant digits so fixed-seed runs diff byte-for-byte.  One check,
+``_check_options``, decides for every subcommand which options a target
+takes and needs; ``sample_structure`` maps a method name to its engine.
+Exit codes: 0 success (verify: all checks passed), 1 a verification
+check failed, 2 bad configuration, 3 the rejection loop hit its attempt
+cap, 4 the enumeration oracle refused the support size.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import os
 import sys
 from functools import partial
 
-from .engine import DEFAULT_MAX_ATTEMPTS, SampleRecord, dsh_sample, hard_rejection_sample
+from .engine import DEFAULT_MAX_ATTEMPTS
 from .errors import (
     InfeasibleTarget,
     InvalidFamily,
@@ -30,6 +32,7 @@ from .errors import (
 from .geometry import borel_conditional_sample, sample_hypersimplex, sample_permutahedron
 from .marginals import CountingRng, derive_seed
 from .structures import (
+    METHODS,
     Assembly,
     DistinctPartition,
     EwensProfile,
@@ -60,7 +63,6 @@ FAMILIES = {cls.kind: cls for cls in (
     PlanePartitionGrid, EwensProfile,
 )}
 FAMILY_NAMES = tuple(FAMILIES)
-GEOMETRY_NAMES = ("hypersimplex", "permutahedron", "borel")
 
 P_THRESHOLD = 1e-3
 
@@ -124,44 +126,53 @@ _FAMILY_FLAGS = {
 }
 
 
+# the options each geometry target takes; it needs each but --variant (default 1)
+_GEOMETRY_FLAGS = {
+    "hypersimplex": ("--n", "--k"), "permutahedron": ("--n",), "borel": ("--variant",)
+}
+GEOMETRY_NAMES = tuple(_GEOMETRY_FLAGS)
+
+# every option that some targets take and others refuse, in the order they are checked
+_TARGET_OPTIONS = ("--method", "--variant") + tuple(flag for flag, _ in _FAMILY_FLAGS.values())
+
+
 def _flag_value(args, flag: str):
-    return getattr(args, flag[2:].replace("-", "_"))
+    # benchmark has no --method or --variant
+    return getattr(args, flag[2:].replace("-", "_"), None)
+
+
+def _check_options(args) -> None:
+    """Refuse each option ``args.target`` does not take, and each it needs but lacks.
+
+    A family takes --method and the flags of its fields, and needs those
+    of its fields without a default.
+    """
+    target = args.target
+    if target in FAMILIES:
+        fields = dataclasses.fields(FAMILIES[target])
+        takes = ("--method",) + tuple(_FAMILY_FLAGS[f.name][0] for f in fields)
+        needs = [_FAMILY_FLAGS[f.name][0] for f in fields if f.default is dataclasses.MISSING]
+    else:
+        takes = _GEOMETRY_FLAGS[target]
+        needs = [flag for flag in takes if flag != "--variant"]
+    for flag in _TARGET_OPTIONS:
+        given = _flag_value(args, flag) is not None
+        if given and flag not in takes:
+            raise ConfigError(f"{target} takes no {flag}")
+        if not given and flag in needs:
+            raise ConfigError(f"{target} needs {flag}")
 
 
 def _make_family(name: str, args):
-    """Build family ``name`` from the flags its dataclass declares; refuse any other."""
+    """Build family ``name`` from the flags its dataclass declares."""
     cls = FAMILIES[name]
-    fields = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
-    for field, (flag, convert) in _FAMILY_FLAGS.items():
+    for f in dataclasses.fields(cls):
+        flag, convert = _FAMILY_FLAGS[f.name]
         value = _flag_value(args, flag)
-        if field not in fields:
-            if value is not None:
-                raise ConfigError(f"{name} takes no {flag}")
-        elif value is not None:
-            kwargs[field] = convert(value)
-        elif fields[field].default is dataclasses.MISSING:
-            raise ConfigError(f"{name} needs {flag}")
+        if value is not None:
+            kwargs[f.name] = convert(value)
     return cls(**kwargs)
-
-
-# the family flags each geometry target reads; it refuses the others
-_GEOMETRY_FLAGS = {"hypersimplex": ("--n", "--k"), "permutahedron": ("--n",), "borel": ()}
-
-
-def _refuse_flags(target: str, args) -> None:
-    for flag, _ in _FAMILY_FLAGS.values():
-        if flag not in _GEOMETRY_FLAGS[target] and _flag_value(args, flag) is not None:
-            raise ConfigError(f"{target} takes no {flag}")
-
-
-def _variant(args) -> int | None:
-    """The Borel variant asked for (1 unless given); refuse --variant for any other target."""
-    if args.target == "borel":
-        return 1 if args.variant is None else args.variant
-    if args.variant is not None:
-        raise ConfigError(f"--variant applies to borel, not {args.target}")
-    return None
 
 
 def _outcome_payload(value):
@@ -171,26 +182,17 @@ def _outcome_payload(value):
 
 
 def _sampler(args):
-    """The draw of one sample of ``args.target``; its options are checked first."""
+    """The draw of one sample of ``args.target``, once ``_check_options`` has passed."""
     target = args.target
-    variant = _variant(args)
+    cap = {"max_attempts": args.max_attempts}
     if target in FAMILY_NAMES:
         family = _make_family(target, args)
-        method = args.method or "dsh"
-        return lambda rng: sample_structure(
-            family, rng, method=method, max_attempts=args.max_attempts
-        )
-    _refuse_flags(target, args)
-    cap = {"max_attempts": args.max_attempts}
+        return partial(sample_structure, family, method=args.method or "dsh", **cap)
     if target == "hypersimplex":
-        if args.n is None or args.k is None:
-            raise ConfigError("hypersimplex needs --n and --k")
         return partial(sample_hypersimplex, int(args.n), args.k, **cap)
     if target == "permutahedron":
-        if args.n is None:
-            raise ConfigError("permutahedron needs --n")
         return partial(sample_permutahedron, int(args.n), **cap)
-    return partial(borel_conditional_sample, variant, **cap)
+    return partial(borel_conditional_sample, args.variant or 1, **cap)
 
 
 def _write_rows(header, rows, format: str) -> None:
@@ -216,19 +218,14 @@ def _csv_cell(name: str, value) -> str:
     return '"' + text.replace('"', '""') + '"' if name == "outcome" else text
 
 
-def _refuse_method(args):
-    if args.method is not None and args.target not in FAMILY_NAMES:
-        raise ConfigError(f"--method applies to structure families, not {args.target}")
-
-
 def _refuse_below(flag: str, value: int, least: int) -> None:
     if value < least:
         raise ConfigError(f"{flag} must be at least {least}, got {value}")
 
 
 def run_sample(args) -> int:
+    _check_options(args)
     seed = _resolve_seed(args)
-    _refuse_method(args)
     _refuse_below("--count", args.count, 0)
     draw = _sampler(args)
     n_field = int(args.n) if args.n is not None else None
@@ -247,10 +244,9 @@ def run_sample(args) -> int:
 
 
 def _benchmark_shard(family, method: str, trials: int, seed: int, max_attempts: int):
-    problem = build_problem(family)
-    engine = hard_rejection_sample if method == "hard" else dsh_sample
     return benchmark(
-        lambda rng: engine(problem, rng, max_attempts=max_attempts), trials, CountingRng(seed)
+        lambda rng: sample_structure(family, rng, method=method, max_attempts=max_attempts)[1],
+        trials, CountingRng(seed),
     )
 
 
@@ -264,12 +260,15 @@ def _sharded_benchmark(family, method, trials, row_seed, jobs, max_attempts):
     ]
     if len(shards) == 1:
         return _benchmark_shard(*shards[0])
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork pool starts all its workers at the first submit, so ask for no idle ones
+    workers = min(len(shards), os.cpu_count() or 1)
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(_benchmark_shard, *zip(*shards)))
     return merge_cost_stats(parts)
 
 
 def run_benchmark(args) -> int:
+    _check_options(args)
     seed = _resolve_seed(args)
     try:
         ns = [int(v) for v in args.n.split(",")]
@@ -277,8 +276,10 @@ def run_benchmark(args) -> int:
         raise ConfigError(f"--n must be a comma-separated integer list, got {args.n!r}")
     methods = args.methods.split(",")
     for m in methods:
-        if m not in ("hard", "dsh"):
+        if m not in METHODS:
             raise ConfigError(f"unknown benchmark method {m!r}")
+    if len(set(methods)) < len(methods):
+        raise ConfigError(f"--methods names a method twice: {args.methods}")
     _refuse_below("--trials", args.trials, 1)
     _refuse_below("--jobs", args.jobs, 1)
 
@@ -361,12 +362,11 @@ def _verify_borel(variant: int, args, seed: int):
 
 
 def run_verify(args) -> int:
+    _check_options(args)
     seed = _resolve_seed(args)
-    _refuse_method(args)
     _refuse_below("--trials", args.trials, 1)
-    variant = _variant(args)
     if args.target == "borel":
-        _refuse_flags("borel", args)
+        variant = args.variant or 1
         kind, cells, stat, dof, p = _verify_borel(variant, args, seed)
         label = f"borel variant={variant}"
     else:
@@ -417,13 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("target", choices=FAMILY_NAMES + GEOMETRY_NAMES)
     _add_common(p_sample)
     p_sample.add_argument("--count", type=int, default=1)
-    p_sample.add_argument(
-        "--method", choices=("hard", "dsh"), default=None,
-        help="structure families only (default dsh)",
-    )
-    p_sample.add_argument(
-        "--variant", type=int, choices=(1, 2, 3), default=None, help="borel only (default 1)"
-    )
     p_sample.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p_sample.set_defaults(run=run_sample)
 
@@ -441,17 +434,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_verify)
     p_verify.add_argument("--trials", type=int, default=5000)
     p_verify.add_argument(
-        "--method", choices=("hard", "dsh"), default=None,
-        help="structure families only (default dsh)",
-    )
-    p_verify.add_argument(
-        "--variant", type=int, choices=(1, 2, 3), default=None, help="borel only (default 1)"
-    )
-    p_verify.add_argument(
         "--support-cap", type=int, default=100_000, dest="support_cap"
     )
     p_verify.set_defaults(run=run_verify)
 
+    for p in (p_sample, p_verify):
+        p.add_argument(
+            "--method", choices=METHODS, default=None,
+            help="structure families only (default dsh)",
+        )
+        p.add_argument(
+            "--variant", type=int, choices=(1, 2, 3), default=None,
+            help="borel only (default 1)",
+        )
     return parser
 
 
@@ -459,6 +454,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _refuse_below("--max-attempts", args.max_attempts, 1)
         return args.run(args)
     except (ConfigError, InvalidFamily, InvalidProfile, InfeasibleTarget, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

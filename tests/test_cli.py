@@ -158,6 +158,13 @@ PINNED_STDOUT = [
      "aba8759c90d65a5226e08bf8454407d0be2275ee2699171515a602b38588939a"),
     ("benchmark partition --n 10,20 --trials 100 --seed 12",
      "6ffd924904f4a3d075f3bc0272ca0190003d8c2d6d80aba308f0392a66d1f46c"),
+    ("benchmark partition --n 10 --trials 120 --jobs 2 --seed 3",
+     "6e535ee84d085b3dffe0022f7fa4635beb6218fc1521790c539c84e49a7823bd"),
+    ("sample selection --n 8 --multiplicities 3,2,1,4,1,2,1,1 --count 3 --seed 4",
+     "27b3aeb8fd0e0f5d2ae20f35d835e45b867a5c962eab408f53a04439d2f329a2"),
+    # dsh alone: the hard baseline is drawn under its own seed
+    ("benchmark partition --n 10 --methods dsh --trials 100 --seed 12",
+     "ea89b9cc1482b1250a08ea18ee0121e785502ead99bc73905e4b853c491a7119"),
 ]
 
 
@@ -415,6 +422,41 @@ def test_benchmark_parallel_path_is_deterministic(capsys):
     assert first.count("\n") == 3
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in this process."""
+
+    asked = []
+
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    "cpus, jobs, trials, workers",
+    [(64, 500, 2, 2), (1, 4, 8, 1), (None, 3, 9, 1), (8, 3, 9, 3)],
+)
+def test_benchmark_starts_at_most_one_worker_per_shard_and_cpu(
+    cpus, jobs, trials, workers, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_SerialPool, "asked", [])
+    argv = f"benchmark partition --n 10 --trials {trials} --jobs {jobs} --seed 3".split()
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and out.count("\n") == 3
+    # one pool for the dsh row and one for the hard row
+    assert _SerialPool.asked == [workers, workers]
+
+
 def test_verify_pass_line(capsys):
     code, out, _ = run_cli(["verify", "partition", "--n", "8", "--trials", "2000"], capsys)
     assert code == 0
@@ -422,6 +464,15 @@ def test_verify_pass_line(capsys):
     assert line.startswith("partition n=8 test=chi2 cells=22 statistic=")
     assert "trials=2000" in line
     assert line.endswith(" pass")
+
+
+@pytest.mark.parametrize("variant", [1, 2, 3])
+def test_verify_borel_variant(variant, capsys):
+    argv = f"verify borel --variant {variant} --trials 2000".split()
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out.startswith(f"borel variant={variant} test=ks cells=2000 ")
+    assert out.strip().endswith(" pass")
 
 
 def test_verify_fail_exits_one(capsys, monkeypatch):
@@ -441,6 +492,9 @@ def test_config_errors_exit_two(capsys):
     assert code == 2
     code, _, err = run_cli(["benchmark", "partition", "--n", "x"], capsys)
     assert code == 2
+    code, out, err = run_cli("sample selection --n 5 --multiplicities 1,x".split(), capsys)
+    assert code == 2 and out == ""
+    assert "bad multiplicity list" in err
     with pytest.raises(SystemExit) as exc:
         main(["sample", "florp"])
     assert exc.value.code == 2
@@ -460,7 +514,8 @@ def test_one_element_ewens_profile(capsys):
 
 
 # commands that once exited 0 after sampling, or checking, something other
-# than what was asked, and the flag each must name when it is refused
+# than what was asked (or, for --max-attempts, reported a give-up), and the
+# flag each must name when it is refused
 REFUSED = [
     ("sample partition --n 5 --multiplicities 1,2,3,4,5", "--multiplicities"),
     ("sample setpartition --n 5 --full-grid", "--full-grid"),
@@ -484,6 +539,11 @@ REFUSED = [
     ("sample partition --n 5 --variant 2", "--variant"),
     ("sample hypersimplex --n 4 --k 2.5 --variant 3", "--variant"),
     ("verify partition --n 5 --variant 2", "--variant"),
+    ("sample partition --n 5 --max-attempts 0", "--max-attempts"),
+    ("sample partition --n 5 --max-attempts -5", "--max-attempts"),
+    ("verify partition --n 5 --max-attempts 0", "--max-attempts"),
+    ("benchmark partition --n 5 --trials 10 --max-attempts 0", "--max-attempts"),
+    ("benchmark partition --n 6 --methods dsh,dsh --trials 20", "--methods"),
 ]
 
 

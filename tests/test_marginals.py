@@ -330,6 +330,17 @@ def test_beta_density_and_sampling():
     assert p > 1e-3
 
 
+@pytest.mark.parametrize("a, b", [(0.5, 0.7), (2.0, 0.4)])
+def test_beta_with_a_shape_below_one_matches_its_law(a, b):
+    # a gamma shape below 1 is drawn through the U^(1/shape) boost
+    from scipy.stats import beta as beta_dist
+
+    rng = CountingRng(11)
+    draws = [Beta(a, b).sample(rng) for _ in range(5000)]
+    _, p = ks_statistic(draws, beta_dist(a, b).cdf)
+    assert p > 1e-3
+
+
 def test_beta_flat_and_unbounded_cases():
     assert Beta(1.0, 1.0).sup_density() == pytest.approx(1.0)
     assert Beta(1.0, 2.0).sup_density() == pytest.approx(2.0)
