@@ -117,7 +117,7 @@ def _block_count(k: float) -> int:
 
 # family field -> (the flag that sets it, how the parsed flag becomes the field)
 _FAMILY_FLAGS = {
-    "n": ("--n", int),
+    "n": ("--n", None),  # parsed by _check_options
     "blocks": ("--k", _block_count),
     "multiplicities": ("--multiplicities", _parse_multiplicities),
     "theta": ("--theta", float),
@@ -145,7 +145,8 @@ def _check_options(args) -> None:
     """Refuse each option ``args.target`` does not take, and each it needs but lacks.
 
     A family takes --method and the flags of its fields, and needs those
-    of its fields without a default.
+    of its fields without a default.  Then --n becomes an int (benchmark:
+    a list of ints), or is refused by name.
     """
     target = args.target
     if target in FAMILIES:
@@ -161,6 +162,16 @@ def _check_options(args) -> None:
             raise ConfigError(f"{target} takes no {flag}")
         if not given and flag in needs:
             raise ConfigError(f"{target} needs {flag}")
+    if args.n is not None:
+        many = args.subcommand == "benchmark"
+        try:
+            ns = [int(v) for v in args.n.split(",")]
+        except ValueError:
+            ns = []
+        if not ns or len(ns) > 1 and not many:
+            want = "a comma-separated integer list" if many else "an integer"
+            raise ConfigError(f"--n must be {want}, got {args.n!r}")
+        args.n = ns if many else ns[0]
 
 
 def _make_family(name: str, args):
@@ -171,7 +182,7 @@ def _make_family(name: str, args):
         flag, convert = _FAMILY_FLAGS[f.name]
         value = _flag_value(args, flag)
         if value is not None:
-            kwargs[f.name] = convert(value)
+            kwargs[f.name] = value if convert is None else convert(value)
     return cls(**kwargs)
 
 
@@ -189,9 +200,9 @@ def _sampler(args):
         family = _make_family(target, args)
         return partial(sample_structure, family, method=args.method or "dsh", **cap)
     if target == "hypersimplex":
-        return partial(sample_hypersimplex, int(args.n), args.k, **cap)
+        return partial(sample_hypersimplex, args.n, args.k, **cap)
     if target == "permutahedron":
-        return partial(sample_permutahedron, int(args.n), **cap)
+        return partial(sample_permutahedron, args.n, **cap)
     return partial(borel_conditional_sample, args.variant or 1, **cap)
 
 
@@ -228,13 +239,12 @@ def run_sample(args) -> int:
     seed = _resolve_seed(args)
     _refuse_below("--count", args.count, 0)
     draw = _sampler(args)
-    n_field = int(args.n) if args.n is not None else None
 
     def rows():
         for index in range(args.count):
             value, rec = draw(CountingRng(derive_seed(seed, index)))
             payload = _outcome_payload(value)
-            yield 1, args.target, n_field, seed, index, payload, rec.attempts, rec.rng_calls
+            yield 1, args.target, args.n, seed, index, payload, rec.attempts, rec.rng_calls
 
     _write_rows(
         ("schema", "family", "n", "seed", "index", "outcome", "attempts", "rng_calls"),
@@ -270,10 +280,7 @@ def _sharded_benchmark(family, method, trials, row_seed, jobs, max_attempts):
 def run_benchmark(args) -> int:
     _check_options(args)
     seed = _resolve_seed(args)
-    try:
-        ns = [int(v) for v in args.n.split(",")]
-    except (ValueError, AttributeError):
-        raise ConfigError(f"--n must be a comma-separated integer list, got {args.n!r}")
+    ns = args.n
     methods = args.methods.split(",")
     for m in methods:
         if m not in METHODS:
@@ -371,7 +378,7 @@ def run_verify(args) -> int:
         label = f"borel variant={variant}"
     else:
         kind, cells, stat, dof, p = _verify_family(args.target, args, seed)
-        label = f"{args.target} n={int(args.n)}"
+        label = f"{args.target} n={args.n}"
         if args.target == "ewens":
             label += f" k={int(args.k)}"
     passed = p > P_THRESHOLD

@@ -39,19 +39,22 @@ dot products (integer values) or ``math.fsum`` (real values), else a
 per-coordinate ``sample`` plan.  The block and the plan
 turn the same uniforms into the same values.
 
-A block can also draw K attempts at once: the loop peeks K blocks of
-the stream, inverts them in one numpy call, and runs the step on each
-window in stream order, consuming the window first.  A dead attempt
-(rejected before drawing an acceptance uniform) draws nothing after its
-window, so the next window is exactly the next attempt's; the first step
-that draws a uniform or returns an outcome ends the batch.  A run
-batches when the earlier runs on the same drawer saw at least 8 dead
-attempts per live one, and K is that ratio, capped at the attempts left
-and at 4096 comparisons a batch: a row costs its uniforms in a
-closed-form block (Geometric, Bernoulli, UniformReal) and the larger of
-its uniforms and its table entries in a cdf-table block.  A block whose
-cap falls below 8, a plan or a hook, and other runs draw one attempt at
-a time through the plain loop.
+A block drawer can also invert K attempts' blocks in one numpy call.  It
+peeks K blocks of the stream and hands out one window a call, consuming
+it before the step runs, for as long as the stream does not move under
+it: the same rng asks again with nothing drawn since the last window.
+Each window is then exactly the uniforms the next attempt would draw, so
+a batch runs on across dead attempts, and, since hard rejection and flat
+pivots draw nothing in their step, across the samples one rng draws in a
+row.  An acceptance uniform, a draw by anything else, or another rng
+drops the windows left.  K is the mean run of draws the drawer has seen
+on an unmoved stream, counting the run in progress, capped at 4096
+comparisons a batch: a row costs its uniforms in a closed-form block
+(Geometric, Bernoulli, UniformReal) and the larger of its uniforms and
+its table entries in a cdf-table block.  Below K = 8, and in a block
+whose cap falls below 8, the drawer draws one window at a time; plans
+and hooks always do.  The drawer holds its rng weakly, so it keeps no
+finished request's rng alive.
 
 An accepted attempt becomes its outcome once, in ``_assemble``: a sparse
 draw becomes a :class:`SparseVector` of its nonzero entries, any other a
@@ -73,6 +76,7 @@ moves no outcome, attempt count or uniform count.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import repeat
@@ -289,9 +293,9 @@ def _unreachable(marginals, coeffs, target: int) -> str | None:
     return None
 
 
-# Batch only where dead attempts outnumber live ones 8 to 1: short dead
-# runs waste most of a batch (batching from 2 to 1 took permutahedron n=8
-# from 72 to 96 us a sample).
+# Batch only where the mean run of draws on an unmoved stream reaches 8:
+# short runs waste most of a batch (batching from 2 dead attempts per live
+# one took permutahedron n=8 from 72 to 96 us a sample).
 _MIN_BATCH = 8
 # At most one CountingRng block of uniforms, and as many table-entry
 # comparisons, per batch, which bounds a batch's arrays: struct-hooks peak
@@ -308,14 +312,10 @@ def _block_drawer(problem: ConditioningProblem, indices) -> DrawHook | None:
     take.  Real values are summed by ``math.fsum``.  None when the
     marginals share no block rule.
 
-    A block cheap enough for a batch of 8 also carries ``width``
-    (uniforms per attempt), ``most`` (the largest batch), ``seen``
-    ([dead, live] attempts the loop ran on it) and ``batch``, which maps K
-    peeked blocks to the sums and values K calls would give: the
-    inversion maps each row as it maps one, int64 products are exact and
-    ``math.fsum`` rounds each row's exact sum.  A row of a cdf-table block
-    compares every table entry, so ``most`` is 4096 over the larger of
-    the uniforms and the table entries.
+    A block with room for 8 rows in 4096 comparisons batches (see the
+    module docstring).  A batch of K rows gives the sums and values K
+    draws would: the inversion maps each row as it maps one, int64
+    products are exact and ``math.fsum`` rounds each row's exact sum.
     """
     marginals = [problem.marginals[i] for i in indices]
     block = block_inversion(marginals)
@@ -345,16 +345,40 @@ def _block_drawer(problem: ConditioningProblem, indices) -> DrawHook | None:
         z = invert(rng.uniforms(count))
         return total(w, z), 0 if c is None else total(c, z), z
 
-    def batch(u: np.ndarray):
-        z = invert(u.reshape(-1, count))
-        return totals(w, z), repeat(0) if c is None else totals(c, z), z
-
     tables = [getattr(m, "cdf_table", None) for m in marginals]
     entries = sum(len(t) for t in tables if t is not None)
     most = _BATCH_UNIFORMS // max(count, entries)
-    if most >= _MIN_BATCH:
-        draw.width, draw.most, draw.batch, draw.seen = count, most, batch, [0, 0]
-    return draw
+    if most < _MIN_BATCH:
+        return draw
+
+    # one snapshot, replaced whole: the rng (held weakly), its count after
+    # the last window handed out (-1, no count, before the first), and the
+    # windows peeked past that count
+    snapshot = (None, -1, iter(()))
+    draws = runs = 0
+
+    def batched(rng: CountingRng):
+        nonlocal snapshot, draws, runs
+        held, mark, windows = snapshot
+        draws += 1
+        if rng.calls != mark or held() is not rng:
+            # the stream moved under the drawer: a new run, and stale windows
+            held, windows = weakref.ref(rng), iter(())
+            runs += 1
+        window = next(windows, None)
+        if window is not None:
+            rng.consume(count)
+        elif (k := min(draws // runs, most)) < _MIN_BATCH:
+            window = draw(rng)
+        else:
+            z = invert(rng.peek(k * count).reshape(k, count))
+            windows = zip(totals(w, z), repeat(0) if c is None else totals(c, z), z)
+            window = next(windows)
+            rng.consume(count)
+        snapshot = held, rng.calls, windows
+        return window
+
+    return batched
 
 
 def _draw(plan, rng: CountingRng):
@@ -455,64 +479,19 @@ def _rejection_loop(
     """Run attempts until ``step(lin, sec, vals, rng)`` returns an outcome.
 
     ``draw`` gives each attempt's first half (or full vector) and ``step``
-    completes and accepts it, or returns None to reject the attempt.  A
-    drawer with a ``batch`` form runs batched once its earlier runs saw
-    at least 8 dead attempts per live one (see the module docstring).
+    completes and accepts it, or returns None to reject the attempt.
     """
     start = rng.calls
-    seen = getattr(draw, "seen", None)
-    ratio = 0 if seen is None else seen[0] // (seen[1] or 1)
-    if ratio < _MIN_BATCH:
-        outcome, attempts = _single_attempts(draw, step, rng, max_attempts)
-    else:
-        k = min(ratio, draw.most)
-        outcome, attempts = _batched_attempts(draw, step, rng, max_attempts, k)
-    if seen is not None:
-        # each draw spent width uniforms, and a live attempt's step drew one
-        # (dsh) or none but accepted (hard, flat pivots)
-        live = max(rng.calls - start - attempts * draw.width, int(outcome is not None))
-        seen[0] += attempts - live
-        seen[1] += live
-    if outcome is None:
-        raise NonTerminating(
-            f"{what} on a size-{size} problem exhausted {max_attempts} attempts",
-            attempts=max_attempts,
-            rng_calls=rng.calls - start,
-        )
-    return SampleRecord(outcome, attempts, rng.calls - start)
-
-
-def _single_attempts(draw, step, rng: CountingRng, max_attempts: int):
-    """(outcome, attempts run), drawing one attempt at a time; outcome None past the cap."""
     for attempt in range(1, max_attempts + 1):
         lin, sec, vals = draw(rng)
         outcome = step(lin, sec, vals, rng)
         if outcome is not None:
-            return outcome, attempt
-    return None, max_attempts
-
-
-def _batched_attempts(draw, step, rng: CountingRng, max_attempts: int, k: int):
-    """``_single_attempts`` with up to k attempts drawn from each peek of the stream.
-
-    Each attempt consumes its window before its step runs, so it sees the
-    uniforms it would have drawn alone.
-    """
-    width = draw.width
-    attempt = 0
-    while attempt < max_attempts:
-        windows = draw.batch(rng.peek(min(k, max_attempts - attempt) * width))
-        for lin, sec, vals in zip(*windows):
-            attempt += 1
-            rng.consume(width)
-            mark = rng.calls
-            outcome = step(lin, sec, vals, rng)
-            if outcome is not None:
-                return outcome, attempt
-            if rng.calls != mark:
-                # the step drew a uniform, so the later windows are misaligned
-                break
-    return None, max_attempts
+            return SampleRecord(outcome, attempt, rng.calls - start)
+    raise NonTerminating(
+        f"{what} on a size-{size} problem exhausted {max_attempts} attempts",
+        attempts=max_attempts,
+        rng_calls=rng.calls - start,
+    )
 
 
 def hard_rejection_sample(

@@ -42,6 +42,7 @@ from .engine import (
     dsh_sample,
     soft_rejection_sample,
 )
+from .errors import InfeasibleTarget
 from .marginals import (
     AbsWeightedGaussian,
     Beta,
@@ -165,10 +166,15 @@ def sample_beta_sum(
     The first half must land in the window [total - 1, total] for the
     pivot to stay inside (0, 1); the pivot marginal needs both shape
     parameters >= 1 so its density has a finite supremum
-    (UnboundedDensity otherwise).
+    (UnboundedDensity otherwise).  A total outside (0, n) for n betas
+    raises InfeasibleTarget before drawing.
     """
     if len(alphas) != len(betas):
         raise ValueError("alpha and beta vectors differ in length")
+    if not 0.0 < total < len(alphas):
+        raise InfeasibleTarget(
+            f"a sum of {len(alphas)} betas lies in (0, {len(alphas)}), never at {total}"
+        )
     marginals = tuple(Beta(a, b) for a, b in zip(alphas, betas))
     problem = _problem(marginals, (1.0,) * len(marginals), float(total), pivot)
     rec = dsh_sample(problem, rng, max_attempts=max_attempts)

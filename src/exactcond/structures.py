@@ -245,20 +245,16 @@ def _tilt_of(family) -> float:
     return x
 
 
+@lru_cache(maxsize=64)
 def grid_cells(family: PlanePartitionGrid) -> list[tuple[int, int]]:
-    """Cell coordinates of the grid sampling space, pivot cell (1, 1) first."""
+    """Cell coordinates of the grid sampling space, sorted, pivot cell (1, 1) first.
+
+    Cached per family like ``build_problem``; callers must not mutate it.
+    """
     n = family.n
     if family.truncate_cells:
-        cells = [
-            (i, j)
-            for i in range(1, n)
-            for j in range(1, n)
-            if i + j + 1 <= n
-        ]
-    else:
-        cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    cells.sort()
-    return cells
+        return [(i, j) for i in range(1, n) for j in range(1, n) if i + j + 1 <= n]
+    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
 
 
 def _sparse_geometric_hook(weights, ratios, indices):

@@ -264,8 +264,10 @@ def _batched_samplers():
     # dead-heavy problems whose runs of dead attempts are drawn in batches
     # (integer sums under one and two constraints, and real sums through
     # the hypersimplex at level 2.5), the grid's sparse scan, and two
-    # slices whose dead runs are too short to batch; caps 37 and 200 cut
-    # runs short, so what NonTerminating reports is pinned too
+    # slices with short dead runs; hard rejection and the flat slices draw
+    # nothing in their step, so their runs go on across the draws on one
+    # rng; caps 37 and 200 cut runs short, so what NonTerminating reports
+    # is pinned too
     caps = (DEFAULT_MAX_ATTEMPTS, 37, 200)
     bits = _user_problem(
         (Bernoulli(0.3),) * 10, range(1, 11), 20, (0, 1),
@@ -544,6 +546,9 @@ REFUSED = [
     ("verify partition --n 5 --max-attempts 0", "--max-attempts"),
     ("benchmark partition --n 5 --trials 10 --max-attempts 0", "--max-attempts"),
     ("benchmark partition --n 6 --methods dsh,dsh --trials 20", "--methods"),
+    ("sample partition --n abc", "--n"),
+    ("sample hypersimplex --n 4.5 --k 2", "--n"),
+    ("verify partition --n x", "--n"),
 ]
 
 

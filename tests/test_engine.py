@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 from collections import Counter
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -634,6 +635,14 @@ class FixedUniforms:
         self.calls += count
         return np.array(self.us[self.calls - count:self.calls])
 
+    def peek(self, count):
+        # a batching drawer reads ahead of what it consumes, so pad past the list
+        ahead = self.us[self.calls:self.calls + count]
+        return np.array(ahead + [0.5] * (count - len(ahead)))
+
+    def consume(self, count):
+        self.calls += count
+
 
 def reference_masses(m):
     """density(0), density(1), ... by the recurrence the per-draw scans multiplied."""
@@ -744,26 +753,85 @@ def test_table_block_inverts_k_rows_exactly():
     assert invert(us[:5]).tolist() == rows[:5].tolist()
 
 
-def test_batch_form_is_attached_within_one_block_of_comparisons():
-    def drawers(marginals, weights):
-        prob = ConditioningProblem(
+class PeekCountingRng(CountingRng):
+    """A CountingRng that counts its peeks, the reads of a batch."""
+
+    peeks = 0
+
+    def peek(self, count):
+        self.peeks += 1
+        return super().peek(count)
+
+
+def fresh(family):
+    """A new copy of the family's problem, with drawers that have seen no run."""
+    return replace(build_problem(family))
+
+
+def batches(draw) -> bool:
+    """Whether ``draw`` peeks the stream within one run of 64 draws."""
+    rng = PeekCountingRng(1)
+    for _ in range(64):
+        draw(rng)
+    return rng.peeks > 0
+
+
+def test_a_block_batches_within_one_block_of_comparisons():
+    def problem(marginals, weights):
+        return ConditioningProblem(
             marginals=tuple(marginals), weights=weights, target=3, index_set=(0,)
         )
-        return prob._draw_free, prob._draw_full
 
     # a closed-form block batches up to 4096 / 8 = 512 coordinates
-    free, full = drawers([Geometric(0.5)] * 513, (1,) * 513)
-    assert hasattr(free, "batch") and not hasattr(full, "batch")
+    prob = problem([Geometric(0.5)] * 513, (1,) * 513)
+    assert batches(prob._draw_free) and not batches(prob._draw_full)
     # a table block costs max(coordinates, table entries) comparisons a row
     for family in (Selection(60), EwensProfile(50, 5), SetPartition(100), Assembly(100)):
-        assert hasattr(build_problem(family)._draw_free, "batch"), family
+        assert batches(fresh(family)._draw_free), family
     for family in (Multiset(100), SetPartition(400)):
-        free, full = build_problem(family)._draw_free, build_problem(family)._draw_full
-        assert not hasattr(free, "batch") and not hasattr(full, "batch"), family
+        prob = fresh(family)
+        assert not batches(prob._draw_free) and not batches(prob._draw_full), family
     # a plan-drawn block (fractional weights) and a draw hook never batch
-    free, full = drawers([Poisson(1.0), Poisson(2.0)], weights=(1, 0.5))
-    assert isinstance(free, partial) and not hasattr(free, "batch")
-    assert not hasattr(build_problem(PlanePartitionGrid(30))._draw_free, "batch")
+    prob = problem([Poisson(1.0), Poisson(2.0)], weights=(1, 0.5))
+    assert isinstance(prob._draw_free, partial) and not batches(prob._draw_free)
+    assert not batches(fresh(PlanePartitionGrid(30))._draw_free)
+
+
+def test_a_batch_serves_only_the_unmoved_stream_it_peeked():
+    # problems are shareable and an rng is single-owner: a window peeked
+    # ahead is handed out only to the same rng with nothing drawn since
+    shared, other = fresh(SetPartition(100)), fresh(Selection(60))
+    plans = {prob: sample_plan(prob, prob.free_indices) for prob in (shared, other)}
+    rng, rng_ref = PeekCountingRng(5), CountingRng(5)
+    second, second_ref = PeekCountingRng(6), CountingRng(6)
+
+    def check(prob, r, replica):
+        lin, sec, vals = prob._draw_free(r)
+        assert (lin, sec, vals.tolist()) == _draw(plans[prob], replica)
+        assert r.calls == replica.calls
+
+    # one long run lifts the mean run, hence K, well past 8
+    for _ in range(1000):
+        check(shared, rng, rng_ref)
+    assert rng.peeks > 0
+    # the second rng at the first one's count, so only identity tells them apart
+    second.uniforms(rng.calls)
+    second_ref.uniforms(rng_ref.calls)
+    for _ in range(30):
+        peeks = rng.peeks
+        check(shared, rng, rng_ref)
+        check(shared, rng, rng_ref)
+        assert rng.uniform() == rng_ref.uniform()
+        check(shared, rng, rng_ref)
+        check(other, rng, rng_ref)
+        check(shared, rng, rng_ref)
+        second.uniforms(rng.calls - second.calls)
+        second_ref.uniforms(rng_ref.calls - second_ref.calls)
+        check(shared, second, second_ref)
+        check(shared, rng, rng_ref)
+        # the drawer batched again after each interruption on rng, so the
+        # next interruption found windows left
+        assert rng.peeks >= peeks + 3
 
 
 def test_table_drawer_needs_exact_int64_sums():

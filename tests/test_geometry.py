@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import beta as beta_dist
 
-from exactcond.errors import InvalidRejection, UnboundedDensity
+from exactcond.errors import InfeasibleTarget, InvalidRejection, UnboundedDensity
 from exactcond.geometry import (
     IntervalUnion,
     borel_conditional_sample,
@@ -103,6 +103,16 @@ def test_beta_sum_rejects_unbounded_pivot():
     rng = CountingRng(37)
     with pytest.raises(UnboundedDensity):
         sample_beta_sum((0.5, 1.0), (1.0, 1.0), 0.8, rng)
+
+
+@pytest.mark.parametrize("total", [5.0, 3.0, 0.0, -0.5])
+def test_beta_sum_refuses_an_unreachable_total_before_drawing(total):
+    # three betas sum to a value in (0, 3); at the default attempt cap a
+    # total of 5 used to spin for about 25 minutes
+    rng = CountingRng(41)
+    with pytest.raises(InfeasibleTarget):
+        sample_beta_sum([2.0] * 3, [2.0] * 3, total, rng)
+    assert rng.calls == 0
 
 
 def test_sphere_surface_squares_follow_flat_dirichlet():
