@@ -372,6 +372,7 @@ def run_verify(args) -> int:
     _check_options(args)
     seed = _resolve_seed(args)
     _refuse_below("--trials", args.trials, 1)
+    _refuse_below("--support-cap", args.support_cap, 1)
     if args.target == "borel":
         variant = args.variant or 1
         kind, cells, stat, dof, p = _verify_borel(variant, args, seed)

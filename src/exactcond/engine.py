@@ -61,10 +61,13 @@ draw becomes a :class:`SparseVector` of its nonzero entries, any other a
 tuple of Python scalars, with the pivot block inserted at ``index_set``.
 Later layers use that outcome as it is.
 
-Every engine raises :class:`InfeasibleTarget` before its first draw when
-an exact integer target lies outside the range of its weighted sum or off
-the sum's lattice, and hard rejection also when a continuous coordinate of
-nonzero weight makes the exact hit a null event.
+dsh and hard rejection raise :class:`InfeasibleTarget` before their first
+draw when a target, real or integer, is not finite, lies outside the
+closed range of its sum, sits on an end of it while a free continuous
+coordinate has nonzero weight, or is an integer off the sum's lattice.
+Hard rejection also refuses any continuous coordinate of nonzero weight;
+soft rejection, whose linear target may stand in for another statistic,
+applies the integer checks only.
 
 Costs are whatever the :class:`CountingRng` records; completability is
 checked before the acceptance uniform is drawn, so a dead first half
@@ -86,7 +89,7 @@ import numpy as np
 
 from .errors import InfeasibleTarget, InvalidRejection, NonTerminating, SingularSystem
 from .marginals import (
-    ContinuousMarginal, CountingRng, DiscreteMarginal, SignedUnit, block_inversion,
+    ContinuousMarginal, CountingRng, DiscreteMarginal, block_inversion,
 )
 
 DEFAULT_MAX_ATTEMPTS = 10 ** 8
@@ -224,22 +227,22 @@ class ConditioningProblem:
 
     @cached_property
     def _infeasible(self) -> tuple[str | None, str | None]:
-        """Why no draw can be accepted, by any engine and by hard rejection.
+        """Why no draw can be accepted, by dsh and by hard rejection.
 
-        An exact integer target is out of reach when it lies outside the
-        range of its weighted sum or off the sum's lattice.  Hard rejection
-        also needs the full vector to hit the target exactly, a null event
-        once a continuous coordinate has nonzero weight.  None where a draw
-        may succeed.
+        ``_unreachable`` rules on each constraint.  Hard rejection also
+        needs the full vector to hit the target exactly, a null event once
+        a continuous coordinate has nonzero weight.  None where a draw may
+        succeed.
         """
+        constraints = [(self.weights, self.target)]
+        if self.second is not None:
+            constraints.append((self.second.coeffs, self.second.target))
         reason = None
-        if self._exact_int:
-            constraints = [(self.weights, self.target)]
-            if self.second is not None:
-                constraints.append((self.second.coeffs, self.second.target))
-            for coeffs, target in constraints:
-                reason = reason or _unreachable(self.marginals, coeffs, int(target))
-        elif not self._discrete and any(
+        for coeffs, target in constraints:
+            reason = reason or _unreachable(
+                self.marginals, coeffs, target, self.index_set, self._exact_int
+            )
+        if reason is None and any(
             isinstance(m, ContinuousMarginal) and w != 0
             for m, w in zip(self.marginals, self.weights)
         ):
@@ -260,34 +263,41 @@ class ConditioningProblem:
         ))
 
 
-def _unreachable(marginals, coeffs, target: int) -> str | None:
+def _unreachable(marginals, coeffs, target, pivots, lattice: bool) -> str | None:
     """Why sum_i a_i X_i never equals ``target``, or None if it may.
 
-    The sum lies between the sums of the a_i lo_i and a_i hi_i ends of the
-    supports (an unbounded end leaves its side open) and in base + g Z,
-    where base is its value at the lower ends and g the gcd of a_i step_i
-    over coordinates with more than one support point (step 2 for
-    SignedUnit, else 1).
+    The sum lies in the closed range summed from the support ends of the
+    a_i X_i, infinite where a side is unbounded.  On an end of that range
+    every a_i X_i sits on its own end, a null event once a free (non-pivot)
+    coordinate of nonzero weight is continuous.  With ``lattice`` (integer
+    values, weights and target) the sum also lies in base + g Z, where base
+    is its value at the lower support ends and g the gcd of a_i step_i over
+    coordinates with more than one support point.
     """
-    # the sum is base plus an offset in [down, up]; None is unbounded
-    base = down = up = gap = 0
-    for m, a in zip(marginals, map(int, coeffs)):
+    if not math.isfinite(target):
+        return f"target {target} is not finite"
+    if lattice:
+        coeffs, target = map(int, coeffs), int(target)
+    low = high = base = gap = 0
+    null_ends = False
+    for i, (m, a) in enumerate(zip(marginals, coeffs)):
         if a == 0:
             continue
         lo, hi = m.support_bounds()
-        base += a * lo
-        if hi == lo:
-            continue
-        gap = math.gcd(gap, a * (2 if isinstance(m, SignedUnit) else 1))
-        reach = None if hi is None else a * (hi - lo)
-        if a > 0:
-            up = None if up is None or reach is None else up + reach
-        else:
-            down = None if down is None or reach is None else down + reach
-    if (down is not None and target < base + down) or (up is not None and target > base + up):
-        low = "-inf" if down is None else base + down
-        high = "inf" if up is None else base + up
+        low += a * (lo if a > 0 else hi)
+        high += a * (hi if a > 0 else lo)
+        null_ends = null_ends or (isinstance(m, ContinuousMarginal) and i not in pivots)
+        if lattice:
+            base += a * lo
+            if hi != lo:
+                gap = math.gcd(gap, a * m.step)
+    if not low <= target <= high:
         return f"target {target} lies outside the range [{low}, {high}] of its sum"
+    if null_ends and target in (low, high):
+        return (
+            f"target {target} is an end of the range [{low}, {high}] of its sum,"
+            " which a free continuous coordinate reaches with probability zero"
+        )
     if gap and (target - base) % gap:
         return f"target {target} is off the lattice {base} + {gap}Z of its sum"
     return None
@@ -590,7 +600,10 @@ def soft_rejection_sample(
     """
     if not (q_sup > 0.0 and math.isfinite(q_sup)):
         raise ValueError(f"q_sup must be a finite positive bound, got {q_sup}")
-    _refuse_infeasible(problem)
+    # the linear target may stand in for another statistic (the sphere
+    # passes r^2), so only an exact integer problem's range binds
+    if problem._exact_int:
+        _refuse_infeasible(problem)
 
     def step(_lin, _sec, vals, rng):
         qa = q(vals)

@@ -142,10 +142,10 @@ def sample_exponential_sum(
 
     The non-pivot coordinates must leave a nonnegative residual, and the
     residual is accepted against the pivot's density, rate e^(-rate y),
-    whose supremum sits at zero.
+    whose supremum sits at zero.  ``dsh_sample`` refuses a total it
+    cannot reach with InfeasibleTarget before drawing: a negative one, or
+    0 with more than one rate.  A single rate at 0 gives (0.0,).
     """
-    if not total > 0.0:
-        raise ValueError(f"the target sum must be positive, got {total}")
     marginals = tuple(Exponential(r) for r in rates)
     problem = _problem(marginals, (1.0,) * len(marginals), float(total), pivot)
     rec = dsh_sample(problem, rng, max_attempts=max_attempts)
@@ -239,12 +239,11 @@ def sample_hypersimplex(
 
     Flat pivot: any first half with residual in [0, 1] is completed and
     accepted outright, so attempts cost n - 1 uniforms and the rejection
-    step itself draws none.
+    step itself draws none.  ``dsh_sample`` refuses a level outside
+    (0, n) with InfeasibleTarget before drawing.
     """
     if n < 2:
         raise ValueError("the cube slice needs dimension >= 2")
-    if not 0.0 < level < n:
-        raise ValueError(f"an n-cube has slices only at levels in (0, {n}), got {level}")
     problem = _problem((UniformReal(0.0, 1.0),) * n, (1.0,) * n, float(level), 0)
     rec = dsh_sample(problem, rng, max_attempts=max_attempts)
     return rec.outcome, rec

@@ -15,11 +15,16 @@ variate generators:
 
 Every marginal exposes one density surface: ``density`` (the mass of an
 integer-valued marginal, the pdf of a real-valued one), its supremum
-``sup_density``, ``sample`` and ``in_support``.  ``flat`` marks the
-classes whose density is constant on their support (UniformInt,
-SignedUnit, UniformReal), so a pivot of theirs needs no acceptance
-uniform.  A discrete marginal also names its ``mode`` (the smaller
-argmax on ties), where its cdf table stops being scanned.
+``sup_density``, and ``sample``.  It states its support once, as the
+inclusive ends ``support_bounds()``, with -inf or inf where a side is
+unbounded: (0, inf) for Exponential, (-inf, inf) for Normal.  A discrete
+marginal adds its lattice ``step`` (1, or 2 for SignedUnit's -1, +1), so
+``in_support`` and ``support_iter`` are written once.  Beta alone
+overrides ``in_support``, because its ends (0, 1) are open.  ``flat``
+marks the classes whose density is constant on their support
+(UniformInt, SignedUnit, UniformReal), so a pivot of theirs needs no
+acceptance uniform.  A discrete marginal also names its ``mode`` (the
+smaller argmax on ties), where its cdf table stops being scanned.
 
 Poisson (up to its scan limit), Binomial and NegativeBinomial invert
 their one uniform through a cached cdf table, ``cdf_table``: the running
@@ -166,8 +171,13 @@ class Marginal:
     def sample(self, rng: CountingRng):
         raise NotImplementedError
 
+    def support_bounds(self) -> tuple[float, float]:
+        """Inclusive ends of the support; -inf or inf where a side is unbounded."""
+        return -math.inf, math.inf
+
     def in_support(self, x) -> bool:
-        raise NotImplementedError
+        lo, hi = self.support_bounds()
+        return lo <= x <= hi
 
 
 class DiscreteMarginal(Marginal):
@@ -176,6 +186,8 @@ class DiscreteMarginal(Marginal):
     # the table ``sample`` inverts its one uniform through; None when it
     # draws otherwise
     cdf_table: np.ndarray | None = None
+    # the support is lo, lo + step, ... up to hi
+    step = 1
 
     def mode(self) -> int:
         """The smaller argmax of the mass."""
@@ -184,20 +196,13 @@ class DiscreteMarginal(Marginal):
     def sup_density(self) -> float:
         return self.density(self.mode())
 
-    def support_bounds(self) -> tuple[int, int | None]:
-        """Inclusive lower and upper bound of the support; None if unbounded."""
-        raise NotImplementedError
-
     def in_support(self, k: int) -> bool:
         lo, hi = self.support_bounds()
-        return k >= lo and (hi is None or k <= hi)
+        return lo <= k <= hi and (k - lo) % self.step == 0
 
     def support_iter(self) -> Iterator[int]:
         lo, hi = self.support_bounds()
-        k = lo
-        while hi is None or k <= hi:
-            yield k
-            k += 1
+        return itertools.takewhile(lambda k: k <= hi, itertools.count(lo, self.step))
 
 
 class ContinuousMarginal(Marginal):
@@ -267,8 +272,8 @@ class Geometric(DiscreteMarginal):
     def sample(self, rng: CountingRng) -> int:
         return int(_geometric_inverse(rng.uniform(), self._log_ratio))
 
-    def support_bounds(self) -> tuple[int, int | None]:
-        return 0, None
+    def support_bounds(self) -> tuple[float, float]:
+        return 0, math.inf
 
 
 @dataclass(frozen=True)
@@ -316,10 +321,8 @@ class Poisson(DiscreteMarginal):
         pieces, part = self._pieces
         return sum(part.sample(rng) for _ in range(pieces))
 
-    def support_bounds(self) -> tuple[int, int | None]:
-        if self.rate == 0.0:
-            return 0, 0
-        return 0, None
+    def support_bounds(self) -> tuple[float, float]:
+        return 0, (0 if self.rate == 0.0 else math.inf)
 
 
 @dataclass(frozen=True)
@@ -345,7 +348,7 @@ class Bernoulli(DiscreteMarginal):
     def sample(self, rng: CountingRng) -> int:
         return 0 if rng.uniform() < 1.0 - self.success else 1
 
-    def support_bounds(self) -> tuple[int, int | None]:
+    def support_bounds(self) -> tuple[float, float]:
         return 0, 1
 
 
@@ -388,7 +391,7 @@ class Binomial(DiscreteMarginal):
     def sample(self, rng: CountingRng) -> int:
         return _invert(self.cdf_table, rng.uniform())
 
-    def support_bounds(self) -> tuple[int, int | None]:
+    def support_bounds(self) -> tuple[float, float]:
         return 0, self.trials
 
 
@@ -436,8 +439,8 @@ class NegativeBinomial(DiscreteMarginal):
     def sample(self, rng: CountingRng) -> int:
         return _invert(self.cdf_table, rng.uniform())
 
-    def support_bounds(self) -> tuple[int, int | None]:
-        return 0, None
+    def support_bounds(self) -> tuple[float, float]:
+        return 0, math.inf
 
 
 @dataclass(frozen=True)
@@ -466,7 +469,7 @@ class UniformInt(DiscreteMarginal):
         k = self.lo + int(rng.uniform() * span)
         return min(k, self.hi)
 
-    def support_bounds(self) -> tuple[int, int | None]:
+    def support_bounds(self) -> tuple[float, float]:
         return self.lo, self.hi
 
 
@@ -475,6 +478,7 @@ class SignedUnit(DiscreteMarginal):
     """Uniform on {-1, +1}."""
 
     flat = True
+    step = 2
 
     def density(self, k: int) -> float:
         return 0.5 if k in (-1, 1) else 0.0
@@ -485,15 +489,8 @@ class SignedUnit(DiscreteMarginal):
     def sample(self, rng: CountingRng) -> int:
         return -1 if rng.uniform() < 0.5 else 1
 
-    def support_bounds(self) -> tuple[int, int | None]:
+    def support_bounds(self) -> tuple[float, float]:
         return -1, 1
-
-    def in_support(self, k: int) -> bool:
-        return k == -1 or k == 1
-
-    def support_iter(self) -> Iterator[int]:
-        yield -1
-        yield 1
 
 
 @dataclass(frozen=True)
@@ -520,8 +517,8 @@ class UniformReal(ContinuousMarginal):
     def sample(self, rng: CountingRng) -> float:
         return self.lo + (self.hi - self.lo) * rng.uniform()
 
-    def in_support(self, y: float) -> bool:
-        return self.lo <= y <= self.hi
+    def support_bounds(self) -> tuple[float, float]:
+        return self.lo, self.hi
 
 
 @dataclass(frozen=True)
@@ -545,8 +542,8 @@ class Exponential(ContinuousMarginal):
     def sample(self, rng: CountingRng) -> float:
         return -math.log1p(-rng.uniform()) / self.rate
 
-    def in_support(self, y: float) -> bool:
-        return y >= 0.0
+    def support_bounds(self) -> tuple[float, float]:
+        return 0.0, math.inf
 
 
 @dataclass(frozen=True)
@@ -597,7 +594,11 @@ class Beta(ContinuousMarginal):
         g2 = _gamma_variate(self.beta, rng)
         return g1 / (g1 + g2)
 
+    def support_bounds(self) -> tuple[float, float]:
+        return 0.0, 1.0
+
     def in_support(self, y: float) -> bool:
+        # the ends are open
         return 0.0 < y < 1.0
 
 
@@ -622,9 +623,6 @@ class Normal(ContinuousMarginal):
     def sample(self, rng: CountingRng) -> float:
         return self.mean + math.sqrt(self.variance) * _standard_normal(rng)
 
-    def in_support(self, y: float) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class AbsWeightedGaussian(ContinuousMarginal):
@@ -645,9 +643,6 @@ class AbsWeightedGaussian(ContinuousMarginal):
     def sample(self, rng: CountingRng) -> float:
         mag = math.sqrt(-math.log1p(-rng.uniform()))
         return mag if rng.uniform() < 0.5 else -mag
-
-    def in_support(self, y: float) -> bool:
-        return True
 
 
 def _geometric_inverse(u, log_ratio):

@@ -67,56 +67,31 @@ def enumerate_conditional(
     t1 = int(problem.target)
     t2 = int(sec.target) if sec else 0
 
-    bounds = []
-    for i, m in enumerate(problem.marginals):
-        lo, hi = m.support_bounds()
-        if hi is None and w[i] <= 0:
+    def contrib_range(coef: int, lo: int, hi: float) -> list:
+        # [min, max] of coef * value over the support (0 * inf would be nan)
+        return [0, 0] if coef == 0 else sorted((coef * lo, coef * hi))
+
+    # the range each constraint's sum over coordinates i.. can take
+    lin_lo, lin_hi, sec_lo, sec_hi = ([0] * (n + 1) for _ in range(4))
+    for i in range(n - 1, -1, -1):
+        lo, hi = problem.marginals[i].support_bounds()
+        if hi == math.inf and w[i] <= 0:
             raise ValueError(
                 f"coordinate {i} has unbounded support and weight {w[i]}; cannot enumerate"
             )
-        bounds.append((lo, hi))
-
-    def contrib_range(coef: int, lo: int, hi: int | None) -> tuple[int | None, int | None]:
-        # (min, max) of coef * value over the support; None is an infinite end
-        if hi is None:
-            if coef > 0:
-                return coef * lo, None
-            if coef == 0:
-                return 0, 0
-            return None, coef * lo
-        a, b = coef * lo, coef * hi
-        return (a, b) if a <= b else (b, a)
-
-    def suffix(bound_a, bound_b):
-        return None if (bound_a is None or bound_b is None) else bound_a + bound_b
-
-    lin_lo: list[int | None] = [0] * (n + 1)
-    lin_hi: list[int | None] = [0] * (n + 1)
-    sec_lo: list[int | None] = [0] * (n + 1)
-    sec_hi: list[int | None] = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        llo, lhi = contrib_range(w[i], *bounds[i])
-        slo, shi = contrib_range(u[i], *bounds[i])
-        lin_lo[i] = suffix(lin_lo[i + 1], llo)
-        lin_hi[i] = suffix(lin_hi[i + 1], lhi)
-        sec_lo[i] = suffix(sec_lo[i + 1], slo)
-        sec_hi[i] = suffix(sec_hi[i + 1], shi)
+        llo, lhi = contrib_range(w[i], lo, hi)
+        slo, shi = contrib_range(u[i], lo, hi)
+        lin_lo[i] = lin_lo[i + 1] + llo
+        lin_hi[i] = lin_hi[i + 1] + lhi
+        sec_lo[i] = sec_lo[i + 1] + slo
+        sec_hi[i] = sec_hi[i + 1] + shi
 
     probs: dict[tuple, float] = {}
     values = [0] * n
     leaves = 0
 
     def feasible(i: int, r1: int, r2: int) -> bool:
-        if lin_lo[i] is not None and r1 < lin_lo[i]:
-            return False
-        if lin_hi[i] is not None and r1 > lin_hi[i]:
-            return False
-        if sec:
-            if sec_lo[i] is not None and r2 < sec_lo[i]:
-                return False
-            if sec_hi[i] is not None and r2 > sec_hi[i]:
-                return False
-        return True
+        return lin_lo[i] <= r1 <= lin_hi[i] and sec_lo[i] <= r2 <= sec_hi[i]
 
     # depth-first walk with an explicit stack, one frame per fixed prefix:
     # the residuals and product mass so far and the next coordinate's
@@ -132,13 +107,8 @@ def enumerate_conditional(
             nr1 = r1 - w[i] * k
             nr2 = r2 - u[i] * k
             if not feasible(i + 1, nr1, nr2):
-                # monotone overshoot ends the scan for unbounded coordinates
-                if (
-                    bounds[i][1] is None
-                    and w[i] > 0
-                    and lin_lo[i + 1] is not None
-                    and nr1 < lin_lo[i + 1]
-                ):
+                # the residual only falls as k grows: an overshoot ends the scan
+                if w[i] > 0 and nr1 < lin_lo[i + 1]:
                     break
                 continue
             pk = m.density(k)

@@ -140,6 +140,7 @@ ORACLE_INSTANCES = (
 )
 
 
+@pytest.mark.slow
 def test_oracle_equivalence_suite():
     ewens = enumerate_conditional(build_problem(EwensProfile(4, blocks=2)))
     assert ewens.prob((1, 0, 1, 0)) == pytest.approx(8 / 11, abs=1e-12)
@@ -260,6 +261,7 @@ def test_feller_coupling_law():
     assert ok
 
 
+@pytest.mark.slow
 def test_plane_grid_speedup_growth():
     exact = enumerate_conditional(build_problem(PlanePartitionGrid(5, tilt=0.60)))
     assert len(exact.support()) == 3

@@ -549,6 +549,8 @@ REFUSED = [
     ("sample partition --n abc", "--n"),
     ("sample hypersimplex --n 4.5 --k 2", "--n"),
     ("verify partition --n x", "--n"),
+    ("verify partition --n 8 --support-cap 0", "--support-cap"),
+    ("verify partition --n 8 --support-cap -3", "--support-cap"),
 ]
 
 

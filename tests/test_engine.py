@@ -27,7 +27,9 @@ from exactcond.errors import (
     SingularSystem,
     SupportTooLarge,
 )
-from exactcond.geometry import IntervalUnion, sample_permutahedron
+from exactcond.geometry import (
+    IntervalUnion, sample_exponential_sum, sample_permutahedron, sample_sphere_surface,
+)
 from exactcond.marginals import (
     Bernoulli,
     Binomial,
@@ -197,9 +199,24 @@ def test_engines_match_the_oracle_on_catalog_problems(coords, offset, pivot):
     except (InfeasibleTarget, SupportTooLarge):
         assume(False)
     assume(len(exact.support()) >= 2)
-    # 25 examples of two engines each: 1e-4 per check keeps a chance
-    # failure of the whole test near 0.5%
-    for sampler, seed in ((dsh_sample, 11), (hard_rejection_sample, 13)):
+    pivot = prob.marginals[prob.index_set[0]]
+
+    def q(vals):
+        got = complete_from_sums(prob, _free_sum(prob, vals))
+        return 0.0 if got is None else pivot.density(got[0])
+
+    def second_half(vals, rng):
+        return complete_from_sums(prob, _free_sum(prob, vals))
+
+    def soft_rejection(prob, rng, max_attempts):
+        # the dsh-mirroring weight: the pivot's mass over its bound
+        return soft_rejection_sample(
+            prob, q, pivot.sup_density(), rng, second_half, max_attempts=max_attempts
+        )
+
+    # 25 examples of three engines each: 1e-4 per check keeps a chance
+    # failure of the whole test near 0.75%
+    for sampler, seed in ((dsh_sample, 11), (hard_rejection_sample, 13), (soft_rejection, 15)):
         rng = CountingRng(seed)
         counts = Counter(sampler(prob, rng, max_attempts=10 ** 5).outcome for _ in range(2000))
         _, _, p = chi_squared_gof(counts, exact.probs)
@@ -466,6 +483,58 @@ def test_unreachable_integer_target_fails_before_drawing(case, engine):
     prob = _integer_problem(marginals, weights, reachable)
     rec = hard_rejection_sample(prob, rng, max_attempts=10 ** 5)
     assert sum(w * v for w, v in zip(weights, rec.outcome)) == reachable
+
+
+# (marginals, weights, target, engine) with no reachable target: past or
+# at an end of the closed range of the sum, or not finite
+UNREACHABLE_REAL = {
+    "uniforms_above_range": ((UniformReal(0.0, 1.0),) * 3, (1.0,) * 3, 3.5, dsh_sample),
+    # every free uniform would have to sit exactly on 1
+    "uniforms_at_range_end": ((UniformReal(0.0, 1.0),) * 3, (1.0,) * 3, 3.0, dsh_sample),
+    "uniforms_nan": ((UniformReal(0.0, 1.0),) * 3, (1.0,) * 3, math.nan, dsh_sample),
+    "uniforms_inf": ((UniformReal(0.0, 1.0),) * 3, (1.0,) * 3, math.inf, dsh_sample),
+    "exponentials_below_range": ((Exponential(1.0),) * 3, (1.0,) * 3, -1.0, dsh_sample),
+    "exponentials_at_zero": ((Exponential(1.0),) * 3, (1.0,) * 3, 0.0, dsh_sample),
+    # a weight of 0.5 makes the problem inexact, but its range still binds
+    "poissons_below_dsh": ((Poisson(1.0),) * 3, (1.0, 0.5, 2.0), -1, dsh_sample),
+    "poissons_below_hard": ((Poisson(1.0),) * 3, (1.0, 0.5, 2.0), -1, hard_rejection_sample),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREACHABLE_REAL))
+def test_unreachable_real_target_fails_before_drawing(case):
+    marginals, weights, target, engine = UNREACHABLE_REAL[case]
+    prob = ConditioningProblem(
+        marginals=marginals, weights=weights, target=target, index_set=(0,)
+    )
+    rng = CountingRng(5)
+    with pytest.raises(InfeasibleTarget):
+        engine(prob, rng, max_attempts=10 ** 4)
+    assert rng.calls == 0
+
+
+def test_a_target_on_a_pivot_end_still_draws():
+    # one exponential at 0 is the point mass L(X | X = 0)
+    pt, _ = sample_exponential_sum([1.0], 0.0, CountingRng(5), max_attempts=10 ** 4)
+    assert pt == (0.0,)
+    # at the low end of the range the only real coordinate is the pivot,
+    # which sits on its own end while the Poisson draws 0
+    prob = ConditioningProblem(
+        marginals=(UniformReal(0.0, 1.0), Poisson(1.0)), weights=(1.0, 1.0),
+        target=0.0, index_set=(0,),
+    )
+    assert dsh_sample(prob, CountingRng(5), max_attempts=10 ** 4).outcome == (0.0, 0)
+
+
+def test_soft_rejection_draws_past_its_linear_range():
+    # the sphere passes r^2 = 8 as its linear target, above the range
+    # [1.5, 6] of the coordinates' plain sum, and r^2 is reachable
+    rng = CountingRng(5)
+    for _ in range(20):
+        pt, _ = sample_sphere_surface(
+            UniformReal(0.5, 2.0), 3, 8.0, rng, sup_bound=2 / 3, max_attempts=10 ** 4
+        )
+        assert math.fsum(v * v for v in pt) == pytest.approx(8.0, abs=1e-9)
 
 
 def _free_sum(prob, vals):

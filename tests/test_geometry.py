@@ -150,7 +150,7 @@ def test_hypersimplex_sample_contract():
         pt, rec = sample_hypersimplex(5, 2.5, rng)
         assert math.fsum(pt) == pytest.approx(2.5, abs=1e-9)
         assert all(0.0 <= v <= 1.0 for v in pt)
-    with pytest.raises(ValueError):
+    with pytest.raises(InfeasibleTarget):
         sample_hypersimplex(3, 3.5, rng)
 
 

@@ -97,7 +97,7 @@ def test_geometric_pmf_and_mode():
     assert g.density(-1) == 0.0
     assert g.mode() == 0
     assert g.sup_density() == pytest.approx(0.5)
-    assert g.support_bounds() == (0, None)
+    assert g.support_bounds() == (0, math.inf)
 
 
 def test_geometric_sampling_costs_one_uniform_and_matches_pmf():
