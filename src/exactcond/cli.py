@@ -16,7 +16,6 @@ import concurrent.futures
 import dataclasses
 import json
 import math
-import operator
 import os
 import sys
 from functools import partial
@@ -122,7 +121,6 @@ _FAMILY_FLAGS = {
     "multiplicities": ("--multiplicities", _parse_multiplicities),
     "theta": ("--theta", float),
     "tilt": ("--tilt", float),
-    "truncate_cells": ("--full-grid", operator.not_),
 }
 
 
@@ -133,7 +131,9 @@ _GEOMETRY_FLAGS = {
 GEOMETRY_NAMES = tuple(_GEOMETRY_FLAGS)
 
 # every option that some targets take and others refuse, in the order they are checked
-_TARGET_OPTIONS = ("--method", "--variant") + tuple(flag for flag, _ in _FAMILY_FLAGS.values())
+_TARGET_OPTIONS = (
+    "--method", "--variant", *(flag for flag, _ in _FAMILY_FLAGS.values()), "--support-cap"
+)
 
 
 def _flag_value(args, flag: str):
@@ -144,14 +144,14 @@ def _flag_value(args, flag: str):
 def _check_options(args) -> None:
     """Refuse each option ``args.target`` does not take, and each it needs but lacks.
 
-    A family takes --method and the flags of its fields, and needs those
-    of its fields without a default.  Then --n becomes an int (benchmark:
-    a list of ints), or is refused by name.
+    A family takes --method, --support-cap and the flags of its fields,
+    and needs those of its fields without a default.  Then --n becomes an
+    int (benchmark: a list of ints), or is refused by name.
     """
     target = args.target
     if target in FAMILIES:
         fields = dataclasses.fields(FAMILIES[target])
-        takes = ("--method",) + tuple(_FAMILY_FLAGS[f.name][0] for f in fields)
+        takes = ("--method", "--support-cap") + tuple(_FAMILY_FLAGS[f.name][0] for f in fields)
         needs = [_FAMILY_FLAGS[f.name][0] for f in fields if f.default is dataclasses.MISSING]
     else:
         takes = _GEOMETRY_FLAGS[target]
@@ -333,7 +333,8 @@ def run_benchmark(args) -> int:
 def _verify_family(target: str, args, seed: int):
     family = _make_family(target, args)
     problem = build_problem(family)
-    exact = enumerate_conditional(problem, support_cap=args.support_cap)
+    cap = {} if args.support_cap is None else {"support_cap": args.support_cap}
+    exact = enumerate_conditional(problem, **cap)
     rng = CountingRng(derive_seed(seed, 0))
     counts = outcome_counts(family, (
         sample_structure(
@@ -372,7 +373,8 @@ def run_verify(args) -> int:
     _check_options(args)
     seed = _resolve_seed(args)
     _refuse_below("--trials", args.trials, 1)
-    _refuse_below("--support-cap", args.support_cap, 1)
+    if args.support_cap is not None:
+        _refuse_below("--support-cap", args.support_cap, 1)
     if args.target == "borel":
         variant = args.variant or 1
         kind, cells, stat, dof, p = _verify_borel(variant, args, seed)
@@ -400,10 +402,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--tilt", type=float, default=None, help="override the default tilt")
     p.add_argument(
         "--multiplicities", default=None, help="comma list of per-size type counts"
-    )
-    p.add_argument(
-        "--full-grid", action="store_true", default=None,
-        help="keep grid cells whose weight already exceeds the target",
     )
     p.add_argument("--seed", type=int, default=None)
     p.add_argument(
@@ -442,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_verify)
     p_verify.add_argument("--trials", type=int, default=5000)
     p_verify.add_argument(
-        "--support-cap", type=int, default=100_000, dest="support_cap"
+        "--support-cap", type=int, default=None, dest="support_cap",
+        help="structure families only (default 100000)",
     )
     p_verify.set_defaults(run=run_verify)
 

@@ -25,10 +25,10 @@ reject it.  Only the loop counts attempts and uniforms and raises
   supplied second-half sampler.  It serves the statistics no pivot solve
   completes: the sphere's sum of squares and the second Borel variant.
 
-``structures.small_ball_sample`` passes its own sign draw and step to the
-same loop, and ``geometry.sample_permutahedron`` the dsh step followed by
-its membership test.  Acceptance ratios are asserted to lie in [0, 1] (up to float
-slack) and are never clamped; a genuine violation raises
+``structures.small_ball_sample`` passes a sign plan and its own step to
+the same loop, and ``geometry.sample_permutahedron`` the dsh step followed
+by its membership test.  Acceptance ratios are asserted to lie in [0, 1]
+(up to float slack) and are never clamped; a genuine violation raises
 :class:`InvalidRejection`.
 
 Every engine draws its first halves (or full vectors) through the drawer
@@ -64,10 +64,11 @@ Later layers use that outcome as it is.
 dsh and hard rejection raise :class:`InfeasibleTarget` before their first
 draw when a target, real or integer, is not finite, lies outside the
 closed range of its sum, sits on an end of it while a free continuous
-coordinate has nonzero weight, or is an integer off the sum's lattice.
-Hard rejection also refuses any continuous coordinate of nonzero weight;
-soft rejection, whose linear target may stand in for another statistic,
-applies the integer checks only.
+coordinate has nonzero weight, or is off the lattice of an integer sum
+(discrete marginals under integer coefficients), a fractional target
+included.  Hard rejection also refuses any continuous coordinate of
+nonzero weight; soft rejection, whose linear target may stand in for
+another statistic, applies the integer checks only.
 
 Costs are whatever the :class:`CountingRng` records; completability is
 checked before the acceptance uniform is drawn, so a dead first half
@@ -190,17 +191,12 @@ class ConditioningProblem:
         object.__setattr__(self, "free_indices", free)
         discrete = all(isinstance(m, DiscreteMarginal) for m in self.marginals)
         object.__setattr__(self, "_discrete", discrete)
-        ints = (
-            discrete
-            and all(float(w).is_integer() for w in self.weights)
-            and float(self.target).is_integer()
-            and (
-                self.second is None
-                or (
-                    all(float(c).is_integer() for c in self.second.coeffs)
-                    and float(self.second.target).is_integer()
-                )
-            )
+        # integer values under integer coefficients: every sum is an
+        # integer, so a fractional target is refused as off its lattice
+        ints = discrete and all(
+            float(a).is_integer()
+            for vec in (self.weights, self.second.coeffs if self.second else ())
+            for a in vec
         )
         object.__setattr__(self, "_exact_int", ints)
         object.__setattr__(self, "_det", int(det) if ints else det)
@@ -270,13 +266,16 @@ def _unreachable(marginals, coeffs, target, pivots, lattice: bool) -> str | None
     a_i X_i, infinite where a side is unbounded.  On an end of that range
     every a_i X_i sits on its own end, a null event once a free (non-pivot)
     coordinate of nonzero weight is continuous.  With ``lattice`` (integer
-    values, weights and target) the sum also lies in base + g Z, where base
-    is its value at the lower support ends and g the gcd of a_i step_i over
-    coordinates with more than one support point.
+    values and weights) the sum is an integer, so a fractional target is
+    off its lattice; it also lies in base + g Z, where base is its value at
+    the lower support ends and g the gcd of a_i step_i over coordinates
+    with more than one support point.
     """
     if not math.isfinite(target):
         return f"target {target} is not finite"
     if lattice:
+        if not float(target).is_integer():
+            return f"target {target} is off the integer lattice of its sum"
         coeffs, target = map(int, coeffs), int(target)
     low = high = base = gap = 0
     null_ends = False
@@ -423,8 +422,9 @@ def complete_from_sums(problem: ConditioningProblem, partial_lin, partial_sec=0)
 
     Cramer's rule over the pivot block: with the constraints' residuals r1
     (and r2), pivot k is (r1 a_k + r2 b_k) / det.  An exact-integer problem
-    divides with ``divmod`` and needs a zero remainder; any other problem
-    snaps each quotient through ``_pivot_value``.
+    divides with ``divmod`` and needs a zero remainder, which a fractional
+    target never leaves for every pivot; any other problem snaps each
+    quotient through ``_pivot_value``.
     """
     r1 = problem.target - partial_lin
     r2 = None if problem.second is None else problem.second.target - partial_sec
@@ -433,9 +433,10 @@ def complete_from_sums(problem: ConditioningProblem, partial_lin, partial_sec=0)
     for i, a, b in problem._cramer:
         num = r1 * a if r2 is None else r1 * a + r2 * b
         if problem._exact_int:
-            y, rem = divmod(int(num), det)
+            y, rem = divmod(num, det)
             if rem or not problem.marginals[i].in_support(y):
                 return None
+            y = int(y)
         else:
             y = _pivot_value(problem, i, num / det)
             if y is None:

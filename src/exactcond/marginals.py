@@ -26,11 +26,11 @@ marks the classes whose density is constant on their support
 acceptance uniform.  A discrete marginal also names its ``mode`` (the
 smaller argmax on ties), where its cdf table stops being scanned.
 
-Poisson (up to its scan limit), Binomial and NegativeBinomial invert
-their one uniform through a cached cdf table, ``cdf_table``: the running
-sums of their mass recurrence, cut where the sum stops changing past the
-mode.  A uniform maps to the number of entries below it, which is where
-the inversion scan would stop.
+Poisson (up to its scan limit), Binomial and NegativeBinomial draw by the
+one ``DiscreteMarginal.sample``: it inverts a uniform through a cached cdf
+table, ``cdf_table``, the running sums of the mass recurrence, cut where
+the sum stops changing past the mode.  A uniform maps to the number of
+entries below it, which is where the inversion scan would stop.
 
 ``block_inversion`` is the vector form of ``sample``: it turns a block of
 uniforms, one per marginal, into their values with one numpy call.  The
@@ -72,12 +72,12 @@ def derive_seed(seed: int, index: int) -> int:
 class CountingRng:
     """Seeded uniform(0,1) source that counts every draw.
 
-    The stream is a PCG64 double sequence; the j-th uniform consumed is
-    always the j-th double of the stream regardless of whether it was
-    requested through ``uniform`` or ``uniforms``, so a run is reproduced
-    exactly by replaying the same seed and call pattern.  ``calls`` is the
-    number of uniforms consumed so far; ``peek`` reads ahead without
-    consuming, and ``consume`` spends what was read.
+    The stream is a PCG64 double sequence read through one buffer, which
+    ``_refill`` alone tops up, behind the doubles not yet read; the j-th
+    uniform consumed is the j-th double of the stream whichever method
+    spent it, so a run is reproduced exactly by replaying the same seed and
+    call pattern.  ``calls`` counts the uniforms consumed; ``peek`` reads
+    ahead without consuming, and ``consume`` spends what was read.
     """
 
     _BLOCK = 4096
@@ -89,10 +89,18 @@ class CountingRng:
         self._pos = 0
         self.calls = 0
 
+    def _refill(self, count: int) -> None:
+        # leaves at least ``count`` unread doubles, in stream order, and draws
+        # at least 64 + calls fresh ones, up to _BLOCK: a fresh rng often
+        # serves one short request, which would leave a full block unread
+        have = self._buf.shape[0] - self._pos
+        fresh = self._gen.random(max(count - have, min(self._BLOCK, 64 + self.calls)))
+        self._buf = np.concatenate((self._buf[self._pos:], fresh))
+        self._pos = 0
+
     def uniform(self) -> float:
         if self._pos >= self._buf.shape[0]:
-            self._buf = self._gen.random(self._BLOCK)
-            self._pos = 0
+            self._refill(1)
         v = self._buf[self._pos]
         self._pos += 1
         self.calls += 1
@@ -100,25 +108,17 @@ class CountingRng:
 
     def uniforms(self, count: int) -> np.ndarray:
         """Vector of ``count`` uniforms, in stream order."""
-        out = np.empty(count)
-        have = self._buf.shape[0] - self._pos
-        take = min(have, count)
-        if take > 0:
-            out[:take] = self._buf[self._pos:self._pos + take]
-            self._pos += take
-        if count > take:
-            out[take:] = self._gen.random(count - take)
+        if self._buf.shape[0] - self._pos < count:
+            self._refill(count)
+        out = self._buf[self._pos:self._pos + count].copy()
+        self._pos += count
         self.calls += count
         return out
 
     def peek(self, count: int) -> np.ndarray:
         """The next ``count`` uniforms, in stream order, left unconsumed (a read-only view)."""
-        have = self._buf.shape[0] - self._pos
-        if have < count:
-            # unread doubles stay at the front, so the stream order holds
-            fresh = self._gen.random(max(self._BLOCK, count - have))
-            self._buf = np.concatenate((self._buf[self._pos:], fresh))
-            self._pos = 0
+        if self._buf.shape[0] - self._pos < count:
+            self._refill(count)
         view = self._buf[self._pos:self._pos + count]
         view.flags.writeable = False
         return view
@@ -183,8 +183,8 @@ class Marginal:
 class DiscreteMarginal(Marginal):
     """Integer-valued marginals; the density is the mass."""
 
-    # the table ``sample`` inverts its one uniform through; None when it
-    # draws otherwise
+    # the table the inherited ``sample`` inverts its one uniform through;
+    # None where a class draws otherwise
     cdf_table: np.ndarray | None = None
     # the support is lo, lo + step, ... up to hi
     step = 1
@@ -192,6 +192,9 @@ class DiscreteMarginal(Marginal):
     def mode(self) -> int:
         """The smaller argmax of the mass."""
         raise NotImplementedError
+
+    def sample(self, rng: CountingRng) -> int:
+        return _invert(self.cdf_table, rng.uniform())
 
     def sup_density(self) -> float:
         return self.density(self.mode())
@@ -316,10 +319,10 @@ class Poisson(DiscreteMarginal):
         return pieces, Poisson(self.rate / pieces)
 
     def sample(self, rng: CountingRng) -> int:
-        if self.cdf_table is not None:
-            return _invert(self.cdf_table, rng.uniform())
-        pieces, part = self._pieces
-        return sum(part.sample(rng) for _ in range(pieces))
+        if self.cdf_table is None:
+            pieces, part = self._pieces
+            return sum(part.sample(rng) for _ in range(pieces))
+        return _invert(self.cdf_table, rng.uniform())
 
     def support_bounds(self) -> tuple[float, float]:
         return 0, (0 if self.rate == 0.0 else math.inf)
@@ -388,9 +391,6 @@ class Binomial(DiscreteMarginal):
         q = p / (1.0 - p)
         return _cdf_table(self, (1.0 - p) ** m, lambda k: q * (m - k) / (k + 1))
 
-    def sample(self, rng: CountingRng) -> int:
-        return _invert(self.cdf_table, rng.uniform())
-
     def support_bounds(self) -> tuple[float, float]:
         return 0, self.trials
 
@@ -435,9 +435,6 @@ class NegativeBinomial(DiscreteMarginal):
         return _cdf_table(
             self, math.exp(m * math.log1p(-x)), lambda k: x * (m + k) / (k + 1)
         )
-
-    def sample(self, rng: CountingRng) -> int:
-        return _invert(self.cdf_table, rng.uniform())
 
     def support_bounds(self) -> tuple[float, float]:
         return 0, math.inf

@@ -23,9 +23,9 @@ PlanePartitionGrid    Geometric(x^(i+j+1)) per cell    1 - (2 zeta(3)/n)^(1/3)
 EwensProfile          Poisson(theta x^i / i)           exp(-1/n)
 ====================  ===============================  =====================
 
-The grid family lives on cells (i, j) of weight i + j + 1; cells heavier
-than n are forced to zero by the constraint and are dropped from the
-sampling space unless ``truncate_cells=False`` asks for the full square.
+The grid family lives on cells (i, j) of weight i + j + 1.  Cells heavier
+than n are forced to zero by the constraint, so its sampling space holds
+only the cells of weight at most n.
 EwensProfile pins the number of parts too, so its problem carries a
 second constraint and a two-coordinate pivot block {1, 2}.
 """
@@ -45,6 +45,7 @@ from .engine import (
     ConditioningProblem,
     SampleRecord,
     SecondConstraint,
+    _draw,
     _rejection_loop,
     dsh_sample,
     hard_rejection_sample,
@@ -183,7 +184,6 @@ class SetPartition:
 class PlanePartitionGrid:
     n: int
     tilt: float | None = None
-    truncate_cells: bool = True
 
     kind = "planegrid"
 
@@ -247,14 +247,12 @@ def _tilt_of(family) -> float:
 
 @lru_cache(maxsize=64)
 def grid_cells(family: PlanePartitionGrid) -> list[tuple[int, int]]:
-    """Cell coordinates of the grid sampling space, sorted, pivot cell (1, 1) first.
+    """Cells of weight at most n, sorted, pivot cell (1, 1) first.
 
     Cached per family like ``build_problem``; callers must not mutate it.
     """
     n = family.n
-    if family.truncate_cells:
-        return [(i, j) for i in range(1, n) for j in range(1, n) if i + j + 1 <= n]
-    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    return [(i, j) for i in range(1, n) for j in range(1, n) if i + j + 1 <= n]
 
 
 def _sparse_geometric_hook(weights, ratios, indices):
@@ -493,40 +491,30 @@ def small_ball_sample(
 ) -> tuple[tuple[int, ...], SampleRecord]:
     """Uniform signs conditioned on the weighted sum landing in a window.
 
-    Draws all signs but the pivot's, counts which pivot signs land the
-    sum inside the window (0, 1, or 2), accepts the first half with
-    probability (valid count) / 2, and picks uniformly among the valid
-    completions.  Both cases spend one auxiliary uniform, and every
-    qualifying sign vector comes out with equal probability.
+    Draws all signs but the pivot's through the engine's per-coordinate
+    plan, counts which pivot signs land the sum inside the window (0, 1,
+    or 2), accepts the first half with probability (valid count) / 2, and
+    picks uniformly among the valid completions.  Both cases spend one
+    auxiliary uniform, and every qualifying sign vector comes out with
+    equal probability.
     """
     n = len(weights)
     if not 0 <= pivot < n:
         raise ValueError(f"pivot {pivot} out of range for {n} weights")
     if weights[pivot] == 0:
         raise ValueError("the pivot weight must be nonzero")
-    signed = SignedUnit()
-    others = [i for i in range(n) if i != pivot]
-    w_pivot = weights[pivot]
+    sign = SignedUnit().sample
+    draw = partial(_draw, tuple((sign, weights[i], 0) for i in range(n) if i != pivot))
 
-    def draw(rng: CountingRng):
-        signs = [0] * n
-        partial = 0.0
-        for i in others:
-            s = signed.sample(rng)
-            signs[i] = s
-            partial += weights[i] * s
-        return partial, 0, signs
-
-    def step(partial, _sec, signs, rng):
-        valid = [s for s in (-1, 1) if window.contains(partial + w_pivot * s)]
+    def step(lin, _sec, signs, rng):
+        valid = [s for s in (-1, 1) if window.contains(lin + weights[pivot] * s)]
         if not valid:
             return None
-        if len(valid) == 1:
-            if rng.uniform() >= 0.5:
-                return None
-            signs[pivot] = valid[0]
-        else:
-            signs[pivot] = valid[0] if rng.uniform() < 0.5 else valid[1]
+        # one uniform: below 1/2 the first valid sign, else the second or none
+        u = rng.uniform()
+        if u >= 0.5 and len(valid) == 1:
+            return None
+        signs.insert(pivot, valid[0] if u < 0.5 else valid[1])
         return tuple(signs)
 
     rec = _rejection_loop(draw, step, rng, max_attempts, "sign-vector sampling", n)

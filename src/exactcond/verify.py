@@ -53,19 +53,27 @@ def enumerate_conditional(
     """Exact conditional law of a problem by exhaustive enumeration.
 
     Walks all joint outcomes satisfying the constraint(s), weighting each
-    by its product mass, and normalises.  Coordinates with unbounded
-    support require a positive weight so the residual budget bounds them.
-    Raises SupportTooLarge past ``support_cap`` feasible outcomes and
-    InfeasibleTarget when the conditioning event is empty.
+    by its product mass, and normalises.  Weights and coefficients must be
+    integers (integral floats such as 2.0 count), or ValueError; then
+    every sum is an integer, so a fractional target has an empty event.
+    Coordinates with unbounded support require a positive weight so the
+    residual budget bounds them.  Raises SupportTooLarge past
+    ``support_cap`` feasible outcomes and InfeasibleTarget when the
+    conditioning event is empty.
     """
     if not problem.is_discrete():
         raise ValueError("enumeration needs discrete marginals")
     n = problem.size
-    w = [int(x) for x in problem.weights]
     sec = problem.second
-    u = [int(c) for c in sec.coeffs] if sec else [0] * n
-    t1 = int(problem.target)
-    t2 = int(sec.target) if sec else 0
+    coeffs = (problem.weights, sec.coeffs if sec else (0,) * n)
+    if not all(float(a).is_integer() for vec in coeffs for a in vec):
+        raise ValueError(f"enumeration needs integer weights and coefficients, got {coeffs}")
+    w, u = ([int(a) for a in vec] for vec in coeffs)
+    t1, t2 = problem.target, sec.target if sec else 0
+    for t in (t1, t2):
+        if not float(t).is_integer():
+            raise InfeasibleTarget(f"an integer sum never equals the target {t}")
+    t1, t2 = int(t1), int(t2)
 
     def contrib_range(coef: int, lo: int, hi: float) -> list:
         # [min, max] of coef * value over the support (0 * inf would be nan)

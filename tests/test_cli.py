@@ -188,9 +188,9 @@ def _user_problem(marginals, weights, target, pivots, second=None):
 def _family_samplers():
     families = [
         Partition(12), DistinctPartition(12), Selection(10), Multiset(10), Assembly(10),
-        SetPartition(10), PlanePartitionGrid(8), PlanePartitionGrid(6, truncate_cells=False),
-        EwensProfile(8, 3), Selection(8, multiplicities=PIN_MULT),
-        Multiset(8, multiplicities=PIN_MULT), Assembly(8, multiplicities=PIN_MULT),
+        SetPartition(10), PlanePartitionGrid(8), EwensProfile(8, 3),
+        Selection(8, multiplicities=PIN_MULT), Multiset(8, multiplicities=PIN_MULT),
+        Assembly(8, multiplicities=PIN_MULT),
     ]
     for family in families:
         for method in ("dsh", "hard"):
@@ -338,7 +338,7 @@ def library_digest(samplers) -> str:
 # uniform: those draws equal the flat-pivot engine's.
 PINNED_LIBRARY = [
     ("families", _family_samplers,
-     "efbb712212a1e2fc218b36ebdc7068e559b9b6badb800338627f7c9b829b4422"),
+     "cb09bfcaf45be9112f79783ba91d3434395f1231f9f581e6822ebd34baa6fab0"),
     ("geometry", _geometry_samplers,
      "4e4112a1e2d7b20c1d042f1dd78f21f7fcf47224a5f9a612ab73796e66e3e0e1"),
     ("user-built", _user_built_samplers,
@@ -520,7 +520,6 @@ def test_one_element_ewens_profile(capsys):
 # flag each must name when it is refused
 REFUSED = [
     ("sample partition --n 5 --multiplicities 1,2,3,4,5", "--multiplicities"),
-    ("sample setpartition --n 5 --full-grid", "--full-grid"),
     ("sample assembly --n 5 --theta 3", "--theta"),
     ("sample assembly --n 5 --k 2", "--k"),
     ("sample partition --n 5 --multiplicities 1,2,3,4,5 --format csv", "--multiplicities"),
@@ -536,7 +535,6 @@ REFUSED = [
     ("sample hypersimplex --n 4 --k 2.5 --tilt 0.3", "--tilt"),
     ("sample permutahedron --n 4 --k 2", "--k"),
     ("sample borel --n 7 --theta 2", "--n"),
-    ("sample borel --full-grid --format csv", "--full-grid"),
     ("verify borel --n 7 --trials 10", "--n"),
     ("sample partition --n 5 --variant 2", "--variant"),
     ("sample hypersimplex --n 4 --k 2.5 --variant 3", "--variant"),
@@ -551,6 +549,7 @@ REFUSED = [
     ("verify partition --n x", "--n"),
     ("verify partition --n 8 --support-cap 0", "--support-cap"),
     ("verify partition --n 8 --support-cap -3", "--support-cap"),
+    ("verify borel --trials 10 --support-cap 5", "--support-cap"),
 ]
 
 
@@ -560,6 +559,24 @@ def test_options_without_effect_are_refused(command, flag, capsys):
     assert code == 2
     assert out == ""
     assert flag in err
+
+
+def test_the_full_grid_flag_is_unknown(capsys):
+    # the grid samples only the cells a draw may leave nonzero
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "planegrid", "--n", "12", "--full-grid"])
+    assert exc.value.code == 2
+    assert "--full-grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["sample", "benchmark", "verify"])
+def test_help_exits_zero(subcommand, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert "--max-attempts" in text
+    assert "--full-grid" not in text
 
 
 def test_attempt_cap_exits_three(capsys):

@@ -485,6 +485,32 @@ def test_unreachable_integer_target_fails_before_drawing(case, engine):
     assert sum(w * v for w, v in zip(weights, rec.outcome)) == reachable
 
 
+# integer sums pinned to a fractional target: the first constraint, or
+# the second of two
+FRACTIONAL = {
+    "one_constraint": ((Poisson(1.0), Poisson(2.0)), (1, 1), 2.5, (0,), None),
+    "second_constraint": (
+        (Poisson(1.0), Poisson(0.5), Poisson(0.4)), (1, 2, 3), 5, (0, 1),
+        SecondConstraint(coeffs=(1, 1, 1), target=2.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", [dsh_sample, hard_rejection_sample], ids=["dsh", "hard"])
+@pytest.mark.parametrize("case", list(FRACTIONAL))
+def test_a_fractional_target_on_an_integer_sum_fails_before_drawing(case, engine):
+    marginals, weights, target, pivots, second = FRACTIONAL[case]
+    prob = ConditioningProblem(
+        marginals=marginals, weights=weights, target=target, index_set=pivots, second=second
+    )
+    rng = CountingRng(5)
+    with pytest.raises(InfeasibleTarget, match="2.5"):
+        engine(prob, rng, max_attempts=10 ** 4)
+    assert rng.calls == 0
+    # called directly, the completion finds no integer pivot block either
+    assert complete_from_sums(prob, 1, 0) is None
+
+
 # (marginals, weights, target, engine) with no reachable target: past or
 # at an end of the closed range of the sum, or not finite
 UNREACHABLE_REAL = {

@@ -97,8 +97,6 @@ def test_setpartition_pivot_tracks_log_n():
 def test_grid_cells_truncation_and_order():
     fam = PlanePartitionGrid(5)
     assert grid_cells(fam) == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
-    full = PlanePartitionGrid(3, truncate_cells=False)
-    assert len(grid_cells(full)) == 9
     assert grid_cells(PlanePartitionGrid(3)) == [(1, 1)]
 
 

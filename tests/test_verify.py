@@ -5,7 +5,7 @@ from scipy import stats
 
 from exactcond.engine import ConditioningProblem, SampleRecord, SecondConstraint
 from exactcond.errors import InfeasibleTarget, SupportTooLarge
-from exactcond.marginals import CountingRng, Exponential, Geometric, Poisson
+from exactcond.marginals import Binomial, CountingRng, Exponential, Geometric, Poisson
 from exactcond.structures import DistinctPartition, Partition, build_problem
 from exactcond.verify import (
     CostStats,
@@ -91,6 +91,48 @@ def test_enumerate_infeasible_target():
     )
     with pytest.raises(InfeasibleTarget):
         enumerate_conditional(problem)
+
+
+def _mixed(weights, target, second=None):
+    return ConditioningProblem(
+        marginals=(Poisson(1.0), Binomial(3, 0.5), Poisson(0.5)),
+        weights=weights, target=target, index_set=(0, 1) if second else (0,), second=second,
+    )
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        _mixed((1, 0.5, 2), 3),
+        _mixed((1, 2, 1), 3, SecondConstraint(coeffs=(1, 1.5, 1), target=2)),
+    ],
+    ids=["weight", "second-coefficient"],
+)
+def test_enumerate_refuses_a_fractional_coefficient(problem):
+    # the walk steps through integer residuals
+    with pytest.raises(ValueError, match="integer"):
+        enumerate_conditional(problem)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        _mixed((1, 1, 2), 2.5),
+        _mixed((1, 2, 1), 3, SecondConstraint(coeffs=(1, 1, 1), target=2.5)),
+    ],
+    ids=["target", "second-target"],
+)
+def test_enumerate_refuses_a_fractional_target(problem):
+    # an integer sum never equals 2.5
+    with pytest.raises(InfeasibleTarget, match="2.5"):
+        enumerate_conditional(problem)
+
+
+def test_enumerate_takes_integral_floats():
+    as_ints = enumerate_conditional(_mixed((1, 1, 2), 3))
+    as_floats = enumerate_conditional(_mixed((1.0, 1.0, 2.0), 3.0))
+    assert as_floats.probs == as_ints.probs
+    assert all(sum(w * v for w, v in zip((1, 1, 2), k)) == 3 for k in as_ints.support())
 
 
 def test_enumerate_support_cap():
