@@ -19,7 +19,7 @@ Selection             Binomial(m_i, x^i / (1 + x^i))   exp(-pi / sqrt(6 n))
 Multiset              NegativeBinomial(m_i, x^i)       exp(-pi / sqrt(6 n))
 Assembly              Poisson(m_i x^i / i!)            x e^x = n
 SetPartition          Poisson(x^i / i!)                x e^x = n
-PlanePartitionGrid    Geometric(x^(i+j+1)) per cell    1 - (2 zeta(3)/n)^(1/3)
+PlanePartitionGrid    Geometric(x^(i+j+1)) per cell    E[T] = n, bisection
 EwensProfile          Poisson(theta x^i / i)           exp(-1/n)
 ====================  ===============================  =====================
 
@@ -61,10 +61,6 @@ from .marginals import (
     Poisson,
     SignedUnit,
 )
-
-# zeta(3) as a double literal, so that importing the package skips scipy
-_ZETA_3 = 1.2020569031595942
-
 
 @dataclass(frozen=True)
 class MultiplicityVector:
@@ -215,7 +211,9 @@ def solve_tilt(kind: str, n: int) -> float:
 
     partition-like kinds use the classical exp(-pi / sqrt(6 n)); assembly
     kinds solve x e^x = n by Newton to relative residual 1e-12; the grid
-    uses 1 - (2 zeta(3) / n)^(1/3); cycle profiles use exp(-1/n).
+    solves E[T] = sum_{w=3..n} (w - 2) w x^w / (1 - x^w) = n (w - 2 cells
+    of weight w) by bisection on (0, 1), as E[T] increases in x; cycle
+    profiles use exp(-1/n).
     """
     _validate_size(n)
     if kind in ("partition", "distinct", "selection", "multiset"):
@@ -229,10 +227,18 @@ def solve_tilt(kind: str, n: int) -> float:
             x -= f / ((1.0 + x) * math.exp(x))
         raise ArithmeticError(f"tilt iteration failed to converge for n={n}")
     if kind == "planegrid":
-        x = 1.0 - (2.0 * _ZETA_3 / n) ** (1.0 / 3.0)
-        if not 0.0 < x < 1.0:
-            raise InvalidFamily(f"no valid grid tilt for n={n}")
-        return x
+        if n < 3:
+            raise InvalidFamily(f"a grid of total weight {n} has no cells")
+        lo, hi = 0.0, 1.0
+        while True:
+            x = 0.5 * (lo + hi)
+            if x in (lo, hi):
+                return x
+            mean = sum((w - 2) * w * x ** w / (1.0 - x ** w) for w in range(3, n + 1))
+            if mean < n:
+                lo = x
+            else:
+                hi = x
     if kind == "ewens":
         return math.exp(-1.0 / n)
     raise InvalidFamily(f"unknown family kind {kind!r}")

@@ -150,8 +150,11 @@ PINNED_STDOUT = [
      "107630a67b6613235b496eb51fe5d59f21e66de9dca1c171baa1ee04bf47014a"),
     ("sample borel --variant 2 --count 3 --format csv",
      "d73280d8c6d906c749edd1c3fbe57f272069fac6ddf2c514ce166f4881779bd7"),
-    ("sample planegrid --n 12 --count 3 --format csv",
+    # the grid pins its former default tilt, 1 - (2 zeta(3) / n)^(1/3)
+    ("sample planegrid --n 12 --count 3 --format csv --tilt 0.41486250856957296",
      "63c2674ab6cf3e20debb498b9853a704b2e4e8040a1297efb8a27c29f35aae29"),
+    ("sample planegrid --n 30 --count 3 --format csv",
+     "e96dc7088de1a638dac76767b193be39037874c413d54955186a44bcaabd5cbe"),
     ("sample ewens --n 10 --k 3 --count 3 --format csv",
      "ae70b8049b0ba757e77d66684b0a757471066504cc99e3d92558aaf80eec72b7"),
     ("benchmark partition --n 10 --trials 100 --seed 12 --format jsonl",
@@ -186,9 +189,11 @@ def _user_problem(marginals, weights, target, pivots, second=None):
 
 
 def _family_samplers():
+    # the grid keeps its former default tilt, 1 - (2 zeta(3) / n)^(1/3);
+    # _grid_default_samplers draws it at today's default
     families = [
         Partition(12), DistinctPartition(12), Selection(10), Multiset(10), Assembly(10),
-        SetPartition(10), PlanePartitionGrid(8), EwensProfile(8, 3),
+        SetPartition(10), PlanePartitionGrid(8, tilt=0.330184779707662), EwensProfile(8, 3),
         Selection(8, multiplicities=PIN_MULT), Multiset(8, multiplicities=PIN_MULT),
         Assembly(8, multiplicities=PIN_MULT),
     ]
@@ -280,7 +285,11 @@ def _batched_samplers():
             )
             yield partial(engine, bits, max_attempts=cap)
         yield partial(sample_structure, Partition(100), method="hard", max_attempts=cap)
-        yield partial(sample_structure, PlanePartitionGrid(30), max_attempts=cap)
+        # the grid's former default tilt, as in _family_samplers
+        yield partial(
+            sample_structure, PlanePartitionGrid(30, tilt=0.5688670101069775),
+            max_attempts=cap,
+        )
         yield partial(sample_hypersimplex, 10, 5.0, max_attempts=cap)
         yield partial(sample_hypersimplex, 10, 2.5, max_attempts=cap)
         yield partial(sample_permutahedron, 8, max_attempts=cap)
@@ -308,6 +317,16 @@ def _batched_table_samplers():
                 yield partial(sample_structure, family, method=method, max_attempts=cap)
         yield partial(dsh_sample, empties, max_attempts=cap)
         yield partial(hard_rejection_sample, empties, max_attempts=cap)
+
+
+def _grid_default_samplers():
+    # the grid at its default tilt, solved from E[T] = n
+    for n in (3, 8, 30):
+        for method in ("dsh", "hard"):
+            for cap in (DEFAULT_MAX_ATTEMPTS, 37):
+                yield partial(
+                    sample_structure, PlanePartitionGrid(n), method=method, max_attempts=cap
+                )
 
 
 def library_digest(samplers) -> str:
@@ -349,6 +368,8 @@ PINNED_LIBRARY = [
      "a060b293bd7d848f5427f910a8bb56a6fd3cba7c21021053a276fee324da879f"),
     ("batched-tables", _batched_table_samplers,
      "9810debe9df151f83226832611f5f8b897dd83e7099ff339827fc80fde6f03b5"),
+    ("grid-default", _grid_default_samplers,
+     "a71d14510a6a303c516a348c9fd9547bc4d4ebde7c90a129c7b4bba3b573d0ec"),
 ]
 
 

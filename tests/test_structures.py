@@ -53,9 +53,18 @@ def test_default_tilts():
     x = solve_tilt("assembly", 100)
     assert x * math.exp(x) == pytest.approx(100.0, rel=1e-12)
     assert solve_tilt("setpartition", 5) == solve_tilt("assembly", 5)
-    g = solve_tilt("planegrid", 1000)
-    assert g == pytest.approx(1.0 - (2.0 * 1.2020569031595943 / 1000.0) ** (1.0 / 3.0))
-    assert 0.0 < g < 1.0
+    for n in (3, 12, 30, 1000):
+        g = solve_tilt("planegrid", n)
+        assert 0.0 < g < 1.0
+        # w - 2 cells of weight w, each Geometric(g^w)
+        mean = sum((w - 2) * w * g**w / (1.0 - g**w) for w in range(3, n + 1))
+        assert mean == pytest.approx(n, rel=1e-9)
+    # criterion 11's GRID_SADDLE_TILT, solved from E[T] = n on its own
+    for n, saddle in ((100, 0.774129), (400, 0.845212), (1600, 0.896798)):
+        assert solve_tilt("planegrid", n) == pytest.approx(saddle, abs=1e-6)
+    for n in (1, 2):
+        with pytest.raises(InvalidFamily):
+            solve_tilt("planegrid", n)
     assert solve_tilt("ewens", 4) == pytest.approx(math.exp(-0.25))
     with pytest.raises(InvalidFamily):
         solve_tilt("nope", 10)
@@ -171,6 +180,14 @@ def test_sparse_grid_drawer_matches_enumeration():
     counts = gof_against(family, exact, 4000, seed=57)
     _, _, p = chi_squared_gof(counts, {k: exact.prob(k) * 4000 for k in exact.support()})
     assert p > 1e-3
+
+
+def test_one_cell_grid_accepts_every_other_attempt():
+    # n = 3 has one cell, the pivot, which must hold 1: dsh accepts with
+    # P(Z = 1) / P(Z = 0) = x^3, one half at the E[T] = n tilt
+    rng = CountingRng(67)
+    attempts = sum(sample_structure(PlanePartitionGrid(3), rng)[1].attempts for _ in range(400))
+    assert attempts / 400 < 4.0
 
 
 def test_grid_outcome_totals():
