@@ -12,7 +12,6 @@ cap, 4 the enumeration oracle refused the support size.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import math
@@ -270,6 +269,8 @@ def _sharded_benchmark(family, method, trials, row_seed, jobs, max_attempts):
     ]
     if len(shards) == 1:
         return _benchmark_shard(*shards[0])
+    import concurrent.futures  # only a pool needs it; it costs every cold start otherwise
+
     # a fork pool starts all its workers at the first submit, so ask for no idle ones
     workers = min(len(shards), os.cpu_count() or 1)
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

@@ -6,13 +6,18 @@ sampler is validated against.  ``counting_oracle`` provides exact integer
 counts (partitions, distinct-part partitions, set partitions) from
 classic recurrences.  The statistical helpers wrap the usual chi-squared
 and Kolmogorov-Smirnov machinery with the conventions used by the test
-suite, and ``benchmark`` aggregates rejection costs in the package cost
-unit: uniforms drawn per accepted sample.
+suite.  ``chi_squared_gof`` and ``ks_statistic`` compute their p-values
+here, from the regularized upper incomplete gamma and the Kolmogorov
+limit tail, so no CLI path imports scipy; only ``ks_two_sample``, whose
+p-value needs the exact finite-n law, does.  ``benchmark`` aggregates
+rejection costs in the package cost unit: uniforms drawn per accepted
+sample.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -211,13 +216,82 @@ def chi_squared_gof(counts, expected) -> tuple[float, int, float]:
             merged_exp.append(acc_e)
     if len(merged_obs) < 2:
         return 0.0, 0, 1.0
-    from scipy import stats  # imported here so that importing the package skips scipy
-
     o = np.array(merged_obs)
     e = np.array(merged_exp)
     stat = float(((o - e) ** 2 / e).sum())
     dof = len(merged_obs) - 1
-    return stat, dof, float(stats.chi2.sf(stat, dof))
+    return stat, dof, _gamma_upper(dof / 2.0, stat / 2.0)
+
+
+# Stirling series of ln Γ(a) − (a − 1/2)·ln a + a − ln √(2π), in odd powers of 1/a
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+
+
+def _gamma_upper(a: float, x: float) -> float:
+    """Regularized upper incomplete gamma Q(a, x) = Γ(a, x) / Γ(a), for a > 0.
+
+    Q(dof/2, stat/2) is the chi-squared tail.  Below x = a + 1 it is
+    1 − P with P's power series, above it a modified-Lentz continued
+    fraction.  Both scale x^a·e^(−x) / Γ(a), formed as
+    e^(a·ln(x/a) + a − x) · a^a·e^(−a) / Γ(a), the second factor from
+    Stirling's series once a reaches 10, so that no large logarithms
+    cancel when a is large.
+    """
+    if not x > 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    t = (x - a) / a
+    log_ratio = a * (math.log1p(t) - t) if t > -0.5 else a * math.log(x / a) - (x - a)
+    if a < 10.0:
+        scale = a**a * math.exp(-a) / math.gamma(a)
+    else:
+        s = sum(c / a ** (2 * k + 1) for k, c in enumerate(_STIRLING))
+        scale = math.sqrt(a / (2.0 * math.pi)) * math.exp(-s)
+    front = math.exp(log_ratio) * scale
+    eps = sys.float_info.epsilon
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        k = a
+        while term > total * eps:
+            k += 1.0
+            term *= x / k
+            total += term
+        return 1.0 - front * total
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    i = 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        step = d * c
+        h *= step
+        if abs(step - 1.0) < eps:
+            return front * h
+
+
+def _kolmogorov_sf(x: float) -> float:
+    """P(K > x) for the Kolmogorov limit law of sqrt(n)·D_n.
+
+    Below 1 the theta form of the cdf, 1 − √(2π)/x·Σ e^(−(2k−1)²π²/(8x²));
+    from 1 on the alternating tail 2·Σ (−1)^(k−1)·e^(−2k²x²).  Five terms
+    reach the last bit on either side.
+    """
+    if not x > 0.0:
+        return 1.0
+    if x < 1.0:
+        q = -math.pi**2 / (8.0 * x * x)
+        theta = sum(math.exp((2 * k - 1) ** 2 * q) for k in range(1, 6))
+        return 1.0 - math.sqrt(2.0 * math.pi) / x * theta
+    return 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * x * x) for k in range(1, 6))
 
 
 def ks_statistic(samples: Sequence[float], cdf: Callable[[float], float]) -> tuple[float, float]:
@@ -230,9 +304,7 @@ def ks_statistic(samples: Sequence[float], cdf: Callable[[float], float]) -> tup
     hi = np.max(np.arange(1, n + 1) / n - fx)
     lo = np.max(fx - np.arange(0, n) / n)
     d = float(max(hi, lo))
-    from scipy import special
-
-    return d, float(special.kolmogorov(math.sqrt(n) * d))
+    return d, _kolmogorov_sf(math.sqrt(n) * d)
 
 
 def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:

@@ -12,7 +12,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from exactcond.cli import main
-from exactcond.engine import dsh_sample, hard_rejection_sample
+from exactcond.engine import DEFAULT_MAX_ATTEMPTS, dsh_sample, hard_rejection_sample
 from exactcond.geometry import (
     borel_conditional_sample,
     rado_check,
@@ -69,12 +69,14 @@ def gof_p_value(family, method: str, trials: int, seed: int) -> float:
     return p
 
 
-def accept_rate(problem, method: str, accepts: int, seed: int) -> float:
+def accept_rate(
+    problem, method: str, accepts: int, seed: int, max_attempts: int = DEFAULT_MAX_ATTEMPTS
+) -> float:
     sampler = hard_rejection_sample if method == "hard" else dsh_sample
     rng = CountingRng(seed)
     attempts = 0
     for _ in range(accepts):
-        attempts += sampler(problem, rng).attempts
+        attempts += sampler(problem, rng, max_attempts=max_attempts).attempts
     return accepts / attempts
 
 
@@ -269,11 +271,16 @@ def test_plane_grid_speedup_growth():
 
     hard_accepts = {100: 500, 400: 400, 1600: 300}
     dsh_accepts = {100: 1500, 400: 1200, 1600: 800}
+    # at least 100 times the mean attempts per sample of either method (hard:
+    # 99, 211 and 557; dsh: 49, 87 and 160), so a sampler that breaks the
+    # law raises NonTerminating here instead of running without end
+    caps = {100: 10_000, 400: 25_000, 1600: 60_000}
     ratios = []
     for idx, n in enumerate((100, 400, 1600)):
         problem = build_problem(PlanePartitionGrid(n, tilt=GRID_SADDLE_TILT[n]))
-        r_hard = accept_rate(problem, "hard", hard_accepts[n], derive_seed(111, 2 * idx))
-        r_dsh = accept_rate(problem, "dsh", dsh_accepts[n], derive_seed(111, 2 * idx + 1))
+        seeds = derive_seed(111, 2 * idx), derive_seed(111, 2 * idx + 1)
+        r_hard = accept_rate(problem, "hard", hard_accepts[n], seeds[0], caps[n])
+        r_dsh = accept_rate(problem, "dsh", dsh_accepts[n], seeds[1], caps[n])
         ratios.append(r_dsh / r_hard)
     ok = ratios[0] < ratios[1] < ratios[2]
     report(

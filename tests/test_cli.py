@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -168,6 +169,18 @@ PINNED_STDOUT = [
     # dsh alone: the hard baseline is drawn under its own seed
     ("benchmark partition --n 10 --methods dsh --trials 100 --seed 12",
      "ea89b9cc1482b1250a08ea18ee0121e785502ead99bc73905e4b853c491a7119"),
+    # verify lines print a chi-squared or Kolmogorov p-value to 12 digits;
+    # these digests were taken when scipy computed those tails
+    ("verify partition --n 8 --trials 2000",
+     "fad78dbf8a7001fd5e7a93657f29fb6c2b288e7ce326111f92adb7c2b7c71666"),
+    ("verify ewens --n 6 --k 3 --trials 2000",
+     "a4abee4e1b7ef255c44bd877c7756d7b5725c7dc66a3df0825bb0beb3ab33f07"),
+    ("verify setpartition --n 6 --trials 1000",
+     "9742b60e98e4959a1e4393c063ac8abf3b33f372f5b26f300e8d922e9a181db1"),
+    ("verify borel --variant 1 --trials 2000",
+     "8f745523936f8281764d9117bdeb1dd587a2b245370cfde8960fa901c4654af7"),
+    ("verify borel --variant 2 --trials 2000",
+     "7e13ac5ed0cda54d9eb560d3ababb435f5e525e2e193e21c5900c7b0f3fcd836"),
 ]
 
 
@@ -470,7 +483,8 @@ class _SerialPool:
 def test_benchmark_starts_at_most_one_worker_per_shard_and_cpu(
     cpus, jobs, trials, workers, capsys, monkeypatch
 ):
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    # the cli imports concurrent.futures when it first needs a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_SerialPool, "asked", [])
     argv = f"benchmark partition --n 10 --trials {trials} --jobs {jobs} --seed 3".split()
@@ -672,6 +686,30 @@ def test_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "verify partition --n 8 --trials 500",
+        "verify borel --trials 500",
+        "sample partition --n 30 --count 3",
+        "benchmark partition --n 20 --trials 50 --jobs 1",
+    ],
+)
+def test_cold_cli_paths_leave_scipy_and_futures_unloaded(command):
+    # every p-value is computed in the package and only a pool needs
+    # concurrent.futures, so a cold invocation imports neither
+    script = (
+        "import sys\n"
+        "from exactcond.cli import main\n"
+        f"code = main({command.split()!r})\n"
+        "print(code, 'scipy' in sys.modules, 'concurrent.futures' in sys.modules,"
+        " file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split()[-3:] == ["0", "False", "False"]
 
 
 def test_module_entry_point():

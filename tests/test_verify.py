@@ -1,7 +1,8 @@
 import math
 
+import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from exactcond.engine import ConditioningProblem, SampleRecord, SecondConstraint
 from exactcond.errors import InfeasibleTarget, SupportTooLarge
@@ -10,6 +11,8 @@ from exactcond.structures import DistinctPartition, Partition, build_problem
 from exactcond.verify import (
     CostStats,
     ExactDistribution,
+    _gamma_upper,
+    _kolmogorov_sf,
     benchmark,
     chi_squared_gof,
     counting_oracle,
@@ -219,6 +222,36 @@ def test_ks_statistic_single_point():
     assert 0.0 < p <= 1.0
     with pytest.raises(ValueError):
         ks_statistic([], lambda x: x)
+
+
+def test_chi_squared_tail_matches_scipy():
+    # Q(dof/2, stat/2) against chi2.sf from 0 into the far tail, wherever
+    # scipy's value is a normal double; the grid straddles the switch
+    # from the series to the continued fraction at stat = dof + 2
+    worst = 0.0
+    for dof in range(1, 1001):
+        a = dof / 2.0
+        span = dof + 2.0 + 40.0 * math.sqrt(dof) + 1400.0
+        xs = np.concatenate([np.linspace(0.0, span, 24), [dof, dof + 2.0 - 1e-9, dof + 2.0 + 1e-9]])
+        ref = stats.chi2.sf(xs, dof)
+        for x, r in zip(xs, ref):
+            if r >= 1e-300:
+                worst = max(worst, abs(_gamma_upper(a, float(x) / 2.0) - r) / r)
+    assert worst < 1e-10
+
+
+def test_kolmogorov_tail_matches_scipy():
+    xs = np.linspace(6.0 / 20000, 6.0, 20000)
+    ref = special.kolmogorov(xs)
+    got = np.array([_kolmogorov_sf(float(x)) for x in xs])
+    assert np.max(np.abs(got - ref) / ref) < 1e-13
+
+
+def test_tails_at_zero_and_below():
+    assert _gamma_upper(0.5, 0.0) == 1.0
+    assert _gamma_upper(3.0, math.inf) == 0.0
+    for x in (0.0, -1.0, -math.inf):
+        assert _kolmogorov_sf(x) == 1.0
 
 
 def fixed_cost_sampler(attempts, rng_calls):
