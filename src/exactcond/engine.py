@@ -32,12 +32,10 @@ by its membership test.  Acceptance ratios are asserted to lie in [0, 1]
 :class:`InvalidRejection`.
 
 Every engine draws its first halves (or full vectors) through the drawer
-the problem picks once, on first use: the hook its ``draw_hook`` factory
-builds for the drawn index list if it has one, else one block of
-uniforms inverted by ``marginals.block_inversion`` and summed with int64
-dot products (integer values) or ``math.fsum`` (real values), else a
-per-coordinate ``sample`` plan.  The block and the plan
-turn the same uniforms into the same values.
+the problem picks once, on first use: one block of uniforms inverted by
+``marginals.block_inversion`` and summed with int64 dot products (integer
+values) or ``math.fsum`` (real values), else a per-coordinate ``sample``
+plan.  The block and the plan turn the same uniforms into the same values.
 
 A block drawer can also invert K attempts' blocks in one numpy call.  It
 peeks K blocks of the stream and hands out one window a call, consuming
@@ -53,13 +51,12 @@ comparisons a batch: a row costs its uniforms in a closed-form block
 (Geometric, Bernoulli, UniformReal) and the larger of its uniforms and
 its table entries in a cdf-table block.  Below K = 8, and in a block
 whose cap falls below 8, the drawer draws one window at a time; plans
-and hooks always do.  The drawer holds its rng weakly, so it keeps no
-finished request's rng alive.
+always do.  The drawer holds its rng weakly, so it keeps no finished
+request's rng alive.
 
-An accepted attempt becomes its outcome once, in ``_assemble``: a sparse
-draw becomes a :class:`SparseVector` of its nonzero entries, any other a
-tuple of Python scalars, with the pivot block inserted at ``index_set``.
-Later layers use that outcome as it is.
+An accepted attempt becomes its outcome once, in ``_assemble``: a tuple
+of Python scalars, with the pivot block inserted at ``index_set``.  Later
+layers use that outcome as it is.
 
 dsh and hard rejection raise :class:`InfeasibleTarget` before their first
 draw when a target, real or integer, is not finite, lies outside the
@@ -98,11 +95,9 @@ DEFAULT_MAX_ATTEMPTS = 10 ** 8
 _REL_TOL = 1e-9
 _RATIO_SLACK = 1e-9
 
-# Draw hooks return (linear sum, second sum, values); values may be a
-# sequence aligned with the drawn index list or a sparse {index: int}
-# dict over the full coordinate space (absent keys are zero).  A problem's
-# ``draw_hook`` maps an index list to the hook that draws those indices.
-DrawHook = Callable[[CountingRng], tuple[float, float, Sequence | dict]]
+# Drawers return (linear sum, second sum, values), the values aligned
+# with the drawn index list.
+Drawer = Callable[[CountingRng], tuple[float, float, Sequence]]
 
 
 @dataclass(frozen=True)
@@ -122,24 +117,6 @@ class SampleRecord:
     rng_calls: int
 
 
-@dataclass(frozen=True)
-class SparseVector:
-    """A mostly-zero integer outcome stored as (index, value) pairs.
-
-    Produced instead of a dense tuple when a draw hook reports sparse
-    values; keeps accepted records small for huge coordinate spaces.
-    """
-
-    size: int
-    entries: tuple[tuple[int, int], ...]
-
-    def dense(self) -> tuple:
-        out = [0] * self.size
-        for i, v in self.entries:
-            out[i] = v
-        return tuple(out)
-
-
 @dataclass(frozen=True, eq=False)
 class ConditioningProblem:
     marginals: tuple
@@ -147,7 +124,6 @@ class ConditioningProblem:
     target: float
     index_set: tuple[int, ...]
     second: SecondConstraint | None = None
-    draw_hook: Callable[[tuple[int, ...]], DrawHook] | None = None
 
     # derived, filled by __post_init__
     free_indices: tuple[int, ...] = field(init=False)
@@ -209,11 +185,11 @@ class ConditioningProblem:
         return self._discrete
 
     @cached_property
-    def _draw_free(self) -> DrawHook:
+    def _draw_free(self) -> Drawer:
         return self._drawer(self.free_indices)
 
     @cached_property
-    def _draw_full(self) -> DrawHook:
+    def _draw_full(self) -> Drawer:
         return self._drawer(tuple(range(self.size)))
 
     @cached_property
@@ -245,10 +221,8 @@ class ConditioningProblem:
             return None, "hard rejection cannot hit an exact value of a continuous sum"
         return reason, reason
 
-    def _drawer(self, indices: tuple[int, ...]) -> DrawHook:
-        """The ``draw_hook`` hook for ``indices``, else one block inversion, else a ``sample`` plan."""
-        if self.draw_hook is not None:
-            return self.draw_hook(indices)
+    def _drawer(self, indices: tuple[int, ...]) -> Drawer:
+        """One block inversion for ``indices``, else a ``sample`` plan."""
         draw = _block_drawer(self, indices)
         if draw is not None:
             return draw
@@ -312,7 +286,7 @@ _MIN_BATCH = 8
 _BATCH_UNIFORMS = 4096
 
 
-def _block_drawer(problem: ConditioningProblem, indices) -> DrawHook | None:
+def _block_drawer(problem: ConditioningProblem, indices) -> Drawer | None:
     """Draw ``indices`` as one block of uniforms through ``block_inversion``.
 
     Integer values are summed by int64 dot products, so the block is used
@@ -447,10 +421,6 @@ def complete_from_sums(problem: ConditioningProblem, partial_lin, partial_sec=0)
 
 def _assemble(problem: ConditioningProblem, vals, pivot_vals=()):
     """The outcome of an accepted attempt: ``vals`` with ``pivot_vals`` at ``index_set``."""
-    if isinstance(vals, dict):
-        entries = {i: v for i, v in vals.items() if v}
-        entries.update((i, v) for i, v in zip(problem.index_set, pivot_vals) if v)
-        return SparseVector(problem.size, tuple(sorted(entries.items())))
     out = vals.tolist() if isinstance(vals, np.ndarray) else [_as_scalar(v) for v in vals]
     # index_set is ascending, so each insert lands at its final position
     for i, v in zip(problem.index_set, pivot_vals):
@@ -480,7 +450,7 @@ def _refuse_infeasible(problem: ConditioningProblem, hit: bool = False) -> None:
 
 
 def _rejection_loop(
-    draw: DrawHook,
+    draw: Drawer,
     step: Callable,
     rng: CountingRng,
     max_attempts: int,

@@ -19,13 +19,21 @@ Selection             Binomial(m_i, x^i / (1 + x^i))   exp(-pi / sqrt(6 n))
 Multiset              NegativeBinomial(m_i, x^i)       exp(-pi / sqrt(6 n))
 Assembly              Poisson(m_i x^i / i!)            x e^x = n
 SetPartition          Poisson(x^i / i!)                x e^x = n
-PlanePartitionGrid    Geometric(x^(i+j+1)) per cell    E[T] = n, bisection
+PlanePartitionGrid    NegativeBinomial(w-2, x^w)       E[T] = n, bisection
 EwensProfile          Poisson(theta x^i / i)           exp(-1/n)
 ====================  ===============================  =====================
 
-The grid family lives on cells (i, j) of weight i + j + 1.  Cells heavier
-than n are forced to zero by the constraint, so its sampling space holds
-only the cells of weight at most n.
+The grid family lives on cells (i, j) of weight w = i + j + 1, each cell
+Geometric(x^w).  Cells heavier than n are forced to zero by the
+constraint, so its sampling space holds only the cells of weight at most
+n; ``build_problem`` states that space cell by cell, for the oracle.
+``sample_structure`` draws it in two halves, as probabilistic
+divide-and-conquer does.  The w - 2 cells of weight w are iid, so their
+sum S_w is NegativeBinomial(w - 2, x^w), the table's entry, and given S_w
+the cells are uniform over the weak compositions of S_w.  So the class
+sums S_3..S_n, conditioned on sum_w w S_w = n, are one problem
+(``grid_classes``) that the chosen engine draws, and each S_w is then
+split over its cells exactly, with no rejection.
 EwensProfile pins the number of parts too, so its problem carries a
 second constraint and a two-coordinate pivot block {1, 2}.
 """
@@ -33,12 +41,9 @@ second constraint and a two-coordinate pivot block {1, 2}.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-
-import numpy as np
 
 from .engine import (
     DEFAULT_MAX_ATTEMPTS,
@@ -261,35 +266,56 @@ def grid_cells(family: PlanePartitionGrid) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n) for j in range(1, n) if i + j + 1 <= n]
 
 
-def _sparse_geometric_hook(weights, ratios, indices):
-    # Scan ``indices`` for the next nonzero coordinate by inverting the
-    # waiting-time law over the (1 - r_j) survival products: two uniforms
-    # per nonzero cell plus one closing draw, instead of one uniform per
-    # cell.  The joint law of the drawn vector is unchanged; only the draw
-    # count (the cost unit) differs from the per-variate scheme.  The scan
-    # is sequential, so it runs on Python floats: bisect_right finds what
-    # searchsorted(side="right") would, and float // floors as numpy does.
-    idx = list(indices)
-    w = [weights[i] for i in idx]
-    r = np.array([ratios[i] for i in idx])
-    neg_log_survival = (-np.cumsum(np.log1p(-r))).tolist()
-    logr = np.log(r).tolist()
-    count = len(idx)
+def _check_grid(n: int, x: float) -> None:
+    if n < 3:
+        raise InvalidFamily(f"a grid of total weight {n} has no cells")
+    if not x < 1.0:
+        raise InvalidFamily(f"planegrid needs a tilt in (0, 1), got {x}")
 
-    def draw(rng: CountingRng):
-        lin = 0
-        vals: dict[int, int] = {}
-        base = 0.0
-        while True:
-            k = bisect_right(neg_log_survival, base - math.log1p(-rng.uniform()))
-            if k >= count:
-                return lin, 0, vals
-            z = 1 + int(math.log1p(-rng.uniform()) // logr[k])
-            vals[idx[k]] = z
-            lin += w[k] * z
-            base = neg_log_survival[k]
 
-    return draw
+@lru_cache(maxsize=64)
+def grid_classes(family: PlanePartitionGrid) -> ConditioningProblem:
+    """The grid's class problem: coordinate w - 3 is S_w, the sum of the cells of weight w.
+
+    S_w is NegativeBinomial(w - 2, x^w) for w = 3..n, with weight w and
+    target n; the pivot is the class of least ``sup_density``, as for
+    ``Multiset``.  Cached per family like ``build_problem``.
+    """
+    x = _tilt_of(family)
+    _check_grid(family.n, x)
+    weights = tuple(range(3, family.n + 1))
+    marginals = tuple(NegativeBinomial(w - 2, x ** w) for w in weights)
+    return ConditioningProblem(
+        marginals=marginals, weights=weights, target=family.n,
+        index_set=(_argmin_sup_density(marginals),),
+    )
+
+
+def _split_classes(n: int, sums, rng: CountingRng) -> PlaneGrid:
+    """Place each class sum S_w on the cells (i, w - 1 - i) of weight w.
+
+    Given S_w the m = w - 2 cells are uniform over the weak compositions
+    of S_w, which a Polya urn with one starting ball per cell draws: each
+    unit picks a ball uniformly and adds a copy of it, so a composition
+    (k_1, ..., k_m) comes out with chance S! (m - 1)! / (S + m - 1)!
+    whatever it is.  One uniform per unit, drawn as one block, in classes
+    of at least 2 cells.
+    """
+    units = rng.uniforms(sum(sums[1:])).tolist()
+    pos = 0
+    cells = [(1, 1)] * sums[0]
+    for w, s in enumerate(sums[1:], start=4):
+        if not s:
+            continue
+        m = w - 2
+        # ball j < m is row j + 1's starting ball, ball m + t the copy unit t added
+        picks = []
+        for t, u in enumerate(units[pos:pos + s]):
+            j = min(int(u * (m + t)), m + t - 1)
+            picks.append(j + 1 if j < m else picks[j - m])
+        pos += s
+        cells.extend((i, w - 1 - i) for i in picks)
+    return PlaneGrid(n, tuple(sorted((i, j, z) for (i, j), z in Counter(cells).items())))
 
 
 def _argmin_sup_density(marginals) -> int:
@@ -347,17 +373,11 @@ def build_problem(family: Family) -> ConditioningProblem:
         )
 
     if isinstance(family, PlanePartitionGrid):
-        if n < 3:
-            raise InvalidFamily(f"a grid of total weight {n} has no cells")
-        if not x < 1.0:
-            raise InvalidFamily(f"planegrid needs a tilt in (0, 1), got {x}")
-        cells = grid_cells(family)
-        weights = tuple(i + j + 1 for i, j in cells)
-        ratios = [x ** w for w in weights]
-        marginals = tuple(Geometric(r) for r in ratios)
+        _check_grid(n, x)
+        weights = tuple(i + j + 1 for i, j in grid_cells(family))
         return ConditioningProblem(
-            marginals=marginals, weights=weights, target=n, index_set=(0,),
-            draw_hook=partial(_sparse_geometric_hook, weights, ratios),
+            marginals=tuple(Geometric(x ** w) for w in weights), weights=weights,
+            target=n, index_set=(0,),
         )
 
     if isinstance(family, EwensProfile):
@@ -397,9 +417,14 @@ def sample_structure(
     """One exact draw of a structure, with its rejection cost record.
 
     method 'dsh' completes the pivot block deterministically, 'hard'
-    redraws the whole vector until the size works out.
+    redraws the whole vector until the size works out.  A grid draws its
+    class sums (``grid_classes``) by the method, then splits them over its
+    cells (``_split_classes``); its record's outcome is the grid's entries,
+    and its ``rng_calls`` count the split's uniforms too.
     """
-    problem = build_problem(family)
+    grid = isinstance(family, PlanePartitionGrid)
+    problem = grid_classes(family) if grid else build_problem(family)
+    start = rng.calls
     if method == "dsh":
         rec = dsh_sample(problem, rng, max_attempts=max_attempts)
     elif method == "hard":
@@ -407,15 +432,10 @@ def sample_structure(
     else:
         raise ValueError(f"method must be hard or dsh, got {method!r}")
 
-    if isinstance(family, PlanePartitionGrid):
-        # the grid's draw hook reports sparse values, so its outcome is a SparseVector
-        cells = grid_cells(family)
-        value = PlaneGrid(
-            family.n, tuple((cells[i][0], cells[i][1], v) for i, v in rec.outcome.entries)
-        )
-    else:
-        value = MultiplicityVector(rec.outcome)
-    return value, rec
+    if grid:
+        value = _split_classes(family.n, rec.outcome, rng)
+        return value, SampleRecord(value.entries, rec.attempts, rng.calls - start)
+    return MultiplicityVector(rec.outcome), rec
 
 
 def outcome_counts(family: Family, values) -> Counter:

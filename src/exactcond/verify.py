@@ -8,8 +8,7 @@ classic recurrences.  The statistical helpers wrap the usual chi-squared
 and Kolmogorov-Smirnov machinery with the conventions used by the test
 suite.  ``chi_squared_gof`` and ``ks_statistic`` compute their p-values
 here, from the regularized upper incomplete gamma and the Kolmogorov
-limit tail, so no CLI path imports scipy; only ``ks_two_sample``, whose
-p-value needs the exact finite-n law, does.  ``benchmark`` aggregates
+limit tail, so the package does not need scipy.  ``benchmark`` aggregates
 rejection costs in the package cost unit: uniforms drawn per accepted
 sample.
 """
@@ -305,14 +304,6 @@ def ks_statistic(samples: Sequence[float], cdf: Callable[[float], float]) -> tup
     lo = np.max(fx - np.arange(0, n) / n)
     d = float(max(hi, lo))
     return d, _kolmogorov_sf(math.sqrt(n) * d)
-
-
-def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
-    """Two-sample Kolmogorov-Smirnov statistic and asymptotic p-value."""
-    from scipy import stats
-
-    res = stats.ks_2samp(np.asarray(a), np.asarray(b), method="asymp")
-    return float(res.statistic), float(res.pvalue)
 
 
 def counting_oracle(kind: str, n: int) -> int:

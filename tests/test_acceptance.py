@@ -32,6 +32,7 @@ from exactcond.structures import (
     SetPartition,
     build_problem,
     feller_permutation_cycles,
+    grid_classes,
     outcome_counts,
     sample_structure,
 )
@@ -39,9 +40,9 @@ from exactcond.verify import (
     chi_squared_gof,
     enumerate_conditional,
     ks_statistic,
-    ks_two_sample,
     tv_distance,
 )
+from helpers import ks_two_sample
 
 # e^(-pi/sqrt(6n)) puts the partition target at the mode of T; the grid
 # analogue below is solved from E[T] = n directly because the cube-root
@@ -272,12 +273,14 @@ def test_plane_grid_speedup_growth():
     hard_accepts = {100: 500, 400: 400, 1600: 300}
     dsh_accepts = {100: 1500, 400: 1200, 1600: 800}
     # at least 100 times the mean attempts per sample of either method (hard:
-    # 99, 211 and 557; dsh: 49, 87 and 160), so a sampler that breaks the
+    # 93, 228 and 529; dsh: 34, 53 and 80), so a sampler that breaks the
     # law raises NonTerminating here instead of running without end
     caps = {100: 10_000, 400: 25_000, 1600: 60_000}
     ratios = []
     for idx, n in enumerate((100, 400, 1600)):
-        problem = build_problem(PlanePartitionGrid(n, tilt=GRID_SADDLE_TILT[n]))
+        # the class sums the sampler draws: the cell-level problem at
+        # n = 1600 (1.28M cells) has no drawer that runs it
+        problem = grid_classes(PlanePartitionGrid(n, tilt=GRID_SADDLE_TILT[n]))
         seeds = derive_seed(111, 2 * idx), derive_seed(111, 2 * idx + 1)
         r_hard = accept_rate(problem, "hard", hard_accepts[n], seeds[0], caps[n])
         r_dsh = accept_rate(problem, "dsh", dsh_accepts[n], seeds[1], caps[n])

@@ -153,9 +153,9 @@ PINNED_STDOUT = [
      "d73280d8c6d906c749edd1c3fbe57f272069fac6ddf2c514ce166f4881779bd7"),
     # the grid pins its former default tilt, 1 - (2 zeta(3) / n)^(1/3)
     ("sample planegrid --n 12 --count 3 --format csv --tilt 0.41486250856957296",
-     "63c2674ab6cf3e20debb498b9853a704b2e4e8040a1297efb8a27c29f35aae29"),
+     "729de82d2b1e7c7933d077b801b51baea836443bb286d84a552efa48c4de0da2"),
     ("sample planegrid --n 30 --count 3 --format csv",
-     "e96dc7088de1a638dac76767b193be39037874c413d54955186a44bcaabd5cbe"),
+     "f1d17b5c7f4d4c40a68eb51c89c8742683eeb2ad876e1272bf867f942279c011"),
     ("sample ewens --n 10 --k 3 --count 3 --format csv",
      "ae70b8049b0ba757e77d66684b0a757471066504cc99e3d92558aaf80eec72b7"),
     ("benchmark partition --n 10 --trials 100 --seed 12 --format jsonl",
@@ -202,11 +202,10 @@ def _user_problem(marginals, weights, target, pivots, second=None):
 
 
 def _family_samplers():
-    # the grid keeps its former default tilt, 1 - (2 zeta(3) / n)^(1/3);
-    # _grid_default_samplers draws it at today's default
+    # the grid's pins live in _grid_samplers and _grid_default_samplers
     families = [
         Partition(12), DistinctPartition(12), Selection(10), Multiset(10), Assembly(10),
-        SetPartition(10), PlanePartitionGrid(8, tilt=0.330184779707662), EwensProfile(8, 3),
+        SetPartition(10), EwensProfile(8, 3),
         Selection(8, multiplicities=PIN_MULT), Multiset(8, multiplicities=PIN_MULT),
         Assembly(8, multiplicities=PIN_MULT),
     ]
@@ -281,11 +280,10 @@ def _flat_integer_pivot_samplers():
 def _batched_samplers():
     # dead-heavy problems whose runs of dead attempts are drawn in batches
     # (integer sums under one and two constraints, and real sums through
-    # the hypersimplex at level 2.5), the grid's sparse scan, and two
-    # slices with short dead runs; hard rejection and the flat slices draw
-    # nothing in their step, so their runs go on across the draws on one
-    # rng; caps 37 and 200 cut runs short, so what NonTerminating reports
-    # is pinned too
+    # the hypersimplex at level 2.5), and two slices with short dead runs;
+    # hard rejection and the flat slices draw nothing in their step, so
+    # their runs go on across the draws on one rng; caps 37 and 200 cut
+    # runs short, so what NonTerminating reports is pinned too
     caps = (DEFAULT_MAX_ATTEMPTS, 37, 200)
     bits = _user_problem(
         (Bernoulli(0.3),) * 10, range(1, 11), 20, (0, 1),
@@ -298,11 +296,6 @@ def _batched_samplers():
             )
             yield partial(engine, bits, max_attempts=cap)
         yield partial(sample_structure, Partition(100), method="hard", max_attempts=cap)
-        # the grid's former default tilt, as in _family_samplers
-        yield partial(
-            sample_structure, PlanePartitionGrid(30, tilt=0.5688670101069775),
-            max_attempts=cap,
-        )
         yield partial(sample_hypersimplex, 10, 5.0, max_attempts=cap)
         yield partial(sample_hypersimplex, 10, 2.5, max_attempts=cap)
         yield partial(sample_permutahedron, 8, max_attempts=cap)
@@ -330,6 +323,21 @@ def _batched_table_samplers():
                 yield partial(sample_structure, family, method=method, max_attempts=cap)
         yield partial(dsh_sample, empties, max_attempts=cap)
         yield partial(hard_rejection_sample, empties, max_attempts=cap)
+
+
+def _grid_samplers():
+    # the grid at its former default tilt, 1 - (2 zeta(3) / n)^(1/3), as
+    # a small family under both methods and caps, and at n = 30 uncapped
+    # and capped at 37 and 200; _grid_default_samplers draws today's tilt
+    family = PlanePartitionGrid(8, tilt=0.330184779707662)
+    for method in ("dsh", "hard"):
+        for cap in (DEFAULT_MAX_ATTEMPTS, 2):
+            yield partial(sample_structure, family, method=method, max_attempts=cap)
+    for cap in (DEFAULT_MAX_ATTEMPTS, 37, 200):
+        yield partial(
+            sample_structure, PlanePartitionGrid(30, tilt=0.5688670101069775),
+            max_attempts=cap,
+        )
 
 
 def _grid_default_samplers():
@@ -370,7 +378,7 @@ def library_digest(samplers) -> str:
 # uniform: those draws equal the flat-pivot engine's.
 PINNED_LIBRARY = [
     ("families", _family_samplers,
-     "cb09bfcaf45be9112f79783ba91d3434395f1231f9f581e6822ebd34baa6fab0"),
+     "33e2df7b9eeecc50434f77eb3839e34d89156ed30de9f702ac3cacada0332c80"),
     ("geometry", _geometry_samplers,
      "4e4112a1e2d7b20c1d042f1dd78f21f7fcf47224a5f9a612ab73796e66e3e0e1"),
     ("user-built", _user_built_samplers,
@@ -378,11 +386,13 @@ PINNED_LIBRARY = [
     ("flat-integer-pivots", _flat_integer_pivot_samplers,
      "01da51651f9419e64e9fa9e013c83ad6ab18e517543b8d6db1cf002f92b3514f"),
     ("batched", _batched_samplers,
-     "a060b293bd7d848f5427f910a8bb56a6fd3cba7c21021053a276fee324da879f"),
+     "ca76fc9f0d5fca0fc9c10e656634202a0761bb66f762eaf7458834ce7f9182f7"),
     ("batched-tables", _batched_table_samplers,
      "9810debe9df151f83226832611f5f8b897dd83e7099ff339827fc80fde6f03b5"),
+    ("grid", _grid_samplers,
+     "8db6394e960981dcc90334312a577369f4fda514f4503248d6125c76b40cc958"),
     ("grid-default", _grid_default_samplers,
-     "a71d14510a6a303c516a348c9fd9547bc4d4ebde7c90a129c7b4bba3b573d0ec"),
+     "7fc904b0ec5d4f582ca3cbae4804f3538a83484f969c0776d819b059d821e313"),
 ]
 
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from exactcond.engine import (
     ConditioningProblem,
     SecondConstraint,
-    SparseVector,
     complete_from_sums,
     dsh_sample,
     hard_rejection_sample,
@@ -49,7 +48,6 @@ from exactcond.structures import (
     EwensProfile,
     Multiset,
     Partition,
-    PlanePartitionGrid,
     Selection,
     SetPartition,
     build_problem,
@@ -651,12 +649,6 @@ def test_loose_upper_bound_keeps_law_exact():
     assert p > 1e-3
 
 
-def test_sparse_vector_dense_roundtrip():
-    v = SparseVector(6, ((1, 3), (4, 2)))
-    assert v.dense() == (0, 3, 0, 0, 2, 0)
-    assert SparseVector(3, ()).dense() == (0, 0, 0)
-
-
 MULTIPLICITIES = (3, 2, 1, 4, 1, 2, 1, 1)
 
 
@@ -886,10 +878,9 @@ def test_a_block_batches_within_one_block_of_comparisons():
     for family in (Multiset(100), SetPartition(400)):
         prob = fresh(family)
         assert not batches(prob._draw_free) and not batches(prob._draw_full), family
-    # a plan-drawn block (fractional weights) and a draw hook never batch
+    # a plan-drawn block (fractional weights) never batches
     prob = problem([Poisson(1.0), Poisson(2.0)], weights=(1, 0.5))
     assert isinstance(prob._draw_free, partial) and not batches(prob._draw_free)
-    assert not batches(fresh(PlanePartitionGrid(30))._draw_free)
 
 
 def test_a_batch_serves_only_the_unmoved_stream_it_peeked():

@@ -20,7 +20,8 @@ from exactcond.geometry import (
     uniform_spacings,
 )
 from exactcond.marginals import AbsWeightedGaussian, CountingRng, Normal
-from exactcond.verify import ks_statistic, ks_two_sample
+from exactcond.verify import ks_statistic
+from helpers import ks_two_sample
 
 
 def test_interval_union_normalizes():

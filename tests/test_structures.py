@@ -29,6 +29,7 @@ from exactcond.structures import (
     build_problem,
     feller_permutation_cycles,
     grid_cells,
+    grid_classes,
     materialize_set_partition,
     outcome_counts,
     sample_structure,
@@ -182,6 +183,27 @@ def test_sparse_grid_drawer_matches_enumeration():
     assert p > 1e-3
 
 
+@pytest.mark.parametrize("method, seed", [("dsh", 59), ("hard", 60)])
+def test_grid_class_split_matches_enumeration(method, seed):
+    # the 29 grids of total 10 are equally likely; in 6 of them the weight-5
+    # class holds 2 units on its 3 cells, which the split's urn places
+    family = PlanePartitionGrid(10, tilt=0.6)
+    exact = enumerate_conditional(build_problem(family))
+    assert len(exact.support()) == 29
+    rng = CountingRng(seed)
+    values = []
+    for _ in range(6000):
+        start = rng.calls
+        value, rec = sample_structure(family, rng, method=method)
+        assert rec.rng_calls == rng.calls - start and rec.outcome == value.entries
+        values.append(value)
+    split = [v for v in values if sum(z for i, j, z in v.entries if i + j == 4) == 2]
+    assert len({v.entries for v in split}) == 6
+    counts = outcome_counts(family, values)
+    _, _, p = chi_squared_gof(counts, {k: exact.prob(k) * 6000 for k in exact.support()})
+    assert p > 1e-3
+
+
 def test_one_cell_grid_accepts_every_other_attempt():
     # n = 3 has one cell, the pivot, which must hold 1: dsh accepts with
     # P(Z = 1) / P(Z = 0) = x^3, one half at the E[T] = n tilt
@@ -194,7 +216,9 @@ def test_grid_outcome_totals():
     rng = CountingRng(61)
     family = PlanePartitionGrid(40)
     for _ in range(20):
-        value, _ = sample_structure(family, rng)
+        start = rng.calls
+        value, rec = sample_structure(family, rng)
+        assert rec.rng_calls == rng.calls - start
         assert value.total == 40
         for i, j, z in value.entries:
             assert i >= 1 and j >= 1 and z >= 1
@@ -394,15 +418,15 @@ def test_bulk_hooks_report_consistent_sums():
     assert lin == sum(w * v for w, v in zip(range(1, 13), vals))
 
 
-def test_sparse_hook_reports_consistent_sums():
-    prob = build_problem(PlanePartitionGrid(30))
-    weights = prob.weights
+def test_grid_class_draw_reports_consistent_sums():
+    # coordinate w - 3 of the class problem is S_w, of weight w
+    prob = grid_classes(PlanePartitionGrid(30))
+    assert prob.weights == tuple(range(3, 31))
     rng = CountingRng(107)
     for _ in range(50):
         lin, sec, vals = prob._draw_full(rng)
-        assert sec == 0
-        assert lin == sum(weights[i] * v for i, v in vals.items())
-        assert all(v >= 1 for v in vals.values())
+        assert sec == 0 and len(vals) == 28
+        assert lin == sum(w * int(s) for w, s in zip(range(3, 31), vals))
 
 
 def _accept_rate(problem, sampler, accepts, seed):
