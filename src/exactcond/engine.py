@@ -34,7 +34,7 @@ by its membership test.  Acceptance ratios are asserted to lie in [0, 1]
 Every engine draws its first halves (or full vectors) through the drawer
 the problem picks once, on first use: one block of uniforms inverted by
 ``marginals.block_inversion`` and summed with int64 dot products (integer
-values) or ``math.fsum`` (real values), else a per-coordinate ``sample``
+problems) or ``math.fsum`` (real ones), else a per-coordinate ``sample``
 plan.  The block and the plan turn the same uniforms into the same values.
 
 A block drawer can also invert K attempts' blocks in one numpy call.  It
@@ -58,14 +58,21 @@ An accepted attempt becomes its outcome once, in ``_assemble``: a tuple
 of Python scalars, with the pivot block inserted at ``index_set``.  Later
 layers use that outcome as it is.
 
+Each problem has one arithmetic, fixed at construction.  A problem whose
+marginals are all discrete is an integer problem: its weights and second
+coefficients must be integers (a fractional one raises ValueError; scale
+the weights and target to integers for the same law), its sums are exact
+and its pivots are solved by ``divmod``.  Any other problem solves a real
+pivot in floating point, and a discrete pivot in it raises ValueError.
+
 dsh and hard rejection raise :class:`InfeasibleTarget` before their first
 draw when a target, real or integer, is not finite, lies outside the
 closed range of its sum, sits on an end of it while a free continuous
-coordinate has nonzero weight, or is off the lattice of an integer sum
-(discrete marginals under integer coefficients), a fractional target
-included.  Hard rejection also refuses any continuous coordinate of
-nonzero weight; soft rejection, whose linear target may stand in for
-another statistic, applies the integer checks only.
+coordinate has nonzero weight, or is off the lattice of an integer
+problem's sum, a fractional target included.  Hard rejection, which tests
+its hits exactly, also refuses every problem that is not an integer
+problem; soft rejection, whose linear target may stand in for another
+statistic, applies the integer checks only.
 
 Costs are whatever the :class:`CountingRng` records; completability is
 checked before the acceptance uniform is drawn, so a dead first half
@@ -92,7 +99,6 @@ from .marginals import (
 
 DEFAULT_MAX_ATTEMPTS = 10 ** 8
 
-_REL_TOL = 1e-9
 _RATIO_SLACK = 1e-9
 
 # Drawers return (linear sum, second sum, values), the values aligned
@@ -150,10 +156,10 @@ class ConditioningProblem:
             if self.weights[i] == 0:
                 raise SingularSystem(f"pivot coordinate {i} has zero weight")
         w = self.weights
+        u = self.second.coeffs if self.second else None
         if self.second is None:
             det, cramer = w[idx[0]], ((idx[0], 1, None),)
         else:
-            u = self.second.coeffs
             i, j = idx
             det = w[i] * u[j] - w[j] * u[i]
             if det == 0:
@@ -165,15 +171,19 @@ class ConditioningProblem:
         object.__setattr__(self, "_cramer", cramer)
         free = tuple(i for i in range(n) if i not in idx)
         object.__setattr__(self, "free_indices", free)
-        discrete = all(isinstance(m, DiscreteMarginal) for m in self.marginals)
-        object.__setattr__(self, "_discrete", discrete)
-        # integer values under integer coefficients: every sum is an
-        # integer, so a fractional target is refused as off its lattice
-        ints = discrete and all(
-            float(a).is_integer()
-            for vec in (self.weights, self.second.coeffs if self.second else ())
-            for a in vec
-        )
+        # all-discrete problems are integer problems: integer values under
+        # integer coefficients, so every sum is an integer and every pivot
+        # is solved exactly; any other problem is solved in floating point
+        ints = all(isinstance(m, DiscreteMarginal) for m in self.marginals)
+        named = [("weight", w)] + ([("second coefficient", u)] if self.second else [])
+        for name, vec in named if ints else ():
+            for i, a in enumerate(vec):
+                if not float(a).is_integer():
+                    raise ValueError(
+                        f"{name} {a} of coordinate {i} is not an integer, and every"
+                        " marginal is discrete: scale the weights and the target to"
+                        " integers, which gives the same law"
+                    )
         object.__setattr__(self, "_exact_int", ints)
         object.__setattr__(self, "_det", int(det) if ints else det)
 
@@ -182,7 +192,7 @@ class ConditioningProblem:
         return len(self.marginals)
 
     def is_discrete(self) -> bool:
-        return self._discrete
+        return self._exact_int
 
     @cached_property
     def _draw_free(self) -> Drawer:
@@ -202,9 +212,9 @@ class ConditioningProblem:
         """Why no draw can be accepted, by dsh and by hard rejection.
 
         ``_unreachable`` rules on each constraint.  Hard rejection also
-        needs the full vector to hit the target exactly, a null event once
-        a continuous coordinate has nonzero weight.  None where a draw may
-        succeed.
+        needs every marginal discrete: it tests its hits exactly, and a sum
+        with a continuous coordinate hits an exact value with probability
+        zero.  None where a draw may succeed.
         """
         constraints = [(self.weights, self.target)]
         if self.second is not None:
@@ -214,11 +224,8 @@ class ConditioningProblem:
             reason = reason or _unreachable(
                 self.marginals, coeffs, target, self.index_set, self._exact_int
             )
-        if reason is None and any(
-            isinstance(m, ContinuousMarginal) and w != 0
-            for m, w in zip(self.marginals, self.weights)
-        ):
-            return None, "hard rejection cannot hit an exact value of a continuous sum"
+        if reason is None and not self._exact_int:
+            return None, "hard rejection needs discrete marginals: it tests its hits exactly"
         return reason, reason
 
     def _drawer(self, indices: tuple[int, ...]) -> Drawer:
@@ -289,10 +296,10 @@ _BATCH_UNIFORMS = 4096
 def _block_drawer(problem: ConditioningProblem, indices) -> Drawer | None:
     """Draw ``indices`` as one block of uniforms through ``block_inversion``.
 
-    Integer values are summed by int64 dot products, so the block is used
-    only when the weights (and second coefficients) are integers with
-    sum |w_i| top_i below 2^63, top_i the largest value coordinate i can
-    take.  Real values are summed by ``math.fsum``.  None when the
+    An integer problem's sums are int64 dot products, so its block is used
+    only when sum |w_i| top_i, top_i the largest value coordinate i can
+    take, stays below 2^63 for the weights (and second coefficients).
+    Any other problem's sums are formed by ``math.fsum``.  None when the
     marginals share no block rule.
 
     A block with room for 8 rows in 4096 comparisons batches (see the
@@ -309,13 +316,11 @@ def _block_drawer(problem: ConditioningProblem, indices) -> Drawer | None:
     vecs = [[problem.weights[i] for i in indices]]
     if sec is not None:
         vecs.append([sec.coeffs[i] for i in indices])
-    if tops is None:
+    if not problem._exact_int:
         dtype, total = float, lambda a, z: math.fsum(a * z)
         totals = lambda a, z: list(map(math.fsum, (z * a).tolist()))
     else:
         for vec in vecs:
-            if not all(float(a).is_integer() for a in vec):
-                return None
             if sum(abs(int(a)) * top for a, top in zip(vec, tops)) >= 2 ** 63:
                 return None
         dtype, total = np.int64, lambda a, z: int(a @ z)
@@ -376,29 +381,14 @@ def _draw(plan, rng: CountingRng):
     return lin, sec, vals
 
 
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= _REL_TOL * max(1.0, abs(a), abs(b))
-
-
-def _pivot_value(problem: ConditioningProblem, i: int, raw: float) -> float | None:
-    """Snap and validate one pivot coordinate; None if out of support."""
-    m = problem.marginals[i]
-    if isinstance(m, DiscreteMarginal):
-        k = round(raw)
-        if not _close(k, raw):
-            return None
-        raw = int(k)
-    return raw if m.in_support(raw) else None
-
-
 def complete_from_sums(problem: ConditioningProblem, partial_lin, partial_sec=0) -> tuple | None:
     """Pivot values given the free coordinates' constraint sums; None if dead.
 
     Cramer's rule over the pivot block: with the constraints' residuals r1
-    (and r2), pivot k is (r1 a_k + r2 b_k) / det.  An exact-integer problem
+    (and r2), pivot k is (r1 a_k + r2 b_k) / det.  An integer problem
     divides with ``divmod`` and needs a zero remainder, which a fractional
-    target never leaves for every pivot; any other problem snaps each
-    quotient through ``_pivot_value``.
+    target never leaves for every pivot; a real pivot is the float quotient.
+    Either way the pivot must lie in its marginal's support.
     """
     r1 = problem.target - partial_lin
     r2 = None if problem.second is None else problem.second.target - partial_sec
@@ -408,13 +398,13 @@ def complete_from_sums(problem: ConditioningProblem, partial_lin, partial_sec=0)
         num = r1 * a if r2 is None else r1 * a + r2 * b
         if problem._exact_int:
             y, rem = divmod(num, det)
-            if rem or not problem.marginals[i].in_support(y):
+            if rem:
                 return None
             y = int(y)
         else:
-            y = _pivot_value(problem, i, num / det)
-            if y is None:
-                return None
+            y = num / det
+        if not problem.marginals[i].in_support(y):
+            return None
         pivot += (y,)
     return pivot
 
@@ -430,16 +420,6 @@ def _assemble(problem: ConditioningProblem, vals, pivot_vals=()):
 
 def _as_scalar(v):
     return v.item() if isinstance(v, np.generic) else v
-
-
-def _constraint_met(problem: ConditioningProblem, lin, sec) -> bool:
-    if problem._exact_int:
-        if lin != problem.target:
-            return False
-        return problem.second is None or sec == problem.second.target
-    if not _close(lin, problem.target):
-        return False
-    return problem.second is None or _close(sec, problem.second.target)
 
 
 def _refuse_infeasible(problem: ConditioningProblem, hit: bool = False) -> None:
@@ -483,16 +463,16 @@ def hard_rejection_sample(
 ) -> SampleRecord:
     """Draw the full vector until the constraint holds exactly.
 
-    A continuous coordinate of nonzero weight makes the hit event a null
-    event, so such a problem raises InfeasibleTarget before drawing, as
+    Only an integer problem's sums hit a target exactly, so any problem
+    with a continuous marginal raises InfeasibleTarget before drawing, as
     does an integer target out of reach (for every engine).
     """
     _refuse_infeasible(problem, hit=True)
+    # a one-constraint drawer reports 0 for the second sum
+    targets = (problem.target, 0 if problem.second is None else problem.second.target)
 
     def step(lin, sec, vals, _rng):
-        if _constraint_met(problem, lin, sec):
-            return _assemble(problem, vals)
-        return None
+        return _assemble(problem, vals) if (lin, sec) == targets else None
 
     return _rejection_loop(
         problem._draw_full, step, rng, max_attempts, "hard rejection", problem.size
@@ -506,8 +486,10 @@ def _pivot_step(problem: ConditioningProblem) -> Callable:
     accepts every completable first half without drawing a uniform.
     """
     pivots = [problem.marginals[i] for i in problem.index_set]
-    if len({isinstance(m, DiscreteMarginal) for m in pivots}) > 1:
-        raise ValueError("a pivot block cannot mix discrete and continuous marginals")
+    # a continuous coordinate, in the block or outside it, leaves a real
+    # residual, which no integer pivot completes
+    if not problem._exact_int and any(isinstance(m, DiscreteMarginal) for m in pivots):
+        raise ValueError("a discrete pivot cannot mix with continuous marginals")
     flat = all(m.flat for m in pivots)
     bound = None if flat else math.prod(m.sup_density() for m in pivots)
     _refuse_infeasible(problem)
@@ -544,8 +526,9 @@ def dsh_sample(
     prod_i density_i(pivot_i) / prod_i sup_density_i, which leaves every
     accepted outcome carrying the exact conditional law.  A dead or
     zero-density pivot restarts without spending the acceptance uniform,
-    and a flat pivot block never spends one.  A pivot block mixing
-    discrete and continuous marginals raises ValueError.
+    and a flat pivot block never spends one.  A discrete pivot in a problem
+    with a continuous marginal, in its block or outside it, raises
+    ValueError.
     """
     return _rejection_loop(
         problem._draw_free, problem._dsh_step, rng, max_attempts,

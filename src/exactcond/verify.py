@@ -57,22 +57,19 @@ def enumerate_conditional(
     """Exact conditional law of a problem by exhaustive enumeration.
 
     Walks all joint outcomes satisfying the constraint(s), weighting each
-    by its product mass, and normalises.  Weights and coefficients must be
-    integers (integral floats such as 2.0 count), or ValueError; then
-    every sum is an integer, so a fractional target has an empty event.
-    Coordinates with unbounded support require a positive weight so the
-    residual budget bounds them.  Raises SupportTooLarge past
-    ``support_cap`` feasible outcomes and InfeasibleTarget when the
-    conditioning event is empty.
+    by its product mass, and normalises.  The marginals must be discrete,
+    or ValueError; the problem's weights and coefficients are then
+    integers, so every sum is an integer and a fractional target has an
+    empty event.  Coordinates with unbounded support require a positive
+    weight so the residual budget bounds them.  Raises SupportTooLarge
+    past ``support_cap`` feasible outcomes, counted before the walk, and
+    InfeasibleTarget when the conditioning event is empty.
     """
     if not problem.is_discrete():
         raise ValueError("enumeration needs discrete marginals")
     n = problem.size
     sec = problem.second
-    coeffs = (problem.weights, sec.coeffs if sec else (0,) * n)
-    if not all(float(a).is_integer() for vec in coeffs for a in vec):
-        raise ValueError(f"enumeration needs integer weights and coefficients, got {coeffs}")
-    w, u = ([int(a) for a in vec] for vec in coeffs)
+    w, u = ([int(a) for a in vec] for vec in (problem.weights, sec.coeffs if sec else (0,) * n))
     t1, t2 = problem.target, sec.target if sec else 0
     for t in (t1, t2):
         if not float(t).is_integer():
@@ -83,10 +80,14 @@ def enumerate_conditional(
         # [min, max] of coef * value over the support (0 * inf would be nan)
         return [0, 0] if coef == 0 else sorted((coef * lo, coef * hi))
 
-    # the range each constraint's sum over coordinates i.. can take
+    # the range each constraint's sum over coordinates i.. can take, and
+    # whether they can all take 0
     lin_lo, lin_hi, sec_lo, sec_hi = ([0] * (n + 1) for _ in range(4))
+    zeros = [True] * (n + 1)
     for i in range(n - 1, -1, -1):
-        lo, hi = problem.marginals[i].support_bounds()
+        m = problem.marginals[i]
+        zeros[i] = zeros[i + 1] and m.in_support(0) and m.density(0) > 0.0
+        lo, hi = m.support_bounds()
         if hi == math.inf and w[i] <= 0:
             raise ValueError(
                 f"coordinate {i} has unbounded support and weight {w[i]}; cannot enumerate"
@@ -98,49 +99,58 @@ def enumerate_conditional(
         sec_lo[i] = sec_lo[i + 1] + slo
         sec_hi[i] = sec_hi[i + 1] + shi
 
-    probs: dict[tuple, float] = {}
-    values = [0] * n
-    leaves = 0
-
-    def feasible(i: int, r1: int, r2: int) -> bool:
-        return lin_lo[i] <= r1 <= lin_hi[i] and sec_lo[i] <= r2 <= sec_hi[i]
-
-    # depth-first walk with an explicit stack, one frame per fixed prefix:
-    # the residuals and product mass so far and the next coordinate's
-    # remaining support, so a long vector cannot exhaust the call stack
-    marginals = problem.marginals
-    frames = [(t1, t2, 1.0, iter(marginals[0].support_iter()))]
-    while frames:
-        i = len(frames) - 1
-        r1, r2, weight, ks = frames[-1]
-        m = marginals[i]
-        descended = False
-        for k in ks:
+    def steps(i: int, r1: int, r2: int):
+        """(k, residuals left, mass of k) for each positive-mass value k of
+        coordinate i that leaves residuals the coordinates after i can reach."""
+        m = problem.marginals[i]
+        lo1, hi1, lo2, hi2 = lin_lo[i + 1], lin_hi[i + 1], sec_lo[i + 1], sec_hi[i + 1]
+        for k in m.support_iter():
             nr1 = r1 - w[i] * k
             nr2 = r2 - u[i] * k
-            if not feasible(i + 1, nr1, nr2):
+            if not (lo1 <= nr1 <= hi1 and lo2 <= nr2 <= hi2):
                 # the residual only falls as k grows: an overshoot ends the scan
-                if w[i] > 0 and nr1 < lin_lo[i + 1]:
+                if w[i] > 0 and nr1 < lo1:
                     break
                 continue
             pk = m.density(k)
+            if pk > 0.0:
+                yield k, nr1, nr2, pk
+
+    # count the support first, by the number of ways to reach each pair of
+    # residuals (capped at cap + 1): the walk's work grows with the support.
+    # A prefix that leaves (0, 0) completes with zeros where every later
+    # coordinate may be 0, so those prefixes alone may pass the cap early
+    ways = {(t1, t2): 1}
+    for i in range(n):
+        reached: dict[tuple[int, int], int] = {}
+        for (r1, r2), count in ways.items():
+            for _, nr1, nr2, _ in steps(i, r1, r2):
+                reached[nr1, nr2] = min(reached.get((nr1, nr2), 0) + count, support_cap + 1)
+        ways = reached
+        if zeros[i + 1] and ways.get((0, 0), 0) > support_cap:
+            break
+    if sum(ways.values()) > support_cap:
+        raise SupportTooLarge(f"conditional support exceeds cap {support_cap}")
+
+    # depth-first walk with an explicit stack, one frame per fixed prefix:
+    # the product mass so far and the next coordinate's remaining steps, so
+    # a long vector cannot exhaust the call stack; the last coordinate's
+    # steps leave both residuals at 0
+    probs: dict[tuple, float] = {}
+    values = [0] * n
+    frames = [(1.0, steps(0, t1, t2))]
+    while frames:
+        i = len(frames) - 1
+        weight, ks = frames[-1]
+        for k, nr1, nr2, pk in ks:
             values[i] = k
-            if not pk > 0.0:
-                continue
             if i + 1 < n:
-                frames.append((nr1, nr2, weight * pk, iter(marginals[i + 1].support_iter())))
-                descended = True
+                frames.append((weight * pk, steps(i + 1, nr1, nr2)))
                 break
-            if nr1 == 0 and (not sec or nr2 == 0):
-                leaves += 1
-                if leaves > support_cap:
-                    raise SupportTooLarge(f"conditional support exceeds cap {support_cap}")
-                mass = weight * pk
-                if mass > 0.0:
-                    key = tuple(values)
-                    probs[key] = probs.get(key, 0.0) + mass
-        if not descended:
-            values[i] = 0
+            mass = weight * pk
+            if mass > 0.0:
+                probs[tuple(values)] = mass
+        else:
             frames.pop()
 
     total = math.fsum(probs.values())

@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import time
 from functools import partial
 from pathlib import Path
 
@@ -251,13 +252,8 @@ def _user_built_samplers():
         _user_problem((geo(0.5), geo(0.25), geo(0.7)), (1, 2, 1), 4, (0,)),
         _user_problem((geo(0.5), geo(0.5), geo(0.5)), (2, 1, 3), 10, (0,)),
         _user_problem((poi(1.0), poi(2.0), poi(0.5)), (1, 1, 2), 4, (1,)),
-        _user_problem((poi(1.0), poi(2.0), poi(0.5)), (1.0, 0.5, 2.0), 3.0, (0,)),
         _user_problem((geo(0.5), Bernoulli(0.3), poi(1.5)), (1, 2, 1), 3, (0,)),
         _user_problem((poi(1.0), poi(0.5), poi(0.4), poi(0.2)), (1, 2, 3, 4), 5, (0, 1), two),
-        _user_problem(
-            (poi(1.0), poi(0.5), poi(0.4), poi(0.2)), (1, 2, 3, 4), 5, (0, 1),
-            SecondConstraint(coeffs=(1, 0.5, 1, 1), target=2.0),
-        ),
         _user_problem((UniformReal(0.0, 1.0),) * 4, (1.0,) * 4, 1.5, (0,)),
         _user_problem((UniformReal(0.0, 2.0),) * 3, (1.0, 0.5, 2.0), 2.0, (1,)),
         _user_problem((exp(1.0),) * 3, (1.0, 2.0, 0.5), 1.0, (0,)),
@@ -382,7 +378,7 @@ PINNED_LIBRARY = [
     ("geometry", _geometry_samplers,
      "4e4112a1e2d7b20c1d042f1dd78f21f7fcf47224a5f9a612ab73796e66e3e0e1"),
     ("user-built", _user_built_samplers,
-     "d3a379c982eb2a38f95540d766c699b8bc11cb105eb6d11ab350f6217951d5f0"),
+     "8929f186f10ea97ce3954a1774b659c421f48ac54c104c7132ec8fb195432695"),
     ("flat-integer-pivots", _flat_integer_pivot_samplers,
      "01da51651f9419e64e9fa9e013c83ad6ab18e517543b8d6db1cf002f92b3514f"),
     ("batched", _batched_samplers,
@@ -589,6 +585,7 @@ REFUSED = [
     ("verify partition --n 5 --max-attempts 0", "--max-attempts"),
     ("benchmark partition --n 5 --trials 10 --max-attempts 0", "--max-attempts"),
     ("benchmark partition --n 6 --methods dsh,dsh --trials 20", "--methods"),
+    ("benchmark partition --n 10 --methods foo", "foo"),
     ("sample partition --n abc", "--n"),
     ("sample hypersimplex --n 4.5 --k 2", "--n"),
     ("verify partition --n x", "--n"),
@@ -652,6 +649,12 @@ def test_support_cap_exits_four(capsys):
     )
     assert code == 4
     assert "cap" in err
+    # the support is counted before the walk, so a 741-cell grid is refused
+    # at once rather than walked toward the cap
+    start = time.perf_counter()
+    code, out, err = run_cli(["verify", "planegrid", "--n", "40", "--trials", "10"], capsys)
+    assert code == 4 and out == "" and "cap" in err
+    assert time.perf_counter() - start < 5.0
 
 
 def test_env_seed_override(capsys, monkeypatch):

@@ -7,7 +7,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from exactcond.engine import (
@@ -93,6 +93,24 @@ def test_problem_validation():
             weights=(1, 2),
             target=2,
             index_set=(0, 1),
+        )
+
+
+@pytest.mark.parametrize(
+    "weights, second",
+    [
+        ((1, 0.5, 2), None),
+        ((1, 2, 1), SecondConstraint(coeffs=(1, 1.5, 1), target=2)),
+    ],
+    ids=["weight", "second-coefficient"],
+)
+def test_a_fractional_coefficient_is_refused_at_construction(weights, second):
+    # every marginal is discrete, so every sum must be an integer; scaling
+    # the weights and the target to integers states the same law
+    with pytest.raises(ValueError, match="scale the weights"):
+        ConditioningProblem(
+            marginals=(Poisson(1.0), Binomial(3, 0.5), Poisson(0.5)),
+            weights=weights, target=3, index_set=(0, 1) if second else (0,), second=second,
         )
 
 
@@ -251,7 +269,13 @@ def _near_mode(m, step):
     ),
     pivots=st.tuples(st.integers(0, 4), st.integers(0, 3)),
 )
-@settings(max_examples=15, derandomize=True, deadline=None)
+# about five in six generated two-constraint problems are singular, have
+# one outcome or are too rare to hit, so the filtering health check is
+# off: it judges generation speed, not the law
+@settings(
+    max_examples=15, derandomize=True, deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
 def test_engines_match_the_oracle_on_signed_and_two_constraint_problems(two, coords, pivots):
     # the targets are the statistics of a vector at or just above the
     # marginals' modes, so the event is never empty; a second constraint
@@ -285,9 +309,32 @@ def test_engines_match_the_oracle_on_signed_and_two_constraint_problems(two, coo
         math.prod(m.density(v) for m, v in zip(marginals, outcome)) for outcome in exact.probs
     )
     assume(hit > 0.02)
-    # 2 x 15 examples of two engines each: 1e-4 per check keeps a chance
-    # failure of the whole test near 0.6%
-    for sampler, seed in ((dsh_sample, 17), (hard_rejection_sample, 19)):
+    pivot_marginals = [marginals[k] for k in index_set]
+
+    def completed(vals):
+        lin, sec = (
+            sum(a[k] * v for k, v in zip(prob.free_indices, vals))
+            for a in (weights, coeffs if two else (0,) * n)
+        )
+        return complete_from_sums(prob, lin, sec)
+
+    def q(vals):
+        got = completed(vals)
+        return 0.0 if got is None else math.prod(
+            m.density(v) for m, v in zip(pivot_marginals, got)
+        )
+
+    def soft_rejection(prob, rng, max_attempts):
+        # the dsh-mirroring weight: the completed pivots' masses over the
+        # product of their bounds
+        bound = math.prod(m.sup_density() for m in pivot_marginals)
+        return soft_rejection_sample(
+            prob, q, bound, rng, lambda vals, _rng: completed(vals), max_attempts=max_attempts
+        )
+
+    # 2 x 15 examples of three engines each: 1e-4 per check keeps a chance
+    # failure of the whole test near 0.9%
+    for sampler, seed in ((dsh_sample, 17), (hard_rejection_sample, 19), (soft_rejection, 21)):
         rng = CountingRng(seed)
         counts = Counter(sampler(prob, rng, max_attempts=10 ** 5).outcome for _ in range(1000))
         _, _, p = chi_squared_gof(counts, exact.probs)
@@ -351,6 +398,12 @@ def test_mixed_pivot_block_is_refused():
     rng = CountingRng(3)
     with pytest.raises(ValueError, match="mix"):
         dsh_sample(prob, rng)
+    assert rng.calls == 0
+    # a discrete pivot beside a free exponential: the residual 3 - Exp is
+    # real, so no integer pivot ever completes it
+    prob = ConditioningProblem((Geometric(0.5), Exponential(1.0)), (1, 1), 3, (0,))
+    with pytest.raises(ValueError, match="mix"):
+        dsh_sample(prob, rng, max_attempts=20)
     assert rng.calls == 0
 
 
@@ -440,6 +493,15 @@ def test_hard_rejection_refuses_continuous_problems():
     with pytest.raises(InfeasibleTarget):
         hard_rejection_sample(prob, rng, max_attempts=10)
     assert rng.calls == 0
+    # hard rejection tests its hits exactly, which only an integer problem
+    # does, so even a continuous coordinate of zero weight is refused
+    prob = ConditioningProblem(
+        marginals=(Poisson(1.0), Poisson(2.0), Exponential(1.0)),
+        weights=(1, 1, 0), target=3, index_set=(0,),
+    )
+    with pytest.raises(InfeasibleTarget, match="discrete marginals"):
+        hard_rejection_sample(prob, rng, max_attempts=10)
+    assert rng.calls == 0
 
 
 def _integer_problem(marginals, weights, target):
@@ -519,9 +581,15 @@ UNREACHABLE_REAL = {
     "uniforms_inf": ((UniformReal(0.0, 1.0),) * 3, (1.0,) * 3, math.inf, dsh_sample),
     "exponentials_below_range": ((Exponential(1.0),) * 3, (1.0,) * 3, -1.0, dsh_sample),
     "exponentials_at_zero": ((Exponential(1.0),) * 3, (1.0,) * 3, 0.0, dsh_sample),
-    # a weight of 0.5 makes the problem inexact, but its range still binds
-    "poissons_below_dsh": ((Poisson(1.0),) * 3, (1.0, 0.5, 2.0), -1, dsh_sample),
-    "poissons_below_hard": ((Poisson(1.0),) * 3, (1.0, 0.5, 2.0), -1, hard_rejection_sample),
+    # Poissons under a weight of 0.5 beside a real pivot: a real sum
+    # whose range still binds
+    "mixed_below_dsh": (
+        (UniformReal(0.0, 1.0), Poisson(1.0), Poisson(1.0)), (1.0, 0.5, 2.0), -1, dsh_sample,
+    ),
+    "mixed_below_hard": (
+        (UniformReal(0.0, 1.0), Poisson(1.0), Poisson(1.0)), (1.0, 0.5, 2.0), -1,
+        hard_rejection_sample,
+    ),
 }
 
 
@@ -878,8 +946,8 @@ def test_a_block_batches_within_one_block_of_comparisons():
     for family in (Multiset(100), SetPartition(400)):
         prob = fresh(family)
         assert not batches(prob._draw_free) and not batches(prob._draw_full), family
-    # a plan-drawn block (fractional weights) never batches
-    prob = problem([Poisson(1.0), Poisson(2.0)], weights=(1, 0.5))
+    # a plan-drawn block (UniformInt has no block rule) never batches
+    prob = problem([UniformInt(0, 3), UniformInt(0, 3)], weights=(1, 1))
     assert isinstance(prob._draw_free, partial) and not batches(prob._draw_free)
 
 
@@ -921,10 +989,9 @@ def test_a_batch_serves_only_the_unmoved_stream_it_peeked():
 
 
 def test_table_drawer_needs_exact_int64_sums():
-    # fractional weights, or weights whose sums could overflow int64, keep
-    # the per-coordinate plan
+    # weights whose sums could overflow int64 keep the per-coordinate plan
     marginals = (Poisson(1.0), Poisson(2.0))
-    for weights, planned in (((1, 2), False), ((1, 0.5), True), ((1, 2 ** 62), True)):
+    for weights, planned in (((1, 2), False), ((1, 2 ** 62), True)):
         prob = ConditioningProblem(
             marginals=marginals, weights=weights, target=1, index_set=(0,)
         )

@@ -381,6 +381,23 @@ def test_family_validation():
             sample_structure(Partition(5), CountingRng(1), method=method)
 
 
+@pytest.mark.parametrize(
+    "family, reason",
+    [
+        (PlanePartitionGrid(2, tilt=0.5), "no cells"),
+        (PlanePartitionGrid(30, tilt=1.2), r"tilt in \(0, 1\)"),
+        (Partition(10, tilt=0.0), "tilt must be positive"),
+    ],
+    ids=["grid-without-cells", "grid-tilt-past-one", "zero-tilt"],
+)
+@pytest.mark.parametrize("method", ["dsh", "hard"])
+def test_sample_structure_refuses_an_invalid_family(family, reason, method):
+    rng = CountingRng(1)
+    with pytest.raises(InvalidFamily, match=reason):
+        sample_structure(family, rng, method=method)
+    assert rng.calls == 0
+
+
 def test_one_cycle_ewens_profile_is_the_point_mass():
     # a permutation of one element has one cycle of length 1; the size
     # constraint alone pins it, so the family is a valid point mass
