@@ -1,4 +1,4 @@
-"""Ground-truth oracles, distributional tests, and cost benchmarking.
+"""Ground-truth oracles and distributional tests.
 
 ``enumerate_conditional`` walks the whole support of a small conditioning
 problem and returns the exact conditional law; it is the reference every
@@ -8,9 +8,7 @@ classic recurrences.  The statistical helpers wrap the usual chi-squared
 and Kolmogorov-Smirnov machinery with the conventions used by the test
 suite.  ``chi_squared_gof`` and ``ks_statistic`` compute their p-values
 here, from the regularized upper incomplete gamma and the Kolmogorov
-limit tail, so the package does not need scipy.  ``benchmark`` aggregates
-rejection costs in the package cost unit: uniforms drawn per accepted
-sample.
+limit tail, so the package does not need scipy.
 """
 
 from __future__ import annotations
@@ -22,9 +20,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .engine import ConditioningProblem, SampleRecord
+from .engine import ConditioningProblem
 from .errors import InfeasibleTarget, SupportTooLarge
-from .marginals import CountingRng
 
 
 @dataclass(frozen=True)
@@ -38,17 +35,6 @@ class ExactDistribution:
 
     def prob(self, outcome) -> float:
         return self.probs.get(outcome, 0.0)
-
-
-@dataclass(frozen=True)
-class CostStats:
-    """Aggregate rejection cost over a fixed number of accepted samples."""
-
-    trials: int
-    attempts: int
-    rng_calls: int
-    accept_rate: float
-    rng_calls_per_sample: float
 
 
 def enumerate_conditional(
@@ -167,15 +153,6 @@ def tv_distance(a, b) -> float:
     pb = b.probs if isinstance(b, ExactDistribution) else dict(b)
     keys = set(pa) | set(pb)
     return 0.5 * math.fsum(abs(pa.get(k, 0.0) - pb.get(k, 0.0)) for k in keys)
-
-
-def empirical(outcomes: Sequence) -> dict:
-    """Relative frequencies of a sample, as an outcome -> probability dict."""
-    counts: dict = {}
-    for o in outcomes:
-        counts[o] = counts.get(o, 0) + 1
-    n = len(outcomes)
-    return {k: v / n for k, v in counts.items()}
 
 
 def chi_squared_gof(counts, expected) -> tuple[float, int, float]:
@@ -347,47 +324,3 @@ def counting_oracle(kind: str, n: int) -> int:
             row = nxt
         return row[0]
     raise ValueError(f"unknown counting kind {kind!r}")
-
-
-def benchmark(
-    sampler: Callable[[CountingRng], SampleRecord], trials: int, rng: CountingRng
-) -> CostStats:
-    """Run a sampler to ``trials`` accepted samples and aggregate its cost."""
-    if trials < 1:
-        raise ValueError("benchmark needs at least one trial")
-    attempts = 0
-    calls = 0
-    for _ in range(trials):
-        rec = sampler(rng)
-        attempts += rec.attempts
-        calls += rec.rng_calls
-    return CostStats(
-        trials=trials,
-        attempts=attempts,
-        rng_calls=calls,
-        accept_rate=trials / attempts,
-        rng_calls_per_sample=calls / trials,
-    )
-
-
-def speedup_ratio(baseline: CostStats, candidate: CostStats) -> float:
-    """Cost of the baseline per sample over the candidate's; > 1 means faster."""
-    if candidate.rng_calls_per_sample <= 0.0:
-        raise ValueError("candidate reports zero cost per sample")
-    return baseline.rng_calls_per_sample / candidate.rng_calls_per_sample
-
-
-def merge_cost_stats(parts: Sequence[CostStats]) -> CostStats:
-    """Order-independent merge of per-worker benchmark shards."""
-    if not parts:
-        raise ValueError("nothing to merge")
-    trials = sum(p.trials for p in parts)
-    attempts = sum(p.attempts for p in parts)
-    calls = sum(p.rng_calls for p in parts)
-    return CostStats(
-        trials=trials,
-        attempts=attempts,
-        rng_calls=calls,
-        accept_rate=trials / attempts,
-        rng_calls_per_sample=calls / trials,
-    )

@@ -603,6 +603,14 @@ def test_options_without_effect_are_refused(command, flag, capsys):
     assert flag in err
 
 
+def test_an_overflowing_tilt_exits_two(capsys):
+    # the Poisson(50**k / k!) rates reach 3e20, and their densities
+    # overflow while the problem is built, before any draw
+    code, out, err = run_cli("sample assembly --n 100 --tilt 50 --count 1".split(), capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_the_full_grid_flag_is_unknown(capsys):
     # the grid samples only the cells a draw may leave nonzero
     with pytest.raises(SystemExit) as exc:

@@ -49,6 +49,8 @@ def test_uniform_spacings_cost_and_law():
     firsts = [uniform_spacings(2, rng)[0] for _ in range(20000)]
     _, p = ks_statistic(firsts, beta_dist(1.0, 2.0).cdf)
     assert p > 1e-3
+    with pytest.raises(ValueError, match="nonnegative"):
+        uniform_spacings(-1, rng)
 
 
 def test_feller_polytope_sample_stays_inside_hull():
@@ -58,6 +60,8 @@ def test_feller_polytope_sample_stays_inside_hull():
     pt, rec = feller_polytope_sample(verts, rng)
     assert rng.calls - before == 2
     assert pt[0] >= 0 and pt[1] >= 0 and pt[0] + pt[1] <= 1.0 + 1e-12
+    with pytest.raises(ValueError, match="nonempty vertex list"):
+        feller_polytope_sample([], rng)
 
 
 def test_exponential_sum_hits_the_plane():
@@ -87,6 +91,8 @@ def test_beta_sum_support_and_total():
         pt, _ = sample_beta_sum((2.0, 1.5, 1.0), (1.0, 2.0, 3.0), 1.2, rng)
         assert math.fsum(pt) == pytest.approx(1.2, abs=1e-9)
         assert all(0.0 < v < 1.0 for v in pt)
+    with pytest.raises(ValueError, match="differ in length"):
+        sample_beta_sum((2.0, 1.5, 1.0), (1.0, 2.0), 1.2, rng)
 
 
 def test_beta_sum_uniform_case_matches_simplex_slice():
@@ -135,8 +141,10 @@ def test_sphere_surface_squares_follow_flat_dirichlet():
 
 def test_sphere_surface_guards_a_false_bound():
     rng = CountingRng(43)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sup_bound is required"):
         sample_sphere_surface(Normal(0.0, 1.0), 3, 1.0, rng)
+    with pytest.raises(ValueError, match="squared radius must be positive"):
+        sample_sphere_surface(AbsWeightedGaussian(), 3, 0.0, rng)
     # gaussian coordinates make the completion weight blow up near the
     # equator, so no finite bound is valid; the guard must refuse rather
     # than silently clamp
@@ -153,6 +161,8 @@ def test_hypersimplex_sample_contract():
         assert all(0.0 <= v <= 1.0 for v in pt)
     with pytest.raises(InfeasibleTarget):
         sample_hypersimplex(3, 3.5, rng)
+    with pytest.raises(ValueError, match="dimension >= 2"):
+        sample_hypersimplex(1, 0.5, rng)
 
 
 def test_hypersimplex_rejection_consumes_no_uniforms():
@@ -182,6 +192,8 @@ def test_permutahedron_points_are_members_with_exact_sum():
         assert rado_check(pt)
         assert math.fsum(pt) == 10.0
         assert all(1.0 <= v <= 4.0 for v in pt)
+    with pytest.raises(ValueError, match="n >= 2"):
+        sample_permutahedron(1, rng)
 
 
 def test_permutahedron_coordinates_are_exchangeable():

@@ -355,8 +355,10 @@ def test_small_ball_multi_window():
     for _ in range(200):
         signs, _ = small_ball_sample((1.0, 1.0, 1.0), window, 1, rng)
         assert abs(sum(signs)) == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonzero"):
         small_ball_sample((1.0, 0.0), IntervalUnion.open(0.0, 1.0), 1, rng)
+    with pytest.raises(ValueError, match="out of range"):
+        small_ball_sample((1.0, 1.0), IntervalUnion.open(0.0, 1.0), 2, rng)
 
 
 def test_family_validation():

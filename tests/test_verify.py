@@ -5,23 +5,18 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from exactcond.engine import ConditioningProblem, SampleRecord, SecondConstraint
+from exactcond.engine import ConditioningProblem, SecondConstraint
 from exactcond.errors import InfeasibleTarget, SupportTooLarge
-from exactcond.marginals import Binomial, CountingRng, Exponential, Geometric, Poisson
+from exactcond.marginals import Binomial, Exponential, Geometric, Poisson
 from exactcond.structures import DistinctPartition, Partition, build_problem
 from exactcond.verify import (
-    CostStats,
     ExactDistribution,
     _gamma_upper,
     _kolmogorov_sf,
-    benchmark,
     chi_squared_gof,
     counting_oracle,
-    empirical,
     enumerate_conditional,
     ks_statistic,
-    merge_cost_stats,
-    speedup_ratio,
     tv_distance,
 )
 
@@ -155,12 +150,6 @@ def test_tv_distance():
     assert tv_distance(ExactDistribution(a), b) == pytest.approx(0.5)
 
 
-def test_empirical_frequencies():
-    freq = empirical(["a", "a", "b", "a"])
-    assert freq == {"a": 0.75, "b": 0.25}
-    assert math.fsum(freq.values()) == pytest.approx(1.0)
-
-
 def test_chi_squared_merges_small_cells():
     # expected counts (50, 30, 12, 5, 3): the 3-cell absorbs the 5-cell,
     # leaving 4 buckets and a perfect fit
@@ -248,42 +237,3 @@ def test_tails_at_zero_and_below():
     assert _gamma_upper(3.0, math.inf) == 0.0
     for x in (0.0, -1.0, -math.inf):
         assert _kolmogorov_sf(x) == 1.0
-
-
-def fixed_cost_sampler(attempts, rng_calls):
-    def sampler(rng):
-        return SampleRecord(outcome=(0,), attempts=attempts, rng_calls=rng_calls)
-
-    return sampler
-
-
-def test_benchmark_aggregates_costs():
-    stats_out = benchmark(fixed_cost_sampler(2, 7), 10, CountingRng(1))
-    assert stats_out == CostStats(
-        trials=10, attempts=20, rng_calls=70, accept_rate=0.5, rng_calls_per_sample=7.0
-    )
-    with pytest.raises(ValueError):
-        benchmark(fixed_cost_sampler(1, 1), 0, CountingRng(1))
-
-
-def test_merge_cost_stats_matches_single_run():
-    a = benchmark(fixed_cost_sampler(2, 7), 4, CountingRng(1))
-    b = benchmark(fixed_cost_sampler(4, 9), 6, CountingRng(2))
-    merged = merge_cost_stats([a, b])
-    assert merged.trials == 10
-    assert merged.attempts == 2 * 4 + 4 * 6
-    assert merged.rng_calls == 7 * 4 + 9 * 6
-    assert merged.accept_rate == pytest.approx(10 / 32)
-    assert merged.rng_calls_per_sample == pytest.approx(82 / 10)
-    assert merge_cost_stats([a, b]) == merge_cost_stats([b, a])
-    with pytest.raises(ValueError):
-        merge_cost_stats([])
-
-
-def test_speedup_ratio():
-    slow = CostStats(10, 100, 1000, 0.1, 100.0)
-    fast = CostStats(10, 20, 125, 0.5, 12.5)
-    assert speedup_ratio(slow, fast) == pytest.approx(8.0)
-    zero = CostStats(10, 10, 0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        speedup_ratio(slow, zero)
