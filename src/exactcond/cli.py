@@ -5,9 +5,9 @@ significant digits so fixed-seed runs diff byte-for-byte.  One check,
 ``_check_options``, decides for every subcommand which options a target
 takes and needs; ``sample_structure`` maps a method name to its engine.
 Exit codes: 0 success (verify: all checks passed), 1 a verification
-check failed, 2 bad configuration (or a parameter that overflows a
-float), 3 the rejection loop hit its attempt cap, 4 the enumeration
-oracle refused the support size.
+check failed, 2 bad configuration (or a parameter past a limit, or one
+that overflows a float), 3 the rejection loop hit its attempt cap, 4
+the enumeration oracle refused the support size.
 """
 
 from __future__ import annotations
@@ -228,16 +228,14 @@ def _refuse_below(flag: str, value: int, least: int) -> None:
 
 
 def run_sample(args) -> int:
-    _check_options(args)
-    seed = _resolve_seed(args)
     _refuse_below("--count", args.count, 0)
     draw = _sampler(args)
 
     def rows():
         for index in range(args.count):
-            value, rec = draw(CountingRng(derive_seed(seed, index)))
+            value, rec = draw(CountingRng(derive_seed(args.seed, index)))
             payload = _outcome_payload(value)
-            yield 1, args.target, args.n, seed, index, payload, rec.attempts, rec.rng_calls
+            yield 1, args.target, args.n, args.seed, index, payload, rec.attempts, rec.rng_calls
 
     _write_rows(
         ("schema", "family", "n", "seed", "index", "outcome", "attempts", "rng_calls"),
@@ -280,8 +278,6 @@ def _sharded_benchmark(family, method, trials, row_seed, jobs, max_attempts):
 
 
 def run_benchmark(args) -> int:
-    _check_options(args)
-    seed = _resolve_seed(args)
     ns = args.n
     methods = args.methods.split(",")
     for m in methods:
@@ -298,14 +294,14 @@ def run_benchmark(args) -> int:
         family = _make_family(args.target, args)
         stats = {}
         for m_index, method in enumerate(methods):
-            row_seed = derive_seed(seed, n_index * 64 + m_index + 1)
+            row_seed = derive_seed(args.seed, n_index * 64 + m_index + 1)
             stats[method] = _sharded_benchmark(
                 family, method, args.trials, row_seed, args.jobs, args.max_attempts
             )
         if "hard" in stats:
             base_trials, _, base_calls = stats["hard"]
         else:
-            base_seed = derive_seed(seed, n_index * 64)
+            base_seed = derive_seed(args.seed, n_index * 64)
             base_trials, _, base_calls = _sharded_benchmark(
                 family, "hard", args.trials, base_seed, args.jobs, args.max_attempts
             )
@@ -332,23 +328,6 @@ def run_benchmark(args) -> int:
     return 0
 
 
-def _verify_family(target: str, args, seed: int):
-    family = _make_family(target, args)
-    problem = build_problem(family)
-    cap = {} if args.support_cap is None else {"support_cap": args.support_cap}
-    exact = enumerate_conditional(problem, **cap)
-    rng = CountingRng(derive_seed(seed, 0))
-    counts = outcome_counts(family, (
-        sample_structure(
-            family, rng, method=args.method or "dsh", max_attempts=args.max_attempts
-        )[0]
-        for _ in range(args.trials)
-    ))
-    expected = {k: exact.prob(k) * args.trials for k in exact.support()}
-    stat, dof, p = chi_squared_gof(counts, expected)
-    return ("chi2", len(exact.support()), stat, dof, p)
-
-
 def _borel_cdf(variant: int):
     if variant == 1:
         return lambda v: 0.5 * (1.0 + math.erf(v))
@@ -361,31 +340,29 @@ def _borel_cdf(variant: int):
     return lambda v: 0.5 * (1.0 + math.erf(v / math.sqrt(2.0)))
 
 
-def _verify_borel(variant: int, args, seed: int):
-    rng = CountingRng(derive_seed(seed, 0))
-    draws = []
-    for _ in range(args.trials):
-        value, _rec = borel_conditional_sample(variant, rng, max_attempts=args.max_attempts)
-        draws.append(value)
-    stat, p = ks_statistic(draws, _borel_cdf(variant))
-    return ("ks", args.trials, stat, 0, p)
-
-
 def run_verify(args) -> int:
-    _check_options(args)
-    seed = _resolve_seed(args)
     _refuse_below("--trials", args.trials, 1)
     if args.support_cap is not None:
         _refuse_below("--support-cap", args.support_cap, 1)
-    if args.target == "borel":
+    draw = _sampler(args)
+    borel = args.target == "borel"
+    if not borel:
+        # the oracle first: a support past the cap is refused before any draw
+        family = _make_family(args.target, args)
+        cap = {} if args.support_cap is None else {"support_cap": args.support_cap}
+        exact = enumerate_conditional(build_problem(family), **cap)
+    rng = CountingRng(derive_seed(args.seed, 0))
+    draws = (draw(rng)[0] for _ in range(args.trials))
+    if borel:
         variant = args.variant or 1
-        kind, cells, stat, dof, p = _verify_borel(variant, args, seed)
-        label = f"borel variant={variant}"
+        label, kind, cells, dof = f"borel variant={variant}", "ks", args.trials, 0
+        stat, p = ks_statistic(list(draws), _borel_cdf(variant))
     else:
-        kind, cells, stat, dof, p = _verify_family(args.target, args, seed)
-        label = f"{args.target} n={args.n}"
+        label, kind, cells = f"{args.target} n={args.n}", "chi2", len(exact.support())
         if args.target == "ewens":
             label += f" k={int(args.k)}"
+        expected = {k: exact.prob(k) * args.trials for k in exact.support()}
+        stat, dof, p = chi_squared_gof(outcome_counts(family, draws), expected)
     passed = p > P_THRESHOLD
     verdict = "pass" if passed else "FAIL"
     print(
@@ -464,6 +441,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _refuse_below("--max-attempts", args.max_attempts, 1)
+        _check_options(args)
+        args.seed = _resolve_seed(args)
         return args.run(args)
     except (
         ConfigError, InvalidFamily, InvalidProfile, InfeasibleTarget, ValueError, OverflowError

@@ -285,16 +285,22 @@ class Poisson(DiscreteMarginal):
 
     Rates up to a few hundred are sampled by one-uniform cdf inversion; a
     larger rate is split into independent halves (the split count depends
-    only on the rate, so draw counts stay deterministic).
+    only on the rate, so draw counts stay deterministic).  A rate above
+    600·2^10 = 614,400 raises ValueError: a draw there would cost more than
+    1,024 uniforms, and the density, formed as exp(k·ln rate − rate −
+    ln k!), loses precision as those terms grow and cancel.
     """
 
     rate: float
 
     _SCAN_LIMIT = 600.0
+    _RATE_LIMIT = _SCAN_LIMIT * 2**10
 
     def __post_init__(self):
         if self.rate < 0.0 or not math.isfinite(self.rate):
             raise ValueError(f"poisson rate must be finite and >= 0, got {self.rate}")
+        if self.rate > self._RATE_LIMIT:
+            raise ValueError(f"poisson rate {self.rate:g} exceeds the limit {self._RATE_LIMIT:g}")
 
     def density(self, k: int) -> float:
         if k < 0:

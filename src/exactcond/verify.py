@@ -7,14 +7,13 @@ counts (partitions, distinct-part partitions, set partitions) from
 classic recurrences.  The statistical helpers wrap the usual chi-squared
 and Kolmogorov-Smirnov machinery with the conventions used by the test
 suite.  ``chi_squared_gof`` and ``ks_statistic`` compute their p-values
-here, from the regularized upper incomplete gamma and the Kolmogorov
-limit tail, so the package does not need scipy.
+here, from a finite erfc/Poisson sum for the chi-squared tail and the
+Kolmogorov limit tail, so the package does not need scipy.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -209,59 +208,25 @@ def chi_squared_gof(counts, expected) -> tuple[float, int, float]:
     return stat, dof, _gamma_upper(dof / 2.0, stat / 2.0)
 
 
-# Stirling series of ln Γ(a) − (a − 1/2)·ln a + a − ln √(2π), in odd powers of 1/a
-_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
-
-
 def _gamma_upper(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = Γ(a, x) / Γ(a), for a > 0.
+    """Regularized upper incomplete gamma Q(a, x) = Γ(a, x) / Γ(a), for a = dof/2.
 
-    Q(dof/2, stat/2) is the chi-squared tail.  Below x = a + 1 it is
-    1 − P with P's power series, above it a modified-Lentz continued
-    fraction.  Both scale x^a·e^(−x) / Γ(a), formed as
-    e^(a·ln(x/a) + a − x) · a^a·e^(−a) / Γ(a), the second factor from
-    Stirling's series once a reaches 10, so that no large logarithms
-    cancel when a is large.
+    Q(dof/2, stat/2) is the chi-squared tail.  At a half-integer shape it
+    is a finite sum: with h = a − ⌊a⌋, Q(a, x) = Q(h, x) + Σ over i < ⌊a⌋
+    of x^(i+h)·e^(−x) / Γ(i+h+1), where Q(½, x) = erfc(√x) and Q(0, x) = 0.
+    Each term is a Poisson-like mass, formed in logarithms.
     """
     if not x > 0.0:
         return 1.0
     if x == math.inf:
         return 0.0
-    t = (x - a) / a
-    log_ratio = a * (math.log1p(t) - t) if t > -0.5 else a * math.log(x / a) - (x - a)
-    if a < 10.0:
-        scale = a**a * math.exp(-a) / math.gamma(a)
-    else:
-        s = sum(c / a ** (2 * k + 1) for k, c in enumerate(_STIRLING))
-        scale = math.sqrt(a / (2.0 * math.pi)) * math.exp(-s)
-    front = math.exp(log_ratio) * scale
-    eps = sys.float_info.epsilon
-    if x < a + 1.0:
-        term = total = 1.0 / a
-        k = a
-        while term > total * eps:
-            k += 1.0
-            term *= x / k
-            total += term
-        return 1.0 - front * total
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    i = 0
-    while True:
-        i += 1
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        d = 1.0 / (d if abs(d) > tiny else tiny)
-        c = b + an / c
-        c = c if abs(c) > tiny else tiny
-        step = d * c
-        h *= step
-        if abs(step - 1.0) < eps:
-            return front * h
+    n = math.floor(a)
+    h = a - n
+    log_x = math.log(x)
+    head = math.erfc(math.sqrt(x)) if h == 0.5 else 0.0
+    return head + math.fsum(
+        math.exp((i + h) * log_x - x - math.lgamma(i + h + 1.0)) for i in range(n)
+    )
 
 
 def _kolmogorov_sf(x: float) -> float:

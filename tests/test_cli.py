@@ -604,11 +604,25 @@ def test_options_without_effect_are_refused(command, flag, capsys):
 
 
 def test_an_overflowing_tilt_exits_two(capsys):
-    # the Poisson(50**k / k!) rates reach 3e20, and their densities
-    # overflow while the problem is built, before any draw
+    # the Poisson(50**k / k!) rates reach 3e20, past the Poisson rate
+    # limit, so the problem is refused while it is built, before any draw
     code, out, err = run_cli("sample assembly --n 100 --tilt 50 --count 1".split(), capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command", ["sample setpartition --n 100 --tilt 50", "sample ewens --n 50 --k 5 --theta 1e30"]
+)
+def test_a_huge_poisson_rate_is_refused(command):
+    # rates of 2.6e6 and 9.8e29 would split each draw into 2^13 and 2^91
+    # one-uniform pieces; the rate limit refuses them before any draw
+    proc = subprocess.run(
+        [sys.executable, "-m", "exactcond", *command.split()],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: poisson rate ") and proc.stderr.count("\n") == 1
 
 
 def test_the_full_grid_flag_is_unknown(capsys):

@@ -372,6 +372,12 @@ def test_parameter_validation():
         Geometric(0.0)
     with pytest.raises(ValueError):
         Poisson(-1.0)
+    # the largest rate allowed costs 2^10 uniforms a draw
+    rng = CountingRng(1)
+    Poisson(614_400.0).sample(rng)
+    assert rng.calls == 1024
+    with pytest.raises(ValueError, match="exceeds the limit 614400"):
+        Poisson(614_401.0)
     with pytest.raises(ValueError):
         Bernoulli(1.5)
     with pytest.raises(ValueError):

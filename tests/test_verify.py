@@ -211,10 +211,10 @@ def test_ks_statistic_single_point():
 
 def test_chi_squared_tail_matches_scipy():
     # Q(dof/2, stat/2) against chi2.sf from 0 into the far tail, wherever
-    # scipy's value is a normal double; the grid straddles the switch
-    # from the series to the continued fraction at stat = dof + 2
+    # scipy's value is a normal double; the closed form's error grows with
+    # its number of terms, so the grid reaches dof 20,001
     worst = 0.0
-    for dof in range(1, 1001):
+    for dof in [*range(1, 1001), 2001, 5000, 20001]:
         a = dof / 2.0
         span = dof + 2.0 + 40.0 * math.sqrt(dof) + 1400.0
         xs = np.concatenate([np.linspace(0.0, span, 24), [dof, dof + 2.0 - 1e-9, dof + 2.0 + 1e-9]])
