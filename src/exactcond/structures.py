@@ -14,8 +14,8 @@ Family marginals and default tilts:
 family                c_i marginal                       default tilt
 ====================  ===============================  =====================
 Partition             Geometric(x^i)                   exp(-pi / sqrt(6 n))
-DistinctPartition     Bernoulli(x^i / (1 + x^i))       exp(-pi / sqrt(6 n))
-Selection             Binomial(m_i, x^i / (1 + x^i))   exp(-pi / sqrt(6 n))
+DistinctPartition     Bernoulli(x^i / (1 + x^i))       E[T] = n, bisection
+Selection             Binomial(m_i, x^i / (1 + x^i))   E[T] = n, bisection
 Multiset              NegativeBinomial(m_i, x^i)       exp(-pi / sqrt(6 n))
 Assembly              Poisson(m_i x^i / i!)            x e^x = n
 SetPartition          Poisson(x^i / i!)                x e^x = n
@@ -106,7 +106,13 @@ def _validate_size(n: int):
 def _validate_mult(n: int, mult) -> tuple[int, ...]:
     if mult is None:
         return (1,) * n
-    m = tuple(int(v) for v in mult)
+    mult = tuple(mult)
+    try:
+        m = tuple(int(v) for v in mult)
+    except (TypeError, ValueError, OverflowError):
+        m = None
+    if m != mult:
+        raise InvalidFamily(f"multiplicities must be whole numbers, got {mult}")
     if len(m) != n:
         raise InvalidFamily(f"need {n} multiplicities, got {len(m)}")
     if any(v < 1 for v in m):
@@ -211,16 +217,44 @@ Family = (
 )
 
 
-def solve_tilt(kind: str, n: int) -> float:
+def _bisect_mean(mean, n: int) -> float:
+    """The x in (0, 1) with mean(x) = n, for a mean increasing in x, by bisection."""
+    lo, hi = 0.0, 1.0
+    while True:
+        x = 0.5 * (lo + hi)
+        if x in (lo, hi):
+            return x
+        if mean(x) < n:
+            lo = x
+        else:
+            hi = x
+
+
+def solve_tilt(kind: str, n: int, multiplicities=None) -> float:
     """Default tilt parameter putting the size statistic near its target.
 
-    partition-like kinds use the classical exp(-pi / sqrt(6 n)); assembly
-    kinds solve x e^x = n by Newton to relative residual 1e-12; the grid
-    solves E[T] = sum_{w=3..n} (w - 2) w x^w / (1 - x^w) = n (w - 2 cells
-    of weight w) by bisection on (0, 1), as E[T] increases in x; cycle
-    profiles use exp(-1/n).
+    partition and multiset kinds use the classical exp(-pi / sqrt(6 n));
+    distinct parts and selections solve E[T] = sum_i i m_i x^i / (1 + x^i)
+    = n by bisection on (0, 1), with unit multiplicities m_i unless given.
+    As x -> 1 that mean tends to sum_i i m_i / 2, so when this is at most n
+    (n <= 3 with unit multiplicities) no root lies below 1 and they keep
+    exp(-pi / sqrt(6 n)); the tilt sets only the cost, never the law.
+    assembly kinds solve x e^x = n by Newton to relative residual 1e-12;
+    the grid solves E[T] = sum_{w=3..n} (w - 2) w x^w / (1 - x^w) = n
+    (w - 2 cells of weight w) by the same bisection, as E[T] increases in
+    x; cycle profiles use exp(-1/n).  Only distinct parts and selections
+    read ``multiplicities``.
     """
     _validate_size(n)
+    if kind in ("distinct", "selection"):
+        mult = _validate_mult(n, multiplicities)
+        if sum(i * m for i, m in enumerate(mult, start=1)) > 2 * n:
+            return _bisect_mean(
+                lambda x: sum(
+                    i * m * x ** i / (1.0 + x ** i) for i, m in enumerate(mult, start=1)
+                ),
+                n,
+            )
     if kind in ("partition", "distinct", "selection", "multiset"):
         return math.exp(-math.pi / math.sqrt(6.0 * n))
     if kind in ("assembly", "setpartition"):
@@ -234,23 +268,19 @@ def solve_tilt(kind: str, n: int) -> float:
     if kind == "planegrid":
         if n < 3:
             raise InvalidFamily(f"a grid of total weight {n} has no cells")
-        lo, hi = 0.0, 1.0
-        while True:
-            x = 0.5 * (lo + hi)
-            if x in (lo, hi):
-                return x
-            mean = sum((w - 2) * w * x ** w / (1.0 - x ** w) for w in range(3, n + 1))
-            if mean < n:
-                lo = x
-            else:
-                hi = x
+        return _bisect_mean(
+            lambda x: sum((w - 2) * w * x ** w / (1.0 - x ** w) for w in range(3, n + 1)),
+            n,
+        )
     if kind == "ewens":
         return math.exp(-1.0 / n)
     raise InvalidFamily(f"unknown family kind {kind!r}")
 
 
 def _tilt_of(family) -> float:
-    x = family.tilt if family.tilt is not None else solve_tilt(family.kind, family.n)
+    x = family.tilt
+    if x is None:
+        x = solve_tilt(family.kind, family.n, getattr(family, "multiplicities", None))
     if not x > 0.0:
         raise InvalidFamily(f"tilt must be positive, got {x}")
     return x

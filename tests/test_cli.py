@@ -144,8 +144,12 @@ PINNED_STDOUT = [
      "46e1ba42c26a1186a76f18fe5045e3f9b51440fe2ada18cc84996a7dbffeb638"),
     ("sample partition --n 30 --count 5 --seed 12 --method hard",
      "6d2ec924d3ad7088bfd5d98910f9dbe1d0c7bc4e5f2818769b8b536e4e286288"),
-    ("sample distinct --n 20 --count 4 --seed 5",
+    # distinct parts and selections pin their former default tilt,
+    # exp(-pi / sqrt(6 n)), beside one pin at today's, from E[T] = n
+    ("sample distinct --n 20 --count 4 --seed 5 --tilt 0.7506717095972585",
      "17903695206afa98813de1102cf693b9e52b272854a33eee04b880ed411fbbb6"),
+    ("sample distinct --n 40 --count 3 --seed 5 --format csv",
+     "262dc3eeb850081a48b7b0617c4d398b23e153fe43bee6d7f3c63bf5188d957a"),
     ("sample hypersimplex --n 4 --k 2.5 --count 5",
      "05024d2cb5780634e83aa48242e5ac63264902471486d267cde79b20c6639004"),
     ("sample permutahedron --n 4 --count 2",
@@ -165,7 +169,8 @@ PINNED_STDOUT = [
      "6ffd924904f4a3d075f3bc0272ca0190003d8c2d6d80aba308f0392a66d1f46c"),
     ("benchmark partition --n 10 --trials 120 --jobs 2 --seed 3",
      "6e535ee84d085b3dffe0022f7fa4635beb6218fc1521790c539c84e49a7823bd"),
-    ("sample selection --n 8 --multiplicities 3,2,1,4,1,2,1,1 --count 3 --seed 4",
+    ("sample selection --n 8 --multiplicities 3,2,1,4,1,2,1,1 --count 3 --seed 4"
+     " --tilt 0.635432225819598",
      "27b3aeb8fd0e0f5d2ae20f35d835e45b867a5c962eab408f53a04439d2f329a2"),
     # dsh alone: the hard baseline is drawn under its own seed
     ("benchmark partition --n 10 --methods dsh --trials 100 --seed 12",
@@ -195,6 +200,12 @@ def test_fixed_seed_stdout_is_pinned(command, digest, capsys):
 PIN_MULT = (3, 2, 1, 4, 1, 2, 1, 1)
 
 
+def former_tilt(n: int) -> float:
+    # the default tilt of distinct parts and selections before they solved
+    # E[T] = n; their pins in the groups below draw at it
+    return math.exp(-math.pi / math.sqrt(6.0 * n))
+
+
 def _user_problem(marginals, weights, target, pivots, second=None):
     return ConditioningProblem(
         marginals=tuple(marginals), weights=tuple(weights), target=target,
@@ -205,9 +216,11 @@ def _user_problem(marginals, weights, target, pivots, second=None):
 def _family_samplers():
     # the grid's pins live in _grid_samplers and _grid_default_samplers
     families = [
-        Partition(12), DistinctPartition(12), Selection(10), Multiset(10), Assembly(10),
+        Partition(12), DistinctPartition(12, tilt=former_tilt(12)),
+        Selection(10, tilt=former_tilt(10)), Multiset(10), Assembly(10),
         SetPartition(10), EwensProfile(8, 3),
-        Selection(8, multiplicities=PIN_MULT), Multiset(8, multiplicities=PIN_MULT),
+        Selection(8, multiplicities=PIN_MULT, tilt=former_tilt(8)),
+        Multiset(8, multiplicities=PIN_MULT),
         Assembly(8, multiplicities=PIN_MULT),
     ]
     for family in families:
@@ -288,7 +301,8 @@ def _batched_samplers():
     for cap in caps:
         for method, engine in (("dsh", dsh_sample), ("hard", hard_rejection_sample)):
             yield partial(
-                sample_structure, DistinctPartition(100), method=method, max_attempts=cap
+                sample_structure, DistinctPartition(100, tilt=former_tilt(100)),
+                method=method, max_attempts=cap,
             )
             yield partial(engine, bits, max_attempts=cap)
         yield partial(sample_structure, Partition(100), method="hard", max_attempts=cap)
@@ -307,8 +321,8 @@ def _batched_table_samplers():
     # one-entry ones; caps 37 and 200 cut runs short, so what
     # NonTerminating reports is pinned too
     families = (
-        Selection(60), EwensProfile(50, 5), SetPartition(100), SetPartition(400),
-        Assembly(100), Multiset(100),
+        Selection(60, tilt=former_tilt(60)), EwensProfile(50, 5), SetPartition(100),
+        SetPartition(400), Assembly(100), Multiset(100),
     )
     empties = _user_problem(
         (Binomial(1, 0.5),) * 12 + (Poisson(0.0),) * 4, range(1, 17), 20, (0,)
@@ -344,6 +358,18 @@ def _grid_default_samplers():
                 yield partial(
                     sample_structure, PlanePartitionGrid(n), method=method, max_attempts=cap
                 )
+
+
+def _bernoulli_default_samplers():
+    # distinct parts and selections at their default tilt, solved from E[T] = n
+    families = (
+        DistinctPartition(12), DistinctPartition(100), Selection(10), Selection(60),
+        Selection(8, multiplicities=PIN_MULT),
+    )
+    for family in families:
+        for method in ("dsh", "hard"):
+            for cap in (DEFAULT_MAX_ATTEMPTS, 37):
+                yield partial(sample_structure, family, method=method, max_attempts=cap)
 
 
 def library_digest(samplers) -> str:
@@ -389,6 +415,8 @@ PINNED_LIBRARY = [
      "8db6394e960981dcc90334312a577369f4fda514f4503248d6125c76b40cc958"),
     ("grid-default", _grid_default_samplers,
      "7fc904b0ec5d4f582ca3cbae4804f3538a83484f969c0776d819b059d821e313"),
+    ("bernoulli-default", _bernoulli_default_samplers,
+     "25f260c39380bcb8ad6d6c0f83eace214d7e29d6c0dbfa244ea4d712794a4d83"),
 ]
 
 
@@ -541,6 +569,14 @@ def test_config_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sample", "florp"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_small_distinct_and_selection_sizes_sample(n, capsys):
+    # no tilt below 1 solves E[T] = n here, so the default falls back
+    for family in ("distinct", "selection"):
+        code, out, _ = run_cli(f"sample {family} --n {n} --count 2".split(), capsys)
+        assert code == 0 and out.count("\n") == 2
 
 
 def test_one_element_ewens_profile(capsys):

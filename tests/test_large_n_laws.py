@@ -1,17 +1,23 @@
-"""Exact single-cell laws of the plane grid at sizes no enumeration reaches.
+"""Exact laws at sizes no enumeration reaches: grid cells, and parts of distinct parts and selections.
 
-Every other law check of the grid runs at n <= 8, through the enumeration
-oracle, where no cell is heavier than 8.  Here the conditional law of one
-cell c of weight w_c,
+Every other law check of these families runs at n <= 10, through the
+enumeration oracle.  Here the conditional law of one coordinate c of
+weight w_c,
 
     P(Z_c = j | T = n)  is proportional to  P(Z_c = j) P(T_-c = n - w_c j),
 
-is computed exactly from a convolution of the other cells, grouped by
-weight, and dsh draws at the default tilt are compared with it by a
-chi-squared test.  The cells are the pivot (1, 1) and its neighbours
-(1, 2) and (2, 1), where the mass sits.  Seeds, draw counts and the
-threshold are fixed here, before any run.
+is computed exactly from a convolution of the other coordinates, and dsh
+draws at the default tilt are compared with it by a chi-squared test.
+For the grid the cells are the pivot (1, 1) and its neighbours (1, 2)
+and (2, 1), where the mass sits.  For distinct parts and selections they
+are Z_1, Z_2 and Z_3, with the global part count K = sum_i Z_i, whose law
+P(K = k | T = n) is proportional to P(T = n, K = k) from a 2-D
+convolution; one coordinate is nearly blind to errors in the long tail
+of the first half, and K is not.  Seeds, draw counts and the thresholds
+are fixed here, before any run.
 """
+
+import math
 
 from collections import Counter
 
@@ -20,7 +26,9 @@ import pytest
 
 from exactcond.marginals import CountingRng
 from exactcond.structures import (
+    DistinctPartition,
     PlanePartitionGrid,
+    Selection,
     build_problem,
     grid_cells,
     sample_structure,
@@ -92,3 +100,92 @@ def test_grid_cell_laws_at_the_default_tilt(n, draws, seed):
     for tally, cell in zip(counts, CELLS):
         _, _, p = chi_squared_gof(tally, cell_law(n, x, cell))
         assert p > THRESHOLD, f"cell {cell} at n={n}: p={p:.3g}"
+
+
+# (family, draws, seed), each at its default tilt, solved from E[T] = n
+PART_RUNS = (
+    (DistinctPartition(100), 2000, 3101),
+    (DistinctPartition(400), 1000, 3102),
+    (Selection(60), 2000, 3103),
+)
+PART_STATS = ("Z1", "Z2", "Z3", "K")
+# p > 1e-3, Bonferroni-corrected over the twelve (family, statistic) tests
+PART_THRESHOLD = 1e-3 / (len(PART_RUNS) * len(PART_STATS))
+
+
+def binomial_masses(m: int, p: float, top: int) -> list[float]:
+    return [math.comb(m, j) * p**j * (1.0 - p) ** (m - j) for j in range(min(m, top) + 1)]
+
+
+def size_parts_law(n: int, x: float, mult, skip: int = 0) -> np.ndarray:
+    """P(T = s, K = k) for s = 0..n, with size ``skip`` left out.
+
+    Size i has Z_i ~ Binomial(m_i, x^i / (1 + x^i)) parts, adding i Z_i
+    to T and Z_i to K; K stops at the most parts a total of n holds,
+    smallest sizes first.
+    """
+    kmax, left = 0, n
+    for i, m in enumerate(mult, start=1):
+        take = min(m, left // i)
+        kmax, left = kmax + take, left - i * take
+    law = np.zeros((n + 1, kmax + 1))
+    law[0, 0] = 1.0
+    for i, m in enumerate(mult, start=1):
+        if i == skip:
+            continue
+        step = np.zeros_like(law)
+        for j, q in enumerate(binomial_masses(m, x**i / (1.0 + x**i), min(n // i, kmax))):
+            step[i * j:, j:] += q * law[: n + 1 - i * j, : kmax + 1 - j]
+        law = step
+    return law
+
+
+def part_laws(n: int, x: float, mult) -> dict[str, dict[int, float]]:
+    """Unnormalised conditional laws of Z_1, Z_2, Z_3 and K given T = n."""
+    laws = {"K": dict(enumerate(size_parts_law(n, x, mult)[n]))}
+    for i in (1, 2, 3):
+        rest = size_parts_law(n, x, mult, skip=i).sum(axis=1)
+        masses = binomial_masses(mult[i - 1], x**i / (1.0 + x**i), n // i)
+        laws[f"Z{i}"] = {j: q * rest[n - i * j] for j, q in enumerate(masses)}
+    return laws
+
+
+def part_stats(counts) -> dict[str, int]:
+    return {"Z1": counts[0], "Z2": counts[1], "Z3": counts[2], "K": sum(counts)}
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        DistinctPartition(10, tilt=0.7),
+        Selection(9, multiplicities=(2, 1, 3, 1, 2, 1, 1, 2, 1), tilt=0.6),
+    ],
+    ids=["distinct", "selection"],
+)
+def test_the_part_laws_match_the_enumeration_oracle(family):
+    exact = enumerate_conditional(build_problem(family))
+    mult = getattr(family, "multiplicities", None) or (1,) * family.n
+    laws = part_laws(family.n, family.tilt, mult)
+    for name, law in laws.items():
+        marginal = Counter()
+        for outcome, prob in exact.probs.items():
+            marginal[part_stats(outcome)[name]] += prob
+        total = sum(law.values())
+        assert {j: p / total for j, p in law.items() if p > 0.0} == pytest.approx(marginal)
+
+
+@pytest.mark.parametrize(
+    "family, draws, seed", PART_RUNS, ids=[repr(f) for f, _, _ in PART_RUNS]
+)
+def test_part_laws_at_the_default_tilt(family, draws, seed):
+    n = family.n
+    laws = part_laws(n, solve_tilt(family.kind, n), (1,) * n)
+    rng = CountingRng(seed)
+    counts = {name: Counter() for name in PART_STATS}
+    for _ in range(draws):
+        value, _ = sample_structure(family, rng)
+        for name, stat in part_stats(value.counts).items():
+            counts[name][stat] += 1
+    for name in PART_STATS:
+        _, _, p = chi_squared_gof(counts[name], laws[name])
+        assert p > PART_THRESHOLD, f"{name} of {family!r}: p={p:.3g}"

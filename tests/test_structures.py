@@ -50,7 +50,25 @@ def test_default_tilts():
     assert solve_tilt("partition", 100) == pytest.approx(
         math.exp(-math.pi / math.sqrt(600.0))
     )
-    assert solve_tilt("distinct", 64) == solve_tilt("partition", 64)
+    former = lambda n: math.exp(-math.pi / math.sqrt(6.0 * n))
+    for n in (4, 12, 100, 1000):
+        for kind, mult in (
+            ("distinct", None),
+            ("selection", None),
+            ("selection", tuple(1 + i % 3 for i in range(n))),
+        ):
+            x = solve_tilt(kind, n, mult)
+            assert 0.0 < x < 1.0
+            # Binomial(m_i, x^i / (1 + x^i)) parts of size i
+            m = mult or (1,) * n
+            mean = sum(i * m[i - 1] * x**i / (1.0 + x**i) for i in range(1, n + 1))
+            assert mean == pytest.approx(n, rel=1e-9)
+    # sum i m_i / 2 <= n: no root below 1, so the former formula stays
+    for n in (1, 2, 3):
+        assert solve_tilt("distinct", n) == solve_tilt("selection", n) == former(n)
+    assert solve_tilt("selection", 2, (2, 1)) == former(2)
+    x = solve_tilt("selection", 2, (3, 1))
+    assert 0.0 < x < 1.0 and 3 * x / (1 + x) + 2 * x**2 / (1 + x**2) == pytest.approx(2.0)
     x = solve_tilt("assembly", 100)
     assert x * math.exp(x) == pytest.approx(100.0, rel=1e-12)
     assert solve_tilt("setpartition", 5) == solve_tilt("assembly", 5)
@@ -412,6 +430,15 @@ def test_one_cycle_ewens_profile_is_the_point_mass():
             assert value.counts == (1,) and rec.outcome == (1,)
     with pytest.raises(InvalidFamily):
         build_problem(EwensProfile(1, 2))
+
+
+@pytest.mark.parametrize("kind", [Selection, Multiset, Assembly])
+def test_fractional_multiplicities_are_refused(kind):
+    for mult in ((1.5, 2, 1), (1, float("nan"), 1), (1, float("inf"), 1)):
+        with pytest.raises(InvalidFamily, match="whole numbers"):
+            build_problem(kind(3, multiplicities=mult))
+    # a whole float is the count it names
+    assert build_problem(kind(3, multiplicities=(2.0, 1, 3.0))).size == 3
 
 
 @pytest.mark.parametrize("kind", [Selection, Multiset, Assembly])
