@@ -8,20 +8,27 @@ the Ewens) law on the family, for every value of a free tilt parameter
 0 < x; the tilt only moves the acceptance rate, and the defaults below
 put the conditioning event near the mode of its statistic.
 
-Family marginals and default tilts:
+The c_i follow one of three laws, the classes of logarithmic combinatorial
+structures (Arratia, Barbour and Tavare 2003).  A family is one row of
+``_ROWS``: a law with a parameter m_i per size i (no coordinate where
+m_i = 0), a default tilt and a pivot.
 
-====================  ===============================  =====================
-family                c_i marginal                       default tilt
-====================  ===============================  =====================
-Partition             Geometric(x^i)                   exp(-pi / sqrt(6 n))
-DistinctPartition     Bernoulli(x^i / (1 + x^i))       E[T] = n, bisection
-Selection             Binomial(m_i, x^i / (1 + x^i))   E[T] = n, bisection
-Multiset              NegativeBinomial(m_i, x^i)       exp(-pi / sqrt(6 n))
-Assembly              Poisson(m_i x^i / i!)            x e^x = n
-SetPartition          Poisson(x^i / i!)                x e^x = n
-PlanePartitionGrid    NegativeBinomial(w-2, x^w)       E[T] = n, bisection
-EwensProfile          Poisson(theta x^i / i)           exp(-1/n)
-====================  ===============================  =====================
+==================  ==================  ===============  ===================  ===========
+law of c_i          family              m_i              default tilt         pivot
+==================  ==================  ===============  ===================  ===========
+Binomial, x < 1     DistinctPartition   1 (Bernoulli)    E[T] = n             least peak
+(m_i, x^i/(1+x^i))  Selection           given            E[T] = n             least peak
+NegativeBinomial,   Partition           1 (Geometric)    exp(-pi/sqrt(6 n))   least peak
+x < 1 (m_i, x^i)    Multiset            given            exp(-pi/sqrt(6 n))   least peak
+                    PlanePartitionGrid  w - 2, w >= 3    E[T] = n             least peak
+Poisson(m_i x^i/i!) Assembly            given            x e^x = n            least peak
+                    SetPartition        1                x e^x = n            round(ln n)
+Poisson(m_i x^i/i)  EwensProfile        theta            exp(-1/n)            sizes 1, 2
+==================  ==================  ===============  ===================  ===========
+
+The least peak is the coordinate of least ``sup_density``.  E[T] = n is
+solved by bisection; a Binomial row keeps exp(-pi/sqrt(6 n)) when
+sum_i i m_i <= 2 n, as its mean then has no root below x = 1.
 
 The grid family lives on cells (i, j) of weight w = i + j + 1, each cell
 Geometric(x^w).  Cells heavier than n are forced to zero by the
@@ -29,11 +36,11 @@ constraint, so its sampling space holds only the cells of weight at most
 n; ``build_problem`` states that space cell by cell, for the oracle.
 ``sample_structure`` draws it in two halves, as probabilistic
 divide-and-conquer does.  The w - 2 cells of weight w are iid, so their
-sum S_w is NegativeBinomial(w - 2, x^w), the table's entry, and given S_w
-the cells are uniform over the weak compositions of S_w.  So the class
-sums S_3..S_n, conditioned on sum_w w S_w = n, are one problem
-(``grid_classes``) that the chosen engine draws, and each S_w is then
-split over its cells exactly, with no rejection.
+sum S_w is NegativeBinomial(w - 2, x^w), and given S_w the cells are
+uniform over the weak compositions of S_w.  So the class sums S_3..S_n,
+conditioned on sum_w w S_w = n, are the grid's row, which the chosen
+engine draws, and each S_w is then split over its cells exactly, with no
+rejection.
 EwensProfile pins the number of parts too, so its problem carries a
 second constraint and a two-coordinate pivot block {1, 2}.
 """
@@ -41,6 +48,7 @@ second constraint and a two-coordinate pivot block {1, 2}.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -98,9 +106,15 @@ class PlaneGrid:
         return sum((i + j + 1) * z for i, j, z in self.entries)
 
 
-def _validate_size(n: int):
+def _validate_size(n) -> int:
+    """n as an int; a size that is not a whole number of at least 1 raises."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidFamily(f"structure size must be a whole number, got {n!r}") from None
     if n < 1:
         raise InvalidFamily(f"structure size must be >= 1, got {n}")
+    return n
 
 
 def _validate_mult(n: int, mult) -> tuple[int, ...]:
@@ -217,107 +231,155 @@ Family = (
 )
 
 
-def _bisect_mean(mean, n: int) -> float:
-    """The x in (0, 1) with mean(x) = n, for a mean increasing in x, by bisection."""
+def _partition_tilt(n: int, _mult) -> float:
+    return math.exp(-math.pi / math.sqrt(6.0 * n))
+
+
+def _mean_tilt(sign: float, n: int, mult) -> float:
+    """The root x in (0, 1) of E[T] = sum_i i m_i x^i / (1 + sign x^i) = n, by bisection.
+
+    sign is 1 for a Binomial row and -1 for a NegativeBinomial one.
+    """
+    if sign > 0 and sum(i * m for i, m in enumerate(mult, start=1)) <= 2 * n:
+        return _partition_tilt(n, mult)
     lo, hi = 0.0, 1.0
     while True:
         x = 0.5 * (lo + hi)
         if x in (lo, hi):
             return x
-        if mean(x) < n:
+        mean = sum(
+            i * m * x ** i / (1.0 + sign * x ** i) for i, m in enumerate(mult, start=1) if m
+        )
+        if mean < n:
             lo = x
         else:
             hi = x
 
 
-def solve_tilt(kind: str, n: int, multiplicities=None) -> float:
-    """Default tilt parameter putting the size statistic near its target.
+def _assembly_tilt(n: int, _mult) -> float:
+    """x e^x = n, by Newton to relative residual 1e-12."""
+    x = math.log(n + 1.0)
+    for _ in range(80):
+        f = x * math.exp(x) - n
+        if abs(f) <= 1e-12 * max(1.0, float(n)):
+            return x
+        x -= f / ((1.0 + x) * math.exp(x))
+    raise ArithmeticError(f"tilt iteration failed to converge for n={n}")
 
-    partition and multiset kinds use the classical exp(-pi / sqrt(6 n));
-    distinct parts and selections solve E[T] = sum_i i m_i x^i / (1 + x^i)
-    = n by bisection on (0, 1), with unit multiplicities m_i unless given.
-    As x -> 1 that mean tends to sum_i i m_i / 2, so when this is at most n
-    (n <= 3 with unit multiplicities) no root lies below 1 and they keep
-    exp(-pi / sqrt(6 n)); the tilt sets only the cost, never the law.
-    assembly kinds solve x e^x = n by Newton to relative residual 1e-12;
-    the grid solves E[T] = sum_{w=3..n} (w - 2) w x^w / (1 - x^w) = n
-    (w - 2 cells of weight w) by the same bisection, as E[T] increases in
-    x; cycle profiles use exp(-1/n).  Only distinct parts and selections
-    read ``multiplicities``.
-    """
-    _validate_size(n)
-    if kind in ("distinct", "selection"):
-        mult = _validate_mult(n, multiplicities)
-        if sum(i * m for i, m in enumerate(mult, start=1)) > 2 * n:
-            return _bisect_mean(
-                lambda x: sum(
-                    i * m * x ** i / (1.0 + x ** i) for i, m in enumerate(mult, start=1)
-                ),
-                n,
-            )
-    if kind in ("partition", "distinct", "selection", "multiset"):
-        return math.exp(-math.pi / math.sqrt(6.0 * n))
-    if kind in ("assembly", "setpartition"):
-        x = math.log(n + 1.0)
-        for _ in range(80):
-            f = x * math.exp(x) - n
-            if abs(f) <= 1e-12 * max(1.0, float(n)):
-                return x
-            x -= f / ((1.0 + x) * math.exp(x))
-        raise ArithmeticError(f"tilt iteration failed to converge for n={n}")
-    if kind == "planegrid":
-        if n < 3:
-            raise InvalidFamily(f"a grid of total weight {n} has no cells")
-        return _bisect_mean(
-            lambda x: sum((w - 2) * w * x ** w / (1.0 - x ** w) for w in range(3, n + 1)),
-            n,
+
+def _grid_mult(n: int, _given) -> tuple[int, ...]:
+    if n < 3:
+        raise InvalidFamily(f"a grid of total weight {n} has no cells")
+    return (0, 0) + tuple(range(1, n - 1))
+
+
+def _theta_mult(n: int, theta) -> tuple[float, ...]:
+    theta = 1.0 if theta is None else theta
+    if not theta > 0.0:
+        raise InvalidFamily(f"theta must be positive, got {theta}")
+    return (theta,) * n
+
+
+def _negative_binomial(i: int, m: int, x: float) -> NegativeBinomial:
+    return NegativeBinomial(m, x ** i)
+
+
+def _labelled(i: int, m: int, x: float) -> Poisson:
+    return Poisson(math.exp(math.log(m) + i * math.log(x) - math.lgamma(i + 1)))
+
+
+def _least_peak(_family, _n: int, marginals) -> dict:
+    peaks = [m.sup_density() for m in marginals]
+    return {"index_set": (peaks.index(min(peaks)),)}
+
+
+def _near_log_n(_family, n: int, _marginals) -> dict:
+    return {"index_set": (min(max(round(math.log(n)), 1), n) - 1,)}
+
+
+def _two_cycles(family, n: int, _marginals) -> dict:
+    if not 1 <= family.blocks <= n:
+        raise InvalidFamily(
+            f"a size-{n} permutation has between 1 and {n} cycles, not {family.blocks}"
         )
-    if kind == "ewens":
-        return math.exp(-1.0 / n)
-    raise InvalidFamily(f"unknown family kind {kind!r}")
+    # one cycle of length 1: the size constraint already pins the block
+    # count, so one pivot completes it
+    return {"index_set": (0,)} if n == 1 else {
+        "index_set": (0, 1), "second": SecondConstraint((1,) * n, family.blocks),
+    }
 
 
-def _tilt_of(family) -> float:
-    x = family.tilt
-    if x is None:
-        x = solve_tilt(family.kind, family.n, getattr(family, "multiplicities", None))
-    if not x > 0.0:
-        raise InvalidFamily(f"tilt must be positive, got {x}")
-    return x
+# kind: (law of c_i from size i, its m_i and the tilt x; m_1..m_n from n and
+# the family's own parameter, None for its default; default tilt from n and
+# m_1..m_n; pivot fields from the family, n and the marginals; x must be < 1)
+_ROWS = {
+    "distinct": (
+        lambda i, m, x: Bernoulli(x ** i / (1.0 + x ** i)),
+        _validate_mult, partial(_mean_tilt, 1.0), _least_peak, True,
+    ),
+    "selection": (
+        lambda i, m, x: Binomial(m, x ** i / (1.0 + x ** i)),
+        _validate_mult, partial(_mean_tilt, 1.0), _least_peak, True,
+    ),
+    "partition": (
+        lambda i, m, x: Geometric(x ** i),
+        _validate_mult, _partition_tilt, _least_peak, True,
+    ),
+    "multiset": (_negative_binomial, _validate_mult, _partition_tilt, _least_peak, True),
+    "planegrid": (
+        _negative_binomial, _grid_mult, partial(_mean_tilt, -1.0), _least_peak, True,
+    ),
+    "assembly": (_labelled, _validate_mult, _assembly_tilt, _least_peak, False),
+    "setpartition": (_labelled, _validate_mult, _assembly_tilt, _near_log_n, False),
+    "ewens": (
+        lambda i, m, x: Poisson(m * x ** i / i),
+        _theta_mult, lambda n, _mult: math.exp(-1.0 / n), _two_cycles, False,
+    ),
+}
+
+
+def solve_tilt(kind: str, n: int, multiplicities=None) -> float:
+    """The default tilt of a family kind, by its row's rule (module table).
+
+    ``multiplicities`` (unit when None) move only the E[T] = n tilts.
+    """
+    if kind not in _ROWS:
+        raise InvalidFamily(f"unknown family kind {kind!r}")
+    _, mult_rule, tilt_rule, _, _ = _ROWS[kind]
+    n = _validate_size(n)
+    return tilt_rule(n, mult_rule(n, multiplicities))
 
 
 @lru_cache(maxsize=64)
 def grid_cells(family: PlanePartitionGrid) -> list[tuple[int, int]]:
     """Cells of weight at most n, sorted, pivot cell (1, 1) first.
 
-    Cached per family like ``build_problem``; callers must not mutate it.
+    Cached per family; callers must not mutate it.
     """
     n = family.n
     return [(i, j) for i in range(1, n) for j in range(1, n) if i + j + 1 <= n]
 
 
-def _check_grid(n: int, x: float) -> None:
-    if n < 3:
-        raise InvalidFamily(f"a grid of total weight {n} has no cells")
-    if not x < 1.0:
-        raise InvalidFamily(f"planegrid needs a tilt in (0, 1), got {x}")
-
-
 @lru_cache(maxsize=64)
-def grid_classes(family: PlanePartitionGrid) -> ConditioningProblem:
-    """The grid's class problem: coordinate w - 3 is S_w, the sum of the cells of weight w.
+def _counts_problem(family: Family) -> ConditioningProblem:
+    """The family's row as a problem: c_i of weight i for each size i with m_i > 0.
 
-    S_w is NegativeBinomial(w - 2, x^w) for w = 3..n, with weight w and
-    target n; the pivot is the class of least ``sup_density``, as for
-    ``Multiset``.  Cached per family like ``build_problem``.
+    Cached per family (families are frozen, and so are problems), so
+    repeated sampling does not rebuild the marginals' cdf tables.
     """
-    x = _tilt_of(family)
-    _check_grid(family.n, x)
-    weights = tuple(range(3, family.n + 1))
-    marginals = tuple(NegativeBinomial(w - 2, x ** w) for w in weights)
+    law, mult_rule, tilt_rule, pivot, below_one = _ROWS[family.kind]
+    n = _validate_size(family.n)
+    # the family's own per-size parameter: its multiplicities, or Ewens's theta
+    mult = mult_rule(n, getattr(family, "multiplicities", getattr(family, "theta", None)))
+    x = tilt_rule(n, mult) if family.tilt is None else family.tilt
+    if not x > 0.0:
+        raise InvalidFamily(f"tilt must be positive, got {x}")
+    if below_one and not x < 1.0:
+        raise InvalidFamily(f"{family.kind} needs a tilt in (0, 1), got {x}")
+    sizes = tuple(i for i, m in enumerate(mult, start=1) if m)
+    marginals = tuple(law(i, mult[i - 1], x) for i in sizes)
     return ConditioningProblem(
-        marginals=marginals, weights=weights, target=family.n,
-        index_set=(_argmin_sup_density(marginals),),
+        marginals=marginals, weights=sizes, target=n, **pivot(family, n, marginals),
     )
 
 
@@ -348,88 +410,21 @@ def _split_classes(n: int, sums, rng: CountingRng) -> PlaneGrid:
     return PlaneGrid(n, tuple(sorted((i, j, z) for (i, j), z in Counter(cells).items())))
 
 
-def _argmin_sup_density(marginals) -> int:
-    return min(range(len(marginals)), key=lambda i: marginals[i].sup_density())
-
-
-@lru_cache(maxsize=64)
 def build_problem(family: Family) -> ConditioningProblem:
     """The conditioning problem whose conditional law is the family's law.
 
-    Cached per family (families are frozen, and so are problems), so
-    repeated sampling does not rebuild the marginals' cdf tables.
+    Every family but the grid has its row's problem.  The grid's is stated
+    cell by cell, for the oracle: a cell of weight w is Geometric with the
+    ratio x^w of its class, and the pivot is cell (1, 1).
     """
-    _validate_size(family.n)
-    n = family.n
-    x = _tilt_of(family)
-    sizes = tuple(range(1, n + 1))
-
-    if isinstance(family, (Partition, DistinctPartition, Selection, Multiset)):
-        if not x < 1.0:
-            raise InvalidFamily(f"{family.kind} needs a tilt in (0, 1), got {x}")
-        powers = [x ** i for i in sizes]
-        if isinstance(family, Partition):
-            marginals = tuple(Geometric(p) for p in powers)
-        elif isinstance(family, DistinctPartition):
-            marginals = tuple(Bernoulli(p / (1.0 + p)) for p in powers)
-        elif isinstance(family, Selection):
-            mult = _validate_mult(n, family.multiplicities)
-            marginals = tuple(
-                Binomial(m, p / (1.0 + p)) for m, p in zip(mult, powers)
-            )
-        else:
-            mult = _validate_mult(n, family.multiplicities)
-            marginals = tuple(NegativeBinomial(m, p) for m, p in zip(mult, powers))
-        return ConditioningProblem(
-            marginals=marginals, weights=sizes, target=n,
-            index_set=(_argmin_sup_density(marginals),),
-        )
-
-    if isinstance(family, (Assembly, SetPartition)):
-        mult = (1,) * n if isinstance(family, SetPartition) else _validate_mult(
-            n, family.multiplicities
-        )
-        rates = [
-            math.exp(math.log(m) + i * math.log(x) - math.lgamma(i + 1))
-            for i, m in zip(sizes, mult)
-        ]
-        marginals = tuple(Poisson(r) for r in rates)
-        if isinstance(family, SetPartition):
-            pivot = min(max(round(math.log(n)), 1), n) - 1
-        else:
-            pivot = _argmin_sup_density(marginals)
-        return ConditioningProblem(
-            marginals=marginals, weights=sizes, target=n, index_set=(pivot,),
-        )
-
-    if isinstance(family, PlanePartitionGrid):
-        _check_grid(n, x)
-        weights = tuple(i + j + 1 for i, j in grid_cells(family))
-        return ConditioningProblem(
-            marginals=tuple(Geometric(x ** w) for w in weights), weights=weights,
-            target=n, index_set=(0,),
-        )
-
-    if isinstance(family, EwensProfile):
-        if not 1 <= family.blocks <= n:
-            raise InvalidFamily(
-                f"a size-{n} permutation has between 1 and {n} cycles, not {family.blocks}"
-            )
-        if not family.theta > 0.0:
-            raise InvalidFamily(f"theta must be positive, got {family.theta}")
-        marginals = tuple(Poisson(family.theta * x ** i / i) for i in sizes)
-        if n == 1:
-            # one cycle of length 1: the size constraint already pins the
-            # block count, so one pivot completes it
-            return ConditioningProblem(
-                marginals=marginals, weights=sizes, target=n, index_set=(0,),
-            )
-        return ConditioningProblem(
-            marginals=marginals, weights=sizes, target=n, index_set=(0, 1),
-            second=SecondConstraint(coeffs=(1,) * n, target=family.blocks),
-        )
-
-    raise InvalidFamily(f"unknown family {family!r}")
+    problem = _counts_problem(family)
+    if not isinstance(family, PlanePartitionGrid):
+        return problem
+    weights = tuple(i + j + 1 for i, j in grid_cells(family))
+    return ConditioningProblem(
+        marginals=tuple(Geometric(problem.marginals[w - 3].ratio) for w in weights),
+        weights=weights, target=problem.target, index_set=(0,),
+    )
 
 
 # the engines sample_structure maps a method name to; the lookup stays an
@@ -448,12 +443,12 @@ def sample_structure(
 
     method 'dsh' completes the pivot block deterministically, 'hard'
     redraws the whole vector until the size works out.  A grid draws its
-    class sums (``grid_classes``) by the method, then splits them over its
-    cells (``_split_classes``); its record's outcome is the grid's entries,
-    and its ``rng_calls`` count the split's uniforms too.
+    class sums (its row's problem) by the method, then splits them over
+    its cells (``_split_classes``); its record's outcome is the grid's
+    entries, and its ``rng_calls`` count the split's uniforms too.
     """
     grid = isinstance(family, PlanePartitionGrid)
-    problem = grid_classes(family) if grid else build_problem(family)
+    problem = _counts_problem(family) if grid else build_problem(family)
     start = rng.calls
     if method == "dsh":
         rec = dsh_sample(problem, rng, max_attempts=max_attempts)
@@ -495,7 +490,7 @@ def feller_permutation_cycles(
     1/(n-1), ..., 1/1; spacings between successes are the cycle lengths.
     Costs exactly n uniforms, always one attempt.
     """
-    _validate_size(n)
+    n = _validate_size(n)
     start = rng.calls
     counts = [0] * n
     run = 0

@@ -32,7 +32,7 @@ from exactcond.structures import (
     SetPartition,
     build_problem,
     feller_permutation_cycles,
-    grid_classes,
+    _counts_problem as grid_classes,
     outcome_counts,
     sample_structure,
 )

@@ -1,4 +1,4 @@
-"""Exact laws at sizes no enumeration reaches: grid cells, and parts of distinct parts and selections.
+"""Exact laws at sizes no enumeration reaches: grid cells, and parts of the families of all three laws.
 
 Every other law check of these families runs at n <= 10, through the
 enumeration oracle.  Here the conditional law of one coordinate c of
@@ -9,15 +9,15 @@ weight w_c,
 is computed exactly from a convolution of the other coordinates, and dsh
 draws at the default tilt are compared with it by a chi-squared test.
 For the grid the cells are the pivot (1, 1) and its neighbours (1, 2)
-and (2, 1), where the mass sits.  For distinct parts and selections they
-are Z_1, Z_2 and Z_3, with the global part count K = sum_i Z_i, whose law
-P(K = k | T = n) is proportional to P(T = n, K = k) from a 2-D
-convolution; one coordinate is nearly blind to errors in the long tail
-of the first half, and K is not.  Seeds, draw counts and the thresholds
-are fixed here, before any run.
-"""
-
-import math
+and (2, 1), where the mass sits.  For the families on parts (Binomial,
+NegativeBinomial and Poisson laws alike) they are Z_1, Z_2 and Z_3, with
+the global part count K = sum_i Z_i, whose law P(K = k | T = n) is
+proportional to P(T = n, K = k) from a 2-D convolution; one coordinate
+is nearly blind to errors in the long tail of the first half, and K is
+not.  The convolution reads each coordinate's masses from the family's
+own problem, so it checks the draw, not the choice of marginals, which
+the enumeration tests pin.  Seeds, draw counts and the thresholds are
+fixed here, before any run."""
 
 from collections import Counter
 
@@ -26,9 +26,13 @@ import pytest
 
 from exactcond.marginals import CountingRng
 from exactcond.structures import (
+    Assembly,
     DistinctPartition,
+    Multiset,
+    Partition,
     PlanePartitionGrid,
     Selection,
+    SetPartition,
     build_problem,
     grid_cells,
     sample_structure,
@@ -111,41 +115,54 @@ PART_RUNS = (
 PART_STATS = ("Z1", "Z2", "Z3", "K")
 # p > 1e-3, Bonferroni-corrected over the twelve (family, statistic) tests
 PART_THRESHOLD = 1e-3 / (len(PART_RUNS) * len(PART_STATS))
+# the Geometric, NegativeBinomial and Poisson families, each at its default tilt
+LAW_RUNS = (
+    (Partition(100), 3000, 3201),
+    (Partition(400), 2000, 3202),
+    (Multiset(100), 3000, 3203),
+    (SetPartition(100), 3000, 3204),
+    (Assembly(100), 3000, 3205),
+)
+# p > 1e-3, Bonferroni-corrected over these twenty (family, statistic) tests
+LAW_THRESHOLD = 1e-3 / (len(LAW_RUNS) * len(PART_STATS))
 
 
-def binomial_masses(m: int, p: float, top: int) -> list[float]:
-    return [math.comb(m, j) * p**j * (1.0 - p) ** (m - j) for j in range(min(m, top) + 1)]
+def size_parts_law(problem, skip=None) -> np.ndarray:
+    """P(T = s, K = k) for s = 0..n, with coordinate ``skip`` left out.
 
-
-def size_parts_law(n: int, x: float, mult, skip: int = 0) -> np.ndarray:
-    """P(T = s, K = k) for s = 0..n, with size ``skip`` left out.
-
-    Size i has Z_i ~ Binomial(m_i, x^i / (1 + x^i)) parts, adding i Z_i
-    to T and Z_i to K; K stops at the most parts a total of n holds,
-    smallest sizes first.
+    Coordinate c of weight w_c adds w_c Z_c to T and Z_c to K, with the
+    masses of its marginal's ``density``; K stops at the most parts a
+    total of n holds, lightest coordinates first.
     """
+    n = problem.target
+    tops = [
+        int(min(m.support_bounds()[1], n // w))
+        for m, w in zip(problem.marginals, problem.weights)
+    ]
     kmax, left = 0, n
-    for i, m in enumerate(mult, start=1):
-        take = min(m, left // i)
-        kmax, left = kmax + take, left - i * take
+    for top, w in zip(tops, problem.weights):
+        take = min(top, left // w)
+        kmax, left = kmax + take, left - w * take
     law = np.zeros((n + 1, kmax + 1))
     law[0, 0] = 1.0
-    for i, m in enumerate(mult, start=1):
-        if i == skip:
+    for c, (m, w, top) in enumerate(zip(problem.marginals, problem.weights, tops)):
+        if c == skip:
             continue
         step = np.zeros_like(law)
-        for j, q in enumerate(binomial_masses(m, x**i / (1.0 + x**i), min(n // i, kmax))):
-            step[i * j:, j:] += q * law[: n + 1 - i * j, : kmax + 1 - j]
+        for j in range(min(top, kmax) + 1):
+            step[w * j:, j:] += m.density(j) * law[: n + 1 - w * j, : kmax + 1 - j]
         law = step
     return law
 
 
-def part_laws(n: int, x: float, mult) -> dict[str, dict[int, float]]:
+def part_laws(family) -> dict[str, dict[int, float]]:
     """Unnormalised conditional laws of Z_1, Z_2, Z_3 and K given T = n."""
-    laws = {"K": dict(enumerate(size_parts_law(n, x, mult)[n]))}
+    problem = build_problem(family)
+    n = problem.target
+    laws = {"K": dict(enumerate(size_parts_law(problem)[n]))}
     for i in (1, 2, 3):
-        rest = size_parts_law(n, x, mult, skip=i).sum(axis=1)
-        masses = binomial_masses(mult[i - 1], x**i / (1.0 + x**i), n // i)
+        rest = size_parts_law(problem, skip=i - 1).sum(axis=1)
+        masses = [problem.marginals[i - 1].density(j) for j in range(n // i + 1)]
         laws[f"Z{i}"] = {j: q * rest[n - i * j] for j, q in enumerate(masses)}
     return laws
 
@@ -159,13 +176,16 @@ def part_stats(counts) -> dict[str, int]:
     [
         DistinctPartition(10, tilt=0.7),
         Selection(9, multiplicities=(2, 1, 3, 1, 2, 1, 1, 2, 1), tilt=0.6),
+        Partition(10, tilt=0.7),
+        Multiset(8, multiplicities=(2, 1, 3, 1, 2, 1, 1, 2), tilt=0.6),
+        SetPartition(9),
+        Assembly(8, multiplicities=(2, 1, 3, 1, 2, 1, 1, 2)),
     ],
-    ids=["distinct", "selection"],
+    ids=["distinct", "selection", "partition", "multiset", "setpartition", "assembly"],
 )
 def test_the_part_laws_match_the_enumeration_oracle(family):
     exact = enumerate_conditional(build_problem(family))
-    mult = getattr(family, "multiplicities", None) or (1,) * family.n
-    laws = part_laws(family.n, family.tilt, mult)
+    laws = part_laws(family)
     for name, law in laws.items():
         marginal = Counter()
         for outcome, prob in exact.probs.items():
@@ -178,8 +198,18 @@ def test_the_part_laws_match_the_enumeration_oracle(family):
     "family, draws, seed", PART_RUNS, ids=[repr(f) for f, _, _ in PART_RUNS]
 )
 def test_part_laws_at_the_default_tilt(family, draws, seed):
-    n = family.n
-    laws = part_laws(n, solve_tilt(family.kind, n), (1,) * n)
+    assert_part_laws(family, draws, seed, PART_THRESHOLD)
+
+
+@pytest.mark.parametrize(
+    "family, draws, seed", LAW_RUNS, ids=[repr(f) for f, _, _ in LAW_RUNS]
+)
+def test_negative_binomial_and_poisson_part_laws_at_the_default_tilt(family, draws, seed):
+    assert_part_laws(family, draws, seed, LAW_THRESHOLD)
+
+
+def assert_part_laws(family, draws, seed, threshold):
+    laws = part_laws(family)
     rng = CountingRng(seed)
     counts = {name: Counter() for name in PART_STATS}
     for _ in range(draws):
@@ -188,4 +218,4 @@ def test_part_laws_at_the_default_tilt(family, draws, seed):
             counts[name][stat] += 1
     for name in PART_STATS:
         _, _, p = chi_squared_gof(counts[name], laws[name])
-        assert p > PART_THRESHOLD, f"{name} of {family!r}: p={p:.3g}"
+        assert p > threshold, f"{name} of {family!r}: p={p:.3g}"

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,7 @@ from exactcond.structures import (
     build_problem,
     feller_permutation_cycles,
     grid_cells,
-    grid_classes,
+    _counts_problem as grid_classes,
     materialize_set_partition,
     outcome_counts,
     sample_structure,
@@ -37,6 +38,7 @@ from exactcond.structures import (
     solve_tilt,
 )
 from exactcond.verify import chi_squared_gof, enumerate_conditional, tv_distance
+from test_cli import PIN_MULT
 
 
 def gof_against(family, exact, trials, seed, method="dsh"):
@@ -89,6 +91,52 @@ def test_default_tilts():
         solve_tilt("nope", 10)
     with pytest.raises(InvalidFamily):
         solve_tilt("partition", 0)
+
+
+# solve_tilt's values before the families became rows of one table, to the bit
+PINNED_TILTS = {
+    "partition": (0.526620599330303, 0.6905684052062603, 0.8796290600762194,
+                  0.9378854194816227),
+    "distinct": (0.8730771643988566, 0.8009259755334799, 0.9133745329145049,
+                 0.9556699981743555),
+    "selection": (0.8730771643988566, 0.8009259755334799, 0.9133745329145049,
+                  0.9556699981743555),
+    "multiset": (0.526620599330303, 0.6905684052062603, 0.8796290600762194,
+                 0.9378854194816227),
+    "assembly": (1.2021678731970429, 1.8628168644324907, 3.38563014029005, 4.48968254951951),
+    "setpartition": (1.2021678731970429, 1.8628168644324907, 3.38563014029005,
+                     4.48968254951951),
+    "planegrid": (0.6967462303046188, 0.6353635319475837, 0.7741289813271965,
+                  0.8452115509078768),
+    "ewens": (0.7788007830714049, 0.9200444146293233, 0.9900498337491681,
+              0.9975031223974601),
+}
+
+
+@pytest.mark.parametrize("kind", list(PINNED_TILTS))
+def test_default_tilts_are_pinned(kind):
+    assert tuple(solve_tilt(kind, n) for n in (4, 12, 100, 400)) == PINNED_TILTS[kind]
+
+
+def test_pinned_multiplicity_tilt():
+    assert solve_tilt("selection", 8, PIN_MULT) == 0.6668379455904292
+
+
+@pytest.mark.parametrize(
+    "family",
+    [PlanePartitionGrid(3), PlanePartitionGrid(30), PlanePartitionGrid(12, tilt=0.4148625)],
+    ids=repr,
+)
+def test_the_grid_row_is_the_class_problem(family):
+    # coordinate w - 3 is S_w, the sum of the w - 2 cells of weight w
+    x = family.tilt or solve_tilt("planegrid", family.n)
+    weights = tuple(range(3, family.n + 1))
+    marginals = tuple(NegativeBinomial(w - 2, x ** w) for w in weights)
+    pivot = min(range(len(marginals)), key=lambda i: marginals[i].sup_density())
+    prob = grid_classes(family)
+    assert prob.marginals == marginals
+    assert prob.weights == weights and prob.target == family.n
+    assert prob.index_set == (pivot,) and prob.second is None
 
 
 def test_family_marginal_choices():
@@ -396,6 +444,13 @@ def test_family_validation():
         build_problem(EwensProfile(4, 5))
     with pytest.raises(InvalidFamily):
         build_problem(EwensProfile(4, 2, theta=0.0))
+    for family in (Partition(1e3), Partition(3.5), PlanePartitionGrid(12.0)):
+        with pytest.raises(InvalidFamily, match="whole number"):
+            build_problem(family)
+    with pytest.raises(InvalidFamily, match="whole number"):
+        solve_tilt("partition", 2.5)
+    assert solve_tilt("distinct", np.int64(8)) == solve_tilt("distinct", 8)
+    assert build_problem(Partition(np.int64(8))) == build_problem(Partition(8))
     for method in ("bogus", "soft"):
         with pytest.raises(ValueError):
             sample_structure(Partition(5), CountingRng(1), method=method)
