@@ -26,11 +26,12 @@ marks the classes whose density is constant on their support
 acceptance uniform.  A discrete marginal also names its ``mode`` (the
 smaller argmax on ties), where its cdf table stops being scanned.
 
-Poisson (up to its scan limit), Binomial and NegativeBinomial draw by the
-one ``DiscreteMarginal.sample``: it inverts a uniform through a cached cdf
-table, ``cdf_table``, the running sums of the mass recurrence, cut where
-the sum stops changing past the mode.  A uniform maps to the number of
-entries below it, which is where the inversion scan would stop.
+Poisson, Binomial and NegativeBinomial draw by the one
+``DiscreteMarginal.sample``: it inverts a uniform through a cached cdf
+table, ``cdf_table``, the normalised running sums of the mass recurrence
+run out from the mode, cut where the sum stops changing past the mode.
+A uniform maps to the number of entries below it, which is where the
+inversion scan would stop.
 
 ``block_inversion`` is the vector form of ``sample``: it turns a block of
 uniforms, one per marginal, into their values with one numpy call.  The
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator
@@ -194,7 +194,7 @@ class DiscreteMarginal(Marginal):
         raise NotImplementedError
 
     def sample(self, rng: CountingRng) -> int:
-        return _invert(self.cdf_table, rng.uniform())
+        return int(self.cdf_table.searchsorted(rng.uniform()))
 
     def sup_density(self) -> float:
         return self.density(self.mode())
@@ -212,42 +212,38 @@ class ContinuousMarginal(Marginal):
     """Real-valued marginals; the density is the pdf."""
 
 
-def _cdf_table(
-    marginal: DiscreteMarginal, first: float, ratio: Callable[[int], float]
-) -> np.ndarray:
-    """Running cdf of an inversion scan over the masses first, first*ratio(0), ...
+def _cdf_table(marginal: DiscreteMarginal, ratio: Callable[[int], float]) -> np.ndarray:
+    """Running cdf of an inversion scan, from masses run out of the mode.
 
-    The scan returns the first k with u <= cdf(k).  It stops without a
-    comparison at the last point of the support, or past the mode at the
-    first mass that no longer changes the running sum (masses only shrink
-    from there, so the sum never changes again).  The table keeps the sums
-    it compares against, so u maps to the number of entries below it.  A
-    first mass that underflows would zero every mass after it, so then each
-    mass comes from the log-space ``density`` instead.
+    ratio(k) is mass(k+1) / mass(k).  The mode's mass is taken as 1; the
+    masses below it come from mass(k) = mass(k+1) / ratio(k) down to 0 (one
+    that underflows stays 0), and those above from mass(k+1) =
+    mass(k) ratio(k), up to the scan's stop: the last point of the
+    support, or past the mode the first mass that no longer changes the
+    running sum (masses only shrink from there, so the sum never changes
+    again).  No mass is formed outright, so none underflows the rest.  The
+    table keeps the running sums over their total, so a uniform maps to
+    the number of entries below it, which is where the scan would stop.
     """
-    if first >= sys.float_info.min:
-        masses = itertools.accumulate(
-            itertools.count(), lambda mass, k: mass * ratio(k), initial=first
-        )
-    else:
-        masses = map(marginal.density, itertools.count())
     mode = marginal.mode()
     last = marginal.support_bounds()[1]
-    sums = []
-    cdf = 0.0
-    for k, mass in enumerate(masses):
-        nxt = cdf + mass
-        if k == last or (k > mode and nxt == cdf):
-            break
-        cdf = nxt
+    masses = [1.0]
+    for k in range(mode - 1, -1, -1):
+        masses.append(masses[-1] / ratio(k))
+    sums = list(itertools.accumulate(reversed(masses)))
+    cdf = total = sums.pop()
+    k, mass = mode, 1.0
+    while k < last:
         sums.append(cdf)
-    table = np.array(sums)
+        mass *= ratio(k)
+        k += 1
+        total = cdf + mass
+        if total == cdf:
+            break
+        cdf = total
+    table = np.array(sums) / total
     table.flags.writeable = False
     return table
-
-
-def _invert(table: np.ndarray, u: float) -> int:
-    return int(table.searchsorted(u))
 
 
 @dataclass(frozen=True)
@@ -283,18 +279,15 @@ class Geometric(DiscreteMarginal):
 class Poisson(DiscreteMarginal):
     """P(k) = e^-rate rate^k / k!.  rate = 0 degenerates to the point mass at 0.
 
-    Rates up to a few hundred are sampled by one-uniform cdf inversion; a
-    larger rate is split into independent halves (the split count depends
-    only on the rate, so draw counts stay deterministic).  A rate above
-    600·2^10 = 614,400 raises ValueError: a draw there would cost more than
-    1,024 uniforms, and the density, formed as exp(k·ln rate − rate −
-    ln k!), loses precision as those terms grow and cancel.
+    Every rate draws by one-uniform cdf inversion.  A rate above 614,400
+    raises ValueError: its table would pass 620,000 entries (about 5 MB),
+    and the density, formed as exp(k·ln rate − rate − ln k!), loses
+    precision as those terms grow and cancel.
     """
 
     rate: float
 
-    _SCAN_LIMIT = 600.0
-    _RATE_LIMIT = _SCAN_LIMIT * 2**10
+    _RATE_LIMIT = 614_400.0
 
     def __post_init__(self):
         if self.rate < 0.0 or not math.isfinite(self.rate):
@@ -313,22 +306,9 @@ class Poisson(DiscreteMarginal):
         return max(0, math.ceil(self.rate) - 1)
 
     @cached_property
-    def cdf_table(self) -> np.ndarray | None:
-        if self.rate > self._SCAN_LIMIT:
-            return None
+    def cdf_table(self) -> np.ndarray:
         rate = self.rate
-        return _cdf_table(self, math.exp(-rate), lambda k: rate / (k + 1))
-
-    @cached_property
-    def _pieces(self) -> tuple[int, Poisson]:
-        pieces = 1 << math.ceil(math.log2(self.rate / self._SCAN_LIMIT))
-        return pieces, Poisson(self.rate / pieces)
-
-    def sample(self, rng: CountingRng) -> int:
-        if self.cdf_table is None:
-            pieces, part = self._pieces
-            return sum(part.sample(rng) for _ in range(pieces))
-        return _invert(self.cdf_table, rng.uniform())
+        return _cdf_table(self, lambda k: rate / (k + 1))
 
     def support_bounds(self) -> tuple[float, float]:
         return 0, (0 if self.rate == 0.0 else math.inf)
@@ -395,7 +375,7 @@ class Binomial(DiscreteMarginal):
     def cdf_table(self) -> np.ndarray:
         m, p = self.trials, self.success
         q = p / (1.0 - p)
-        return _cdf_table(self, (1.0 - p) ** m, lambda k: q * (m - k) / (k + 1))
+        return _cdf_table(self, lambda k: q * (m - k) / (k + 1))
 
     def support_bounds(self) -> tuple[float, float]:
         return 0, self.trials
@@ -438,9 +418,7 @@ class NegativeBinomial(DiscreteMarginal):
     @cached_property
     def cdf_table(self) -> np.ndarray:
         m, x = self.blocks, self.ratio
-        return _cdf_table(
-            self, math.exp(m * math.log1p(-x)), lambda k: x * (m + k) / (k + 1)
-        )
+        return _cdf_table(self, lambda k: x * (m + k) / (k + 1))
 
     def support_bounds(self) -> tuple[float, float]:
         return 0, math.inf

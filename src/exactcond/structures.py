@@ -275,8 +275,8 @@ def _grid_mult(n: int, _given) -> tuple[int, ...]:
 
 def _theta_mult(n: int, theta) -> tuple[float, ...]:
     theta = 1.0 if theta is None else theta
-    if not theta > 0.0:
-        raise InvalidFamily(f"theta must be positive, got {theta}")
+    if not 0.0 < theta < math.inf:
+        raise InvalidFamily(f"theta must be positive and finite, got {theta}")
     return (theta,) * n
 
 
@@ -372,8 +372,8 @@ def _counts_problem(family: Family) -> ConditioningProblem:
     # the family's own per-size parameter: its multiplicities, or Ewens's theta
     mult = mult_rule(n, getattr(family, "multiplicities", getattr(family, "theta", None)))
     x = tilt_rule(n, mult) if family.tilt is None else family.tilt
-    if not x > 0.0:
-        raise InvalidFamily(f"tilt must be positive, got {x}")
+    if not 0.0 < x < math.inf:
+        raise InvalidFamily(f"tilt must be positive and finite, got {x}")
     if below_one and not x < 1.0:
         raise InvalidFamily(f"{family.kind} needs a tilt in (0, 1), got {x}")
     sizes = tuple(i for i, m in enumerate(mult, start=1) if m)

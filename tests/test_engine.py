@@ -1,6 +1,5 @@
 import itertools
 import math
-import sys
 from collections import Counter
 from dataclasses import replace
 from functools import partial
@@ -834,39 +833,46 @@ class FixedUniforms:
 
 
 def reference_masses(m):
-    """density(0), density(1), ... by the recurrence the per-draw scans multiplied."""
+    """Masses over the mode's, by the recurrence run out from the mode.
+
+    Below the mode mass(k) = mass(k+1) / ratio(k), down to 0; above it
+    mass(k+1) = mass(k) ratio(k), without end.
+    """
     if isinstance(m, Poisson):
-        first, ratio = math.exp(-m.rate), lambda k: m.rate / (k + 1)
+        ratio = lambda k: m.rate / (k + 1)  # noqa: E731
     elif isinstance(m, Binomial):
         q = m.success / (1.0 - m.success)
-        first = (1.0 - m.success) ** m.trials
         ratio = lambda k: q * (m.trials - k) / (k + 1)  # noqa: E731
     else:
-        first = math.exp(m.blocks * math.log1p(-m.ratio))
         ratio = lambda k: m.ratio * (m.blocks + k) / (k + 1)  # noqa: E731
-    if first < sys.float_info.min:
-        yield from map(m.density, itertools.count())
-        return
-    mass = first
-    for k in itertools.count():
-        yield mass
+    mode = m.mode()
+    below = [1.0]
+    for k in range(mode - 1, -1, -1):
+        below.append(below[-1] / ratio(k))
+    yield from reversed(below)
+    mass = 1.0
+    for k in itertools.count(mode):
         mass *= ratio(k)
+        yield mass
 
 
 def reference_scan(m, u):
     """The first k with u <= cdf(k), walking the cdf one mass at a time.
 
     The walk stops at the support's last point, or past the mode where the
-    next mass no longer changes the cdf.
+    next mass no longer changes the running sum; the cdf is the running
+    sum over its total there.
     """
     mode, last = m.mode(), m.support_bounds()[1]
+    sums = []
     cdf = 0.0
     for k, mass in enumerate(reference_masses(m)):
         if k == last or (k > mode and cdf + mass == cdf):
-            return k
+            total = cdf + mass
+            break
         cdf += mass
-        if u <= cdf:
-            return k
+        sums.append(cdf)
+    return next((k for k, s in enumerate(sums) if u <= s / total), len(sums))
 
 
 def edge_uniforms(marginal):
@@ -883,9 +889,10 @@ def edge_uniforms(marginal):
         Poisson(3.5),
         Poisson(5.0),
         Poisson(599.0),
+        Poisson(1000.0),  # e^-rate underflows
         Binomial(1, 0.3),
         Binomial(9, 0.5),
-        Binomial(354, 0.94),  # (1-p)^m underflows: the log-pmf table
+        Binomial(354, 0.94),  # (1-p)^m underflows
         NegativeBinomial(1, 0.7737472833305733),
         NegativeBinomial(3, 0.5),
     ],
@@ -925,8 +932,8 @@ def test_geometric_plan_and_block_agree():
 
 def test_table_block_inverts_k_rows_exactly():
     # an empty table (Poisson(0) is always 0) at both ends of the block, a
-    # one-entry table as Selection uses, and the log-pmf table: every row
-    # of a K x c inversion is the one-row inversion and the scan
+    # one-entry table as Selection uses, and one whose mass at 0 underflows:
+    # every row of a K x c inversion is the one-row inversion and the scan
     block = [Poisson(0.0), Binomial(1, 0.3), Binomial(354, 0.94), Poisson(0.0)]
     columns = [edge_uniforms(m) for m in block]
     k = max(map(len, columns))

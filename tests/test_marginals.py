@@ -148,16 +148,6 @@ def test_poisson_sampling_law_and_cost():
     assert pval > 1e-3
 
 
-def test_poisson_large_rate_splits_deterministically():
-    p = Poisson(1000.0)
-    rng = CountingRng(2)
-    k = p.sample(rng)
-    assert rng.calls == 2
-    assert 800 < k < 1200
-    mean = np.mean([p.sample(rng) for _ in range(4000)])
-    assert mean == pytest.approx(1000.0, rel=0.02)
-
-
 def test_bernoulli_and_binomial_modes():
     b = Bernoulli(0.3)
     assert b.mode() == 0
@@ -226,11 +216,14 @@ def test_negative_binomial_scan_ends_at_float_saturation():
 
 
 @pytest.mark.parametrize(
-    "marginal", [Binomial(2000, 0.5), NegativeBinomial(3000, 0.5)], ids=repr
+    "marginal",
+    [Binomial(2000, 0.5), NegativeBinomial(3000, 0.5), Poisson(1000.0), Poisson(614_400.0)],
+    ids=repr,
 )
 def test_underflowing_start_mass_keeps_the_law(marginal):
-    # the first mass (1-p)^m underflows to 0, which used to pin every draw
-    # to one end of the support
+    # the mass at 0 ((1-p)^m, e^-rate) underflows to 0, so a table run up
+    # from it would pin every draw to one end of the support; one uniform a
+    # draw holds up to the largest Poisson rate allowed
     rng = CountingRng(29)
     draws = [marginal.sample(rng) for _ in range(20000)]
     assert rng.calls == 20000
@@ -243,6 +236,36 @@ def test_underflowing_start_mass_keeps_the_law(marginal):
         {k: counts.get(k, 0) for k in support}, {k: marginal.density(k) for k in support}
     )
     assert pval > 1e-3
+
+
+@pytest.mark.parametrize(
+    "marginal",
+    [
+        Poisson(1e3),
+        Poisson(1e5),
+        Poisson(614_400.0),
+        Binomial(2000, 0.5),
+        Binomial(10**6, 0.3),
+        NegativeBinomial(3000, 0.5),
+        NegativeBinomial(10**4, 0.5),
+    ],
+    ids=repr,
+)
+def test_cdf_table_matches_scipy_at_extreme_parameters(marginal):
+    from scipy import stats
+
+    if isinstance(marginal, Poisson):
+        law = stats.poisson(marginal.rate)
+    elif isinstance(marginal, Binomial):
+        law = stats.binom(marginal.trials, marginal.success)
+    else:
+        # scipy's nbinom(n, p) counts failures of chance 1 - p before n successes
+        law = stats.nbinom(marginal.blocks, 1.0 - marginal.ratio)
+    table = marginal.cdf_table
+    want = law.cdf(np.arange(len(table)))
+    seen = want > 1e-300
+    assert seen.any()
+    assert np.max(np.abs(table[seen] - want[seen]) / want[seen]) < 1e-10
 
 
 def test_uniform_int_and_signed_unit():
@@ -372,10 +395,10 @@ def test_parameter_validation():
         Geometric(0.0)
     with pytest.raises(ValueError):
         Poisson(-1.0)
-    # the largest rate allowed costs 2^10 uniforms a draw
+    # the largest rate allowed costs one uniform a draw
     rng = CountingRng(1)
     Poisson(614_400.0).sample(rng)
-    assert rng.calls == 1024
+    assert rng.calls == 1
     with pytest.raises(ValueError, match="exceeds the limit 614400"):
         Poisson(614_401.0)
     with pytest.raises(ValueError):

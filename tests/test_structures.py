@@ -444,6 +444,13 @@ def test_family_validation():
         build_problem(EwensProfile(4, 5))
     with pytest.raises(InvalidFamily):
         build_problem(EwensProfile(4, 2, theta=0.0))
+    # an infinite theta or tilt would ask for an infinite Poisson rate
+    with pytest.raises(InvalidFamily, match="theta must be positive and finite"):
+        build_problem(EwensProfile(4, 2, theta=math.inf))
+    for family in (Assembly(5, tilt=math.inf), SetPartition(5, tilt=math.inf),
+                   EwensProfile(4, 2, tilt=math.inf)):
+        with pytest.raises(InvalidFamily, match="tilt must be positive and finite"):
+            build_problem(family)
     for family in (Partition(1e3), Partition(3.5), PlanePartitionGrid(12.0)):
         with pytest.raises(InvalidFamily, match="whole number"):
             build_problem(family)
