@@ -32,10 +32,26 @@ by its membership test.  Acceptance ratios are asserted to lie in [0, 1]
 :class:`InvalidRejection`.
 
 Every engine draws its first halves (or full vectors) through the drawer
-the problem picks once, on first use: one block of uniforms inverted by
-``marginals.block_inversion`` and summed with int64 dot products (integer
-problems) or ``math.fsum`` (real ones), else a per-coordinate ``sample``
-plan.  The block and the plan turn the same uniforms into the same values.
+the problem picks once, on first use, from the marginals: a scan over the
+nonzero coordinates where a cost rule says it pays, else one block of
+uniforms inverted by ``marginals.block_inversion`` and summed with int64
+dot products (integer problems) or ``math.fsum`` (real ones), else a
+per-coordinate ``sample`` plan.  The block and the plan turn the same
+uniforms into the same values.
+
+The scan serves integer problems whose coordinates all live on 0, 1, 2,
+... with P(Z = 0) > 0 (Geometric, Bernoulli and the cdf-table laws).  Its
+stream differs from the block's: first the gaps, exponentials on the
+cumulative hazard -sum log P(Z_j = 0), one per nonzero coordinate and one
+that passes the end, then one uniform per nonzero coordinate for its value
+given Z >= 1, in index order (none for Bernoulli).  It keeps the drawn
+(index, value) pairs, and ``_assemble`` makes the dense vector of an
+accepted attempt only.  The cost rule (``_scan_pays``) compares the
+scan's expected steps, nonzero coordinates + 1, with the dense block's
+work: at least 200 coordinates, a Geometric coordinate costing ten table
+comparisons, and never a block that batches in long runs.  So
+Partition(400) and Partition(1600) draw their dsh first halves by the
+scan, and every family at n <= 200 keeps the block.
 
 A block drawer can also invert K attempts' blocks in one numpy call.  It
 peeks K blocks of the stream and hands out one window a call, consuming
@@ -76,25 +92,28 @@ statistic, applies the integer checks only.
 
 Costs are whatever the :class:`CountingRng` records; completability is
 checked before the acceptance uniform is drawn, so a dead first half
-costs only its own draws.  Uniforms a batch peeked but did not consume
-stay in the stream for the next draw and are not counted, so batching
-moves no outcome, attempt count or uniform count.
+costs only its own draws.  Uniforms a batch or a scan peeked but did not
+consume stay in the stream for the next draw and are not counted, so
+batching moves no outcome, attempt count or uniform count.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import repeat
-from typing import Callable, Sequence
+from itertools import accumulate, repeat
+from operator import mul
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InfeasibleTarget, InvalidRejection, NonTerminating, SingularSystem
 from .marginals import (
-    ContinuousMarginal, CountingRng, DiscreteMarginal, block_inversion,
+    ContinuousMarginal, CountingRng, DiscreteMarginal, Geometric, _positive_inversion,
+    block_inversion,
 )
 
 DEFAULT_MAX_ATTEMPTS = 10 ** 8
@@ -102,7 +121,7 @@ DEFAULT_MAX_ATTEMPTS = 10 ** 8
 _RATIO_SLACK = 1e-9
 
 # Drawers return (linear sum, second sum, values), the values aligned
-# with the drawn index list.
+# with the drawn index list (a scan's as a _Sparse).
 Drawer = Callable[[CountingRng], tuple[float, float, Sequence]]
 
 
@@ -196,11 +215,14 @@ class ConditioningProblem:
 
     @cached_property
     def _draw_free(self) -> Drawer:
-        return self._drawer(self.free_indices)
+        # dsh draws an acceptance uniform after each completable attempt
+        # unless its pivot block is flat, which ends a run of draws
+        return self._drawer(self.free_indices, all(self.marginals[i].flat for i in self.index_set))
 
     @cached_property
     def _draw_full(self) -> Drawer:
-        return self._drawer(tuple(range(self.size)))
+        # hard rejection draws nothing in its step
+        return self._drawer(tuple(range(self.size)), True)
 
     @cached_property
     def _dsh_step(self) -> Callable:
@@ -228,9 +250,11 @@ class ConditioningProblem:
             return None, "hard rejection needs discrete marginals: it tests its hits exactly"
         return reason, reason
 
-    def _drawer(self, indices: tuple[int, ...]) -> Drawer:
-        """One block inversion for ``indices``, else a ``sample`` plan."""
-        draw = _block_drawer(self, indices)
+    def _drawer(self, indices: tuple[int, ...], runs: bool) -> Drawer:
+        """A scan over the nonzero coordinates of ``indices`` where it pays, else
+        one block inversion, else a ``sample`` plan.  ``runs`` tells whether
+        the engine's step leaves the stream unmoved, so a block can batch."""
+        draw = _sparse_drawer(self, indices, runs) or _block_drawer(self, indices)
         if draw is not None:
             return draw
         sec = self.second
@@ -369,6 +393,124 @@ def _block_drawer(problem: ConditioningProblem, indices) -> Drawer | None:
     return batched
 
 
+class _Sparse(NamedTuple):
+    """A drawn block of ``size`` coordinates: ``values`` at the ascending
+    positions ``at``, and 0 everywhere else."""
+
+    size: int
+    at: list
+    values: list
+
+    def dense(self) -> list:
+        out = [0] * self.size
+        for i, v in zip(self.at, self.values):
+            out[i] = v
+        return out
+
+
+# The cost rule of the scan, in the dense block's comparisons per attempt:
+# a coordinate costs 1 and a table entry 1, a Geometric coordinate
+# _LOG_COST (its logarithm), and a scan step _SCAN_STEP (a gap, a
+# bisection, a value and a product in Python).  Measured per attempt
+# under dsh on a shared 2-vCPU x86-64 host (Python 3.11, numpy 2.4):
+# Partition(400) and (1600) went 16.9 -> 15.2 and 40.2 -> 23.5 us with the
+# scan, Partition(200) broke even and Partition(100) lost 18%;
+# Multiset(400) and SetPartition(1600) gained 7% and 29%; SetPartition(400),
+# the grid classes at 400 and 1600, Selection(400) and
+# DistinctPartition(1600) lost 19-112%.  A block that batches (module
+# docstring) in long runs costs far less a draw: hard Partition(100) and
+# (400) took 2.9x and 1.5x as long with the scan, so such a block stays
+# dense, and so does a block of fewer than _SCAN_MIN_SIZE coordinates,
+# where no block measured gained.
+_SCAN_STEP = 200
+_LOG_COST = 10
+_SCAN_MIN_SIZE = 200
+
+
+def _scan_pays(marginals, steps: float, runs: bool) -> bool:
+    """Whether a scan of ``steps`` expected steps beats the dense block of ``marginals``."""
+    if len(marginals) < _SCAN_MIN_SIZE:
+        return False
+    tables = [getattr(m, "cdf_table", None) for m in marginals]
+    entries = sum(len(t) for t in tables if t is not None)
+    if runs and _BATCH_UNIFORMS // max(len(marginals), entries) >= _MIN_BATCH:
+        return False
+    dense = entries + sum(_LOG_COST if isinstance(m, Geometric) else 1 for m in marginals)
+    return dense >= _SCAN_STEP * steps
+
+
+def _sparse_drawer(problem: ConditioningProblem, indices, runs: bool) -> Drawer | None:
+    """Draw ``indices`` by a scan over their nonzero coordinates, or None.
+
+    For an integer problem whose marginals ``_positive_inversion`` draws.
+    The cumulative hazards H_0 = 0, H_{j+1} = H_j - log P(Z_j = 0) cut
+    [0, H_c) into one half-open interval [H_j, H_{j+1}) per coordinate,
+    and Z_j is nonzero exactly when a unit-rate Poisson process holds a
+    point in its interval.  From the restart point H_s an exponential gap
+    finds the next point; it lies in the interval of the next nonzero
+    coordinate i (``bisect_right``), and the scan restarts at H_{i+1},
+    which leaves the coordinates after i independent of what was drawn,
+    until a gap passes H_c.  A zero-hazard coordinate has an empty
+    interval and is never hit.  Then each nonzero coordinate, in index
+    order, draws Z given Z >= 1.  An attempt spends (nonzero + 1)
+    uniforms on gaps, then one per nonzero coordinate that is not
+    Bernoulli.  The gaps come from ``peek``ed chunks, and only those used
+    are consumed.  Sums are exact Python integers.
+    """
+    if not problem._exact_int:
+        return None
+    marginals = [problem.marginals[i] for i in indices]
+    hazards = [m._zero_hazard() for m in marginals]
+    if None in hazards:
+        return None
+    # one step per nonzero coordinate, and one past the end
+    steps = 1.0 + math.fsum(-math.expm1(-h) for h in hazards)
+    rule = _scan_pays(marginals, steps, runs) and _positive_inversion(marginals)
+    if not rule:
+        return None
+    invert, spends = rule
+    ends = list(accumulate(hazards, initial=0.0))
+    end = ends[-1]
+    sec = problem.second
+    w = [int(problem.weights[i]) for i in indices]
+    c = None if sec is None else [int(sec.coeffs[i]) for i in indices]
+    # one peek holds the gaps and values of most attempts
+    chunk = 3 * math.ceil(steps) + 8
+    size = len(indices)
+
+    def draw(rng: CountingRng):
+        want = chunk
+        while True:
+            u = rng.peek(want)
+            # log1p(-u) is minus an exponential gap
+            logs = np.log1p(-u).tolist()
+            at, lo, start = [], 0, 0.0
+            for gap in logs:
+                point = start - gap
+                if point >= end:
+                    break
+                lo = bisect_right(ends, point, lo)
+                at.append(lo - 1)
+                start = ends[lo]
+            else:
+                # every gap peeked hit a coordinate: scan again, further ahead
+                want *= 2
+                continue
+            # a gap per nonzero coordinate and one past H_c, then the values
+            hits = len(at)
+            stop = 2 * hits + 1 if spends else hits + 1
+            if stop <= want:
+                break
+            want = stop
+        vals = invert(at, u[hits + 1:stop], logs[hits + 1:stop])
+        rng.consume(stop)
+        lin = sum(map(mul, map(w.__getitem__, at), vals))
+        second = 0 if c is None else sum(map(mul, map(c.__getitem__, at), vals))
+        return lin, second, _Sparse(size, at, vals)
+
+    return draw
+
+
 def _draw(plan, rng: CountingRng):
     lin = 0
     sec = 0
@@ -411,7 +553,12 @@ def complete_from_sums(problem: ConditioningProblem, partial_lin, partial_sec=0)
 
 def _assemble(problem: ConditioningProblem, vals, pivot_vals=()):
     """The outcome of an accepted attempt: ``vals`` with ``pivot_vals`` at ``index_set``."""
-    out = vals.tolist() if isinstance(vals, np.ndarray) else [_as_scalar(v) for v in vals]
+    if isinstance(vals, _Sparse):
+        out = vals.dense()
+    elif isinstance(vals, np.ndarray):
+        out = vals.tolist()
+    else:
+        out = [_as_scalar(v) for v in vals]
     # index_set is ascending, so each insert lands at its final position
     for i, v in zip(problem.index_set, pivot_vals):
         out.insert(i, _as_scalar(v))
@@ -560,6 +707,8 @@ def soft_rejection_sample(
         _refuse_infeasible(problem)
 
     def step(_lin, _sec, vals, rng):
+        if isinstance(vals, _Sparse):
+            vals = vals.dense()
         qa = q(vals)
         if qa < 0.0:
             raise InvalidRejection(f"first-half weight q = {qa} is negative")

@@ -39,13 +39,17 @@ cdf-table marginals (in any mix) count the entries below each uniform in
 their concatenated tables; Geometric uses floor(log1p(-u) / log r),
 through the same numpy expression as its ``sample``; Bernoulli uses
 u >= 1 - s, and UniformReal lo + (hi - lo) u.  The engine draws every
-first half through it when the coordinates allow.
+first half through it when the coordinates allow.  Its sparse scan reads
+each law's -log P(Z = 0) (``_zero_hazard``) and draws Z given Z >= 1
+through ``_positive_inversion``, whose tables (``_positive_table``) come
+from the same recurrence run from max(mode, 1).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator
@@ -207,28 +211,35 @@ class DiscreteMarginal(Marginal):
         lo, hi = self.support_bounds()
         return itertools.takewhile(lambda k: k <= hi, itertools.count(lo, self.step))
 
+    def _zero_hazard(self) -> float | None:
+        """-log P(Z = 0) for a law on 0, 1, 2, ... whose values ``_positive_inversion`` draws, else None."""
+        return None
+
 
 class ContinuousMarginal(Marginal):
     """Real-valued marginals; the density is the pdf."""
 
 
-def _cdf_table(marginal: DiscreteMarginal, ratio: Callable[[int], float]) -> np.ndarray:
+def _cdf_table(marginal: DiscreteMarginal, ratio: Callable[[int], float], lowest: int = 0) -> np.ndarray:
     """Running cdf of an inversion scan, from masses run out of the mode.
 
     ratio(k) is mass(k+1) / mass(k).  The mode's mass is taken as 1; the
-    masses below it come from mass(k) = mass(k+1) / ratio(k) down to 0 (one
-    that underflows stays 0), and those above from mass(k+1) =
-    mass(k) ratio(k), up to the scan's stop: the last point of the
-    support, or past the mode the first mass that no longer changes the
-    running sum (masses only shrink from there, so the sum never changes
-    again).  No mass is formed outright, so none underflows the rest.  The
-    table keeps the running sums over their total, so a uniform maps to
-    the number of entries below it, which is where the scan would stop.
+    masses below it come from mass(k) = mass(k+1) / ratio(k) down to
+    ``lowest`` (one that underflows stays 0), and those above from
+    mass(k+1) = mass(k) ratio(k), up to the scan's stop: the last point of
+    the support, or past the mode the first mass that no longer changes
+    the running sum (masses only shrink from there, so the sum never
+    changes again).  No mass is formed outright, so none underflows the
+    rest.  The table keeps the running sums over their total, so a uniform
+    maps to ``lowest`` plus the number of entries below it, which is where
+    the scan would stop.  With ``lowest`` 1 it is the law of Z given
+    Z >= 1, run out from max(mode, 1), the mode of that law (the masses
+    are unimodal).
     """
-    mode = marginal.mode()
+    mode = max(marginal.mode(), lowest)
     last = marginal.support_bounds()[1]
     masses = [1.0]
-    for k in range(mode - 1, -1, -1):
+    for k in range(mode - 1, lowest - 1, -1):
         masses.append(masses[-1] / ratio(k))
     sums = list(itertools.accumulate(reversed(masses)))
     cdf = total = sums.pop()
@@ -244,6 +255,27 @@ def _cdf_table(marginal: DiscreteMarginal, ratio: Callable[[int], float]) -> np.
     table = np.array(sums) / total
     table.flags.writeable = False
     return table
+
+
+class _TableLaw(DiscreteMarginal):
+    """A law on 0, 1, 2, ... drawn through the cdf table of its mass recurrence."""
+
+    def _ratio(self) -> Callable[[int], float]:
+        """k -> mass(k + 1) / mass(k)."""
+        raise NotImplementedError
+
+    @cached_property
+    def cdf_table(self) -> np.ndarray:
+        return _cdf_table(self, self._ratio())
+
+    @cached_property
+    def _positive_table(self) -> np.ndarray:
+        """The table of Z given Z >= 1: a uniform maps to 1 + the entries below it.
+
+        The same recurrence builds it; (cdf - P(0)) / (1 - P(0)) would
+        cancel where P(Z >= 1) is tiny.
+        """
+        return _cdf_table(self, self._ratio(), lowest=1)
 
 
 @dataclass(frozen=True)
@@ -271,12 +303,15 @@ class Geometric(DiscreteMarginal):
     def sample(self, rng: CountingRng) -> int:
         return int(_geometric_inverse(rng.uniform(), self._log_ratio))
 
+    def _zero_hazard(self) -> float:
+        return -math.log1p(-self.ratio)
+
     def support_bounds(self) -> tuple[float, float]:
         return 0, math.inf
 
 
 @dataclass(frozen=True)
-class Poisson(DiscreteMarginal):
+class Poisson(_TableLaw):
     """P(k) = e^-rate rate^k / k!.  rate = 0 degenerates to the point mass at 0.
 
     Every rate draws by one-uniform cdf inversion.  A rate above 614,400
@@ -305,10 +340,12 @@ class Poisson(DiscreteMarginal):
     def mode(self) -> int:
         return max(0, math.ceil(self.rate) - 1)
 
-    @cached_property
-    def cdf_table(self) -> np.ndarray:
+    def _ratio(self) -> Callable[[int], float]:
         rate = self.rate
-        return _cdf_table(self, lambda k: rate / (k + 1))
+        return lambda k: rate / (k + 1)
+
+    def _zero_hazard(self) -> float:
+        return self.rate
 
     def support_bounds(self) -> tuple[float, float]:
         return 0, (0 if self.rate == 0.0 else math.inf)
@@ -337,12 +374,15 @@ class Bernoulli(DiscreteMarginal):
     def sample(self, rng: CountingRng) -> int:
         return 0 if rng.uniform() < 1.0 - self.success else 1
 
+    def _zero_hazard(self) -> float:
+        return -math.log1p(-self.success)
+
     def support_bounds(self) -> tuple[float, float]:
         return 0, 1
 
 
 @dataclass(frozen=True)
-class Binomial(DiscreteMarginal):
+class Binomial(_TableLaw):
     """Binomial(trials, success) on k = 0..trials."""
 
     trials: int
@@ -371,18 +411,20 @@ class Binomial(DiscreteMarginal):
             k -= 1  # tie with k-1; report the smaller argmax
         return min(max(k, 0), self.trials)
 
-    @cached_property
-    def cdf_table(self) -> np.ndarray:
+    def _ratio(self) -> Callable[[int], float]:
         m, p = self.trials, self.success
         q = p / (1.0 - p)
-        return _cdf_table(self, lambda k: q * (m - k) / (k + 1))
+        return lambda k: q * (m - k) / (k + 1)
+
+    def _zero_hazard(self) -> float:
+        return -self.trials * math.log1p(-self.success)
 
     def support_bounds(self) -> tuple[float, float]:
         return 0, self.trials
 
 
 @dataclass(frozen=True)
-class NegativeBinomial(DiscreteMarginal):
+class NegativeBinomial(_TableLaw):
     """P(k) = C(blocks+k-1, k) (1-ratio)^blocks ratio^k on k >= 0.
 
     Counts failures before the blocks-th success; mode floor((blocks-1)
@@ -415,10 +457,12 @@ class NegativeBinomial(DiscreteMarginal):
             k -= 1
         return k
 
-    @cached_property
-    def cdf_table(self) -> np.ndarray:
+    def _ratio(self) -> Callable[[int], float]:
         m, x = self.blocks, self.ratio
-        return _cdf_table(self, lambda k: x * (m + k) / (k + 1))
+        return lambda k: x * (m + k) / (k + 1)
+
+    def _zero_hazard(self) -> float:
+        return -self.blocks * math.log1p(-self.ratio)
 
     def support_bounds(self) -> tuple[float, float]:
         return 0, math.inf
@@ -680,3 +724,30 @@ def block_inversion(marginals) -> tuple[Callable, list[int] | None] | None:
         return np.bincount(hits, minlength=u.size).reshape(u.shape)
 
     return invert, lengths
+
+
+def _positive_inversion(marginals) -> tuple[Callable, bool] | None:
+    """The inversion of Z given Z >= 1 for a block of marginals on 0, 1, 2, ..., or None.
+
+    The sparse form of ``sample``: with P(Z = 0) = exp(-``_zero_hazard()``)
+    it decides which coordinates are nonzero, and this draws their values.
+    Returns ``(invert, spends)``.  ``invert(at, u, logs)`` maps uniforms u,
+    one per coordinate listed in ``at``, with logs their log1p(-u), to
+    values of Z given Z >= 1, as a list: 1 plus a Geometric's own
+    inversion (the law is memoryless), or 1 plus the entries of a
+    cdf-table law's ``_positive_table`` below u.  Bernoulli coordinates
+    are 1 given Z >= 1, so ``spends`` is False and ``invert`` reads no
+    uniform.  None for a mix of kinds other than cdf tables, or a marginal
+    without a rule.
+    """
+    kinds = {type(m) for m in marginals}
+    if kinds == {Bernoulli}:
+        return (lambda at, u, logs: [1] * len(at)), False
+    if kinds == {Geometric}:
+        logr = [float(m._log_ratio) for m in marginals]
+        return (lambda at, u, logs: [1 + int(a // logr[i]) for i, a in zip(at, logs)]), True
+    if not all(isinstance(m, _TableLaw) for m in marginals):
+        return None
+    # a coordinate of zero hazard is never nonzero, so it needs no table
+    tables = [m._positive_table.tolist() if m._zero_hazard() else [] for m in marginals]
+    return (lambda at, u, logs: [1 + bisect_left(tables[i], x) for i, x in zip(at, u.tolist())]), True

@@ -372,6 +372,16 @@ def _bernoulli_default_samplers():
                 yield partial(sample_structure, family, method=method, max_attempts=cap)
 
 
+def _sparse_samplers():
+    # Partition(400) and (1600), whose dsh first halves, and Partition(1600)'s
+    # hard full vectors, the sparse scan draws; hard Partition(400) batches
+    # its dense block, so the cost rule keeps it
+    for n in (400, 1600):
+        for method in ("dsh", "hard"):
+            for cap in (DEFAULT_MAX_ATTEMPTS, 37):
+                yield partial(sample_structure, Partition(n), method=method, max_attempts=cap)
+
+
 def library_digest(samplers) -> str:
     """sha256 over (outcome, attempts, rng_calls) of three draws at seeds 1-4 per sampler.
 
@@ -417,6 +427,8 @@ PINNED_LIBRARY = [
      "7fc904b0ec5d4f582ca3cbae4804f3538a83484f969c0776d819b059d821e313"),
     ("bernoulli-default", _bernoulli_default_samplers,
      "25f260c39380bcb8ad6d6c0f83eace214d7e29d6c0dbfa244ea4d712794a4d83"),
+    ("sparse", _sparse_samplers,
+     "1721562b64713292cc580443d04cc00b7bda2e650d8a8ccb521e5af4540381af"),
 ]
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from exactcond import engine
 from exactcond.engine import (
     ConditioningProblem,
     SecondConstraint,
@@ -16,6 +17,7 @@ from exactcond.engine import (
     dsh_sample,
     hard_rejection_sample,
     soft_rejection_sample,
+    _block_drawer,
     _draw,
 )
 from exactcond.errors import (
@@ -911,6 +913,104 @@ def test_table_lookup_matches_the_scan_at_edge_uniforms(marginal):
         assert prob._draw_free(rng)[2].tolist() == [want]
 
 
+def scan_of(problem, monkeypatch):
+    """The sparse scan over the problem's free block, whatever the cost rule says."""
+    monkeypatch.setattr(engine, "_scan_pays", lambda *_: True)
+    return engine._sparse_drawer(problem, problem.free_indices, False)
+
+
+# cumulative hazards 0, 1, 1, 1.5, 2.5: Poisson(0.0) has an empty interval
+ZERO_GAP_BLOCK = ConditioningProblem(
+    marginals=(Poisson(1.0), Poisson(0.0), Poisson(0.5), Poisson(1.0), Poisson(2.0)),
+    weights=(1, 2, 3, 4, 5), target=12, index_set=(4,),
+)
+# 1 - 2^-53, the largest uniform a CountingRng hands out: its gap is 53 ln 2
+TOP = 1.0 - 2.0 ** -53
+
+
+def test_a_zero_gap_lands_on_the_next_undecided_coordinate(monkeypatch):
+    draw = scan_of(ZERO_GAP_BLOCK, monkeypatch)
+    # each zero gap starts where the last hit's interval ends, so it hits
+    # the next coordinate of positive hazard, and the fourth starts at the
+    # end; then three values, each 1 at u = 0.5
+    rng = FixedUniforms([0.0] * 4 + [0.5] * 3)
+    lin, sec, vals = draw(rng)
+    assert (vals.at, vals.values) == ([0, 2, 3], [1, 1, 1])
+    assert (lin, sec, rng.calls) == (1 + 3 + 4, 0, 7)
+    assert vals.dense() == [1, 0, 1, 1]
+
+
+def test_the_largest_uniform_ends_the_scan(monkeypatch):
+    draw = scan_of(ZERO_GAP_BLOCK, monkeypatch)
+    rng = FixedUniforms([TOP])
+    assert draw(rng)[:2] == (0, 0) and rng.calls == 1
+    # from a restart point as well
+    rng = FixedUniforms([0.0, TOP, 0.5])
+    lin, _, vals = draw(rng)
+    assert (vals.at, lin, rng.calls) == ([0], 1, 3)
+    # and over a total hazard just below its gap
+    prob = ConditioningProblem(
+        marginals=(Poisson(36.73), Poisson(0.0), Poisson(1.0)), weights=(1, 1, 1),
+        target=3, index_set=(2,),
+    )
+    rng = FixedUniforms([TOP])
+    assert scan_of(prob, monkeypatch)(rng)[2].at == [] and rng.calls == 1
+
+
+def test_zero_hazard_coordinates_are_never_hit(monkeypatch):
+    prob = build_problem(SetPartition(400))
+    rates = [prob.marginals[i].rate for i in prob.free_indices]
+    zero = {k for k, rate in enumerate(rates) if rate == 0.0}
+    assert len(zero) == 154
+    assert all(len(prob.marginals[prob.free_indices[k]].cdf_table) == 0 for k in zero)
+    draw = scan_of(prob, monkeypatch)
+    rng = CountingRng(11)
+    for _ in range(2000):
+        at = draw(rng)[2].at
+        assert at == sorted(set(at)) and not zero & set(at)
+    # zero gaps walk every coordinate whose interval is not empty, in
+    # order, and past the last one into the zero-rate tail, where they stop
+    ends = list(itertools.accumulate(rates, initial=0.0))
+    live = [k for k in range(len(rates)) if ends[k + 1] > ends[k]]
+    assert not zero & set(live)
+    rng = FixedUniforms([0.0] * (len(live) + 1))
+    assert draw(rng)[2].at == live
+    assert rng.calls == 2 * len(live) + 1
+
+
+@pytest.mark.parametrize(
+    "marginal",
+    [
+        Poisson(1e-12),  # P(Z >= 1) is below 1e-10
+        Poisson(3.5),
+        Poisson(599.0),
+        Binomial(9, 0.5),
+        Binomial(354, 0.94),
+        Binomial(1000, 1e-14),
+        NegativeBinomial(1, 0.7737472833305733),
+        NegativeBinomial(3, 0.5),
+        NegativeBinomial(2, 1e-11),
+    ],
+    ids=repr,
+)
+def test_zero_truncated_tables_match_scipy(marginal):
+    from scipy import stats
+
+    if isinstance(marginal, Poisson):
+        law = stats.poisson(marginal.rate)
+    elif isinstance(marginal, Binomial):
+        law = stats.binom(marginal.trials, marginal.success)
+    else:
+        # scipy's nbinom(n, p) counts failures of chance 1 - p before n successes
+        law = stats.nbinom(marginal.blocks, 1.0 - marginal.ratio)
+    table = marginal._positive_table
+    # entry j is P(Z <= j + 1 | Z >= 1)
+    want = np.cumsum(law.pmf(np.arange(1, len(table) + 1))) / law.sf(0)
+    seen = want > 1e-300
+    assert seen.any()
+    assert np.max(np.abs(table[seen] - want[seen]) / want[seen]) < 1e-10
+
+
 # (ratio, u) where math's and numpy's log1p and log differ in the last bit
 # across an integer quotient on an x86-64 host with AVX-512 and numpy 2.4
 GEOMETRIC_EDGES = [
@@ -978,15 +1078,19 @@ def test_a_block_batches_within_one_block_of_comparisons():
             marginals=tuple(marginals), weights=weights, target=3, index_set=(0,)
         )
 
+    def dense(prob, full=False):
+        # the block drawer itself: a sparse scan peeks too, without batching
+        return _block_drawer(prob, tuple(range(prob.size)) if full else prob.free_indices)
+
     # a closed-form block batches up to 4096 / 8 = 512 coordinates
     prob = problem([Geometric(0.5)] * 513, (1,) * 513)
-    assert batches(prob._draw_free) and not batches(prob._draw_full)
+    assert batches(dense(prob)) and not batches(dense(prob, full=True))
     # a table block costs max(coordinates, table entries) comparisons a row
     for family in (Selection(60), EwensProfile(50, 5), SetPartition(100), Assembly(100)):
-        assert batches(fresh(family)._draw_free), family
+        assert batches(dense(build_problem(family))), family
     for family in (Multiset(100), SetPartition(400)):
-        prob = fresh(family)
-        assert not batches(prob._draw_free) and not batches(prob._draw_full), family
+        prob = build_problem(family)
+        assert not batches(dense(prob)) and not batches(dense(prob, full=True)), family
     # a plan-drawn block (UniformInt has no block rule) never batches
     prob = problem([UniformInt(0, 3), UniformInt(0, 3)], weights=(1, 1))
     assert isinstance(prob._draw_free, partial) and not batches(prob._draw_free)

@@ -16,8 +16,14 @@ proportional to P(T = n, K = k) from a 2-D convolution; one coordinate
 is nearly blind to errors in the long tail of the first half, and K is
 not.  The convolution reads each coordinate's masses from the family's
 own problem, so it checks the draw, not the choice of marginals, which
-the enumeration tests pin.  Seeds, draw counts and the thresholds are
-fixed here, before any run."""
+the enumeration tests pin.  Partition(1600) is past what the 2-D
+convolution affords, and its laws come from counting partitions instead:
+given T = n the partition is uniform, so K = k has weight p(n, k), the
+partitions of n into exactly k parts, and Z_i = j has weight
+p(n - i j) - p(n - i (j + 1)), the partitions of n - i j with no part i.
+There the number D of distinct part sizes, the nonzero coordinates the
+sparse scan picks, is checked too.  Seeds, draw counts and the thresholds
+are fixed here, before any run."""
 
 from collections import Counter
 
@@ -219,3 +225,104 @@ def assert_part_laws(family, draws, seed, threshold):
     for name in PART_STATS:
         _, _, p = chi_squared_gof(counts[name], laws[name])
         assert p > threshold, f"{name} of {family!r}: p={p:.3g}"
+
+
+def partition_counts(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """p(m) for m = 0..n, and p(n, k) for k = 0..n, as floats.
+
+    p(m, k), the partitions of m into exactly k parts, is p(m - 1, k - 1)
+    + p(m - k, k): the partitions with a part 1, and those whose k parts
+    each lose 1.  One column over m per k; within a column m reads m - k,
+    so it fills k rows at a time.
+    """
+    prev = np.zeros(n + 1)
+    prev[0] = 1.0
+    total = prev.copy()
+    exact = np.zeros(n + 1)
+    exact[0] = prev[n]
+    for k in range(1, n + 1):
+        col = np.zeros(n + 1)
+        for lo in range(k, n + 1, k):
+            hi = min(lo + k, n + 1)
+            col[lo:hi] = prev[lo - 1:hi - 1] + col[lo - k:hi - k]
+        total += col
+        exact[k] = col[n]
+        prev = col
+    return total, exact
+
+
+def distinct_size_counts(n: int) -> np.ndarray:
+    """The partitions of n with exactly d distinct part sizes, for d = 0, 1, ..., as floats.
+
+    Size i joins the partitions counted so far either not at all or j >= 1
+    times, adding one distinct size; g[s] sums the counts at s - i j over
+    j >= 1, so g[s] = counts[s - i] + g[s - i], filled i rows at a time.
+    """
+    most = int(((8 * n + 1) ** 0.5 - 1) / 2)  # 1 + 2 + ... + d <= n
+    counts = np.zeros((n + 1, most + 1))
+    counts[0, 0] = 1.0
+    for i in range(1, n + 1):
+        g = np.zeros_like(counts)
+        for lo in range(i, n + 1, i):
+            hi = min(lo + i, n + 1)
+            g[lo:hi] = counts[lo - i:hi - i] + g[lo - i:hi - i]
+        counts[:, 1:] += g[:, :-1]
+    return counts[n]
+
+
+def counted_part_laws(n: int) -> dict[str, dict[int, float]]:
+    """Unnormalised laws of Z_1, Z_2, Z_3, K and D given T = n for a uniform partition of n."""
+    p, by_parts = partition_counts(n)
+
+    def below(m):
+        return p[m] if m >= 0 else 0.0
+
+    laws = {"K": dict(enumerate(by_parts)), "D": dict(enumerate(distinct_size_counts(n)))}
+    for i in (1, 2, 3):
+        laws[f"Z{i}"] = {j: below(n - i * j) - below(n - i * (j + 1)) for j in range(n // i + 1)}
+    return laws
+
+
+SCAN_STATS = PART_STATS + ("D",)
+
+
+def scan_stats(counts) -> dict[str, int]:
+    return dict(part_stats(counts), D=sum(1 for c in counts if c))
+
+
+def test_the_counted_part_laws_match_the_convolution_and_the_oracle():
+    counted = counted_part_laws(30)
+    convolved = part_laws(Partition(30))
+    for name in PART_STATS:
+        want = convolved[name]
+        got = {j: q for j, q in counted[name].items() if q > 0.0}
+        assert {j: q / sum(got.values()) for j, q in got.items()} == pytest.approx(
+            {j: q / sum(want.values()) for j, q in want.items() if q > 0.0}
+        )
+    exact = enumerate_conditional(build_problem(Partition(12)))
+    for name, law in counted_part_laws(12).items():
+        marginal = Counter()
+        for outcome, prob in exact.probs.items():
+            marginal[scan_stats(outcome)[name]] += prob
+        total = sum(law.values())
+        assert {j: q / total for j, q in law.items() if q > 0.0} == pytest.approx(marginal)
+
+
+# Partition(1600) at its default tilt, where dsh draws the first half by
+# the sparse scan; p > 1e-3, Bonferroni-corrected over its five statistics
+SCAN_RUN = (Partition(1600), 2000, 3206)
+SCAN_THRESHOLD = 1e-3 / len(SCAN_STATS)
+
+
+def test_partition_1600_part_laws_at_the_default_tilt():
+    family, draws, seed = SCAN_RUN
+    laws = counted_part_laws(family.n)
+    rng = CountingRng(seed)
+    counts = {name: Counter() for name in SCAN_STATS}
+    for _ in range(draws):
+        value, _ = sample_structure(family, rng)
+        for name, stat in scan_stats(value.counts).items():
+            counts[name][stat] += 1
+    for name in SCAN_STATS:
+        _, _, p = chi_squared_gof(counts[name], laws[name])
+        assert p > SCAN_THRESHOLD, f"{name} of {family!r}: p={p:.3g}"
