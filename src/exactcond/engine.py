@@ -425,12 +425,12 @@ class _Sparse(NamedTuple):
 _SCAN_STEP = 200
 _LOG_COST = 10
 _SCAN_MIN_SIZE = 200
+# above the largest gap, -log(2^-53) = 36.7, of a uniform below 1
+_HAZARD_CAP = 40.0
 
 
 def _scan_pays(marginals, steps: float, runs: bool) -> bool:
     """Whether a scan of ``steps`` expected steps beats the dense block of ``marginals``."""
-    if len(marginals) < _SCAN_MIN_SIZE:
-        return False
     tables = [getattr(m, "cdf_table", None) for m in marginals]
     entries = sum(len(t) for t in tables if t is not None)
     if runs and _BATCH_UNIFORMS // max(len(marginals), entries) >= _MIN_BATCH:
@@ -457,7 +457,7 @@ def _sparse_drawer(problem: ConditioningProblem, indices, runs: bool) -> Drawer 
     Bernoulli.  The gaps come from ``peek``ed chunks, and only those used
     are consumed.  Sums are exact Python integers.
     """
-    if not problem._exact_int:
+    if not problem._exact_int or len(indices) < _SCAN_MIN_SIZE:
         return None
     marginals = [problem.marginals[i] for i in indices]
     hazards = [m._zero_hazard() for m in marginals]
@@ -469,7 +469,10 @@ def _sparse_drawer(problem: ConditioningProblem, indices, runs: bool) -> Drawer 
     if not rule:
         return None
     invert, spends = rule
-    ends = list(accumulate(hazards, initial=0.0))
+    # no gap passes _HAZARD_CAP, so a longer interval is hit from any
+    # restart point before it either way; capping it keeps the ends small
+    # enough to resolve the tiny hazards after it
+    ends = list(accumulate((min(h, _HAZARD_CAP) for h in hazards), initial=0.0))
     end = ends[-1]
     sec = problem.second
     w = [int(problem.weights[i]) for i in indices]

@@ -915,6 +915,7 @@ def test_table_lookup_matches_the_scan_at_edge_uniforms(marginal):
 
 def scan_of(problem, monkeypatch):
     """The sparse scan over the problem's free block, whatever the cost rule says."""
+    monkeypatch.setattr(engine, "_SCAN_MIN_SIZE", 0)
     monkeypatch.setattr(engine, "_scan_pays", lambda *_: True)
     return engine._sparse_drawer(problem, problem.free_indices, False)
 
@@ -976,6 +977,21 @@ def test_zero_hazard_coordinates_are_never_hit(monkeypatch):
     rng = FixedUniforms([0.0] * (len(live) + 1))
     assert draw(rng)[2].at == live
     assert rng.calls == 2 * len(live) + 1
+
+
+def test_tiny_hazards_after_a_heavy_coordinate_keep_their_intervals(monkeypatch):
+    # 1e5 + 1e-12 rounds to 1e5, which would empty the intervals after it;
+    # the heavy coordinate is nonzero from any restart point all the same
+    prob = ConditioningProblem(
+        marginals=(Poisson(1e5),) + (Poisson(1e-12),) * 3 + (Poisson(1.0),),
+        weights=(1,) * 5, target=100_003, index_set=(4,),
+    )
+    draw = scan_of(prob, monkeypatch)
+    # the largest gap from 0 hits it, and from its end passes the block's
+    rng = FixedUniforms([TOP, TOP])
+    assert draw(rng)[2].at == [0]
+    rng = FixedUniforms([0.0] * 5)
+    assert draw(rng)[2].at == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize(

@@ -21,8 +21,8 @@ convolution affords, and its laws come from counting partitions instead:
 given T = n the partition is uniform, so K = k has weight p(n, k), the
 partitions of n into exactly k parts, and Z_i = j has weight
 p(n - i j) - p(n - i (j + 1)), the partitions of n - i j with no part i.
-There the number D of distinct part sizes, the nonzero coordinates the
-sparse scan picks, is checked too.  Seeds, draw counts and the thresholds
+There, and at Partition(400), the number D of distinct part sizes, the
+nonzero coordinates the sparse scan picks, is checked too.  Seeds, draw counts and the thresholds
 are fixed here, before any run."""
 
 from collections import Counter
@@ -326,3 +326,18 @@ def test_partition_1600_part_laws_at_the_default_tilt():
     for name in SCAN_STATS:
         _, _, p = chi_squared_gof(counts[name], laws[name])
         assert p > SCAN_THRESHOLD, f"{name} of {family!r}: p={p:.3g}"
+
+
+# Partition(400), the other size whose dsh first halves the scan draws:
+# its Z_1-Z_3 and K are checked above, D here; p > 1e-3
+DISTINCT_RUN = (Partition(400), 2000, 3207)
+
+
+def test_partition_400_distinct_part_sizes_at_the_default_tilt():
+    family, draws, seed = DISTINCT_RUN
+    rng = CountingRng(seed)
+    counts = Counter(
+        sum(1 for c in sample_structure(family, rng)[0].counts if c) for _ in range(draws)
+    )
+    _, _, p = chi_squared_gof(counts, dict(enumerate(distinct_size_counts(family.n))))
+    assert p > 1e-3, f"D of {family!r}: p={p:.3g}"
