@@ -32,43 +32,55 @@ by its membership test.  Acceptance ratios are asserted to lie in [0, 1]
 :class:`InvalidRejection`.
 
 Every engine draws its first halves (or full vectors) through the drawer
-the problem picks once, on first use, from the marginals: a scan over the
-nonzero coordinates where a cost rule says it pays, else one block of
-uniforms inverted by ``marginals.block_inversion`` and summed with int64
-dot products (integer problems) or ``math.fsum`` (real ones), else a
-per-coordinate ``sample`` plan.  The block and the plan turn the same
-uniforms into the same values.
+the problem picks once, on first use, from the marginals: a cell scan
+where a cost rule says it pays, else one block of uniforms inverted by
+``marginals.block_inversion`` and summed with int64 dot products (integer
+problems) or ``math.fsum`` (real ones), else a per-coordinate ``sample``
+plan.  The block and the plan turn the same uniforms into the same values.
 
-The scan serves integer problems whose coordinates all live on 0, 1, 2,
-... with P(Z = 0) > 0 (Geometric, Bernoulli and the cdf-table laws).  Its
-stream differs from the block's: first the gaps, exponentials on the
-cumulative hazard -sum log P(Z_j = 0), one per nonzero coordinate and one
-that passes the end, then one uniform per nonzero coordinate for its value
-given Z >= 1, in index order (none for Bernoulli).  It keeps the drawn
-(index, value) pairs, and ``_assemble`` makes the dense vector of an
-accepted attempt only.  The cost rule (``_scan_pays``) compares the
-scan's expected steps, nonzero coordinates + 1, with the dense block's
-work: at least 200 coordinates, a Geometric coordinate costing ten table
-comparisons, and never a block that batches in long runs.  So
-Partition(400) and Partition(1600) draw their dsh first halves by the
-scan, and every family at n <= 200 keeps the block.
+The cell scan (``_cell_drawer``) serves dsh and hard rejection on integer
+problems with positive weights whose marginals take values >= 0 and are
+sums over independent Poisson cells (``marginals._cell_table``): Geometric
+and NegativeBinomial laws are sum_j j N_j with N_j ~ Poisson(m r^j / j),
+Poisson one cell, Bernoulli and Binomial hit cells that count once.  A
+coordinate's jumps above t / w_i only make an attempt dead, so they merge
+into one dead cell at the start of the hazard axis; the cells follow it up
+to the total hazard H.  An attempt is one unit-rate Poisson process on
+[0, H): its stream is gaps only, exponentials from 0 until their sum
+passes H, and a point in the dead cell ends it at once.  So an attempt
+spends a uniform per point and one for its closing gap, whose overshoot V
+past H is Exp(1) and independent of the attempt: dsh accepts when exp(-V)
+is below its ratio, drawing nothing in its step.  Positions are multiples
+of 2^-44 (``_GRID``): each gap is floored to the grid and each cell's
+hazard rounded to it, so an attempt's positions are exact int64 sums
+whichever window holds it.  A floored gap keeps the chance of no point in
+k grid units exactly exp(-k 2^-44), and a rounded hazard moves its cell's
+hit chance by at most 2^-45, so an attempt's law moves by at most
+cells x 2^-45 in total variation (2e-10 for Partition(1600)'s 7,475
+cells).  The cost rule (``_scan_pays``)
+compares the dense block's table comparisons an attempt with the scan's
+uniforms an attempt, in blocks of 50 coordinates or more.  Soft rejection
+weighs dead first halves too, so it never scans.
 
-A block drawer can also invert K attempts' blocks in one numpy call.  It
-peeks K blocks of the stream and hands out one window a call, consuming
-it before the step runs, for as long as the stream does not move under
-it: the same rng asks again with nothing drawn since the last window.
-Each window is then exactly the uniforms the next attempt would draw, so
-a batch runs on across dead attempts, and, since hard rejection and flat
-pivots draw nothing in their step, across the samples one rng draws in a
-row.  An acceptance uniform, a draw by anything else, or another rng
-drops the windows left.  K is the mean run of draws the drawer has seen
-on an unmoved stream, counting the run in progress, capped at 4096
-comparisons a batch: a row costs its uniforms in a closed-form block
-(Geometric, Bernoulli, UniformReal) and the larger of its uniforms and
-its table entries in a cdf-table block.  Below K = 8, and in a block
-whose cap falls below 8, the drawer draws one window at a time; plans
-always do.  The drawer holds its rng weakly, so it keeps no finished
-request's rng alive.
+A scan reads many attempts per peek of the stream, and a dense block
+batches K attempts' blocks in one numpy call, through one scope
+(``_windowed``): it peeks windows of attempts and hands out one a call,
+consuming it, for as long as the stream does not move under it: the same
+rng asks again with nothing drawn since the last attempt.  Each attempt
+handed out is then exactly what the next draw would take, so windows run
+on across dead attempts, and, since hard rejection, flat pivots and a
+scan's dsh draw nothing in their step, across the samples one rng draws in
+a row.  An acceptance uniform, a draw by anything else, or another rng
+drops the window.  K is the mean run of attempts the drawer has seen on an
+unmoved stream, counting the run in progress; a dense block caps it at
+4096 comparisons a batch (a row costs its uniforms in a closed-form block
+and the larger of its uniforms and its table entries in a cdf-table one)
+and below K = 8 draws one attempt at a time; plans always do.  A scan's
+window also carries the engine's screen, the attempts its step would
+reject, found over the window's sums in numpy (``_pivot_screen``,
+``_hit_screen``); ``_rejection_loop`` spends those through the drawer's
+``skip`` without stepping them.  The drawer holds its rng weakly, so it
+keeps no finished request's rng alive.
 
 An accepted attempt becomes its outcome once, in ``_assemble``: a tuple
 of Python scalars, with the pivot block inserted at ``index_set``.  Later
@@ -92,28 +104,27 @@ statistic, applies the integer checks only.
 
 Costs are whatever the :class:`CountingRng` records; completability is
 checked before the acceptance uniform is drawn, so a dead first half
-costs only its own draws.  Uniforms a batch or a scan peeked but did not
-consume stay in the stream for the next draw and are not counted, so
-batching moves no outcome, attempt count or uniform count.
+costs only its own draws.  Uniforms a window peeked but did not consume
+stay in the stream for the next draw and are not counted, so windows move
+no outcome, attempt count or uniform count.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import accumulate, repeat
-from operator import mul
+from bisect import bisect_left
+from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InfeasibleTarget, InvalidRejection, NonTerminating, SingularSystem
 from .marginals import (
-    ContinuousMarginal, CountingRng, DiscreteMarginal, Geometric, _positive_inversion,
-    block_inversion,
+    ContinuousMarginal, CountingRng, DiscreteMarginal, Geometric, _ragged, block_inversion,
+    _cell_table,
 )
 
 DEFAULT_MAX_ATTEMPTS = 10 ** 8
@@ -121,7 +132,7 @@ DEFAULT_MAX_ATTEMPTS = 10 ** 8
 _RATIO_SLACK = 1e-9
 
 # Drawers return (linear sum, second sum, values), the values aligned
-# with the drawn index list (a scan's as a _Sparse).
+# with the drawn index list (a cell scan's as an _Attempt).
 Drawer = Callable[[CountingRng], tuple[float, float, Sequence]]
 
 
@@ -215,14 +226,17 @@ class ConditioningProblem:
 
     @cached_property
     def _draw_free(self) -> Drawer:
-        # dsh draws an acceptance uniform after each completable attempt
-        # unless its pivot block is flat, which ends a run of draws
-        return self._drawer(self.free_indices, all(self.marginals[i].flat for i in self.index_set))
+        return self._drawer(self.free_indices, partial(_pivot_screen, self))
 
     @cached_property
     def _draw_full(self) -> Drawer:
-        # hard rejection draws nothing in its step
-        return self._drawer(tuple(range(self.size)), True)
+        return self._drawer(tuple(range(self.size)), partial(_hit_screen, self))
+
+    @cached_property
+    def _draw_whole(self) -> Drawer:
+        # soft rejection weighs every first half, dead or not, so it draws
+        # them without the cell scan's dead cell
+        return self._drawer(self.free_indices)
 
     @cached_property
     def _dsh_step(self) -> Callable:
@@ -250,11 +264,12 @@ class ConditioningProblem:
             return None, "hard rejection needs discrete marginals: it tests its hits exactly"
         return reason, reason
 
-    def _drawer(self, indices: tuple[int, ...], runs: bool) -> Drawer:
-        """A scan over the nonzero coordinates of ``indices`` where it pays, else
-        one block inversion, else a ``sample`` plan.  ``runs`` tells whether
-        the engine's step leaves the stream unmoved, so a block can batch."""
-        draw = _sparse_drawer(self, indices, runs) or _block_drawer(self, indices)
+    def _drawer(self, indices: tuple[int, ...], screen: Callable | None = None) -> Drawer:
+        """A cell scan of ``indices`` where it pays, else one block
+        inversion, else a ``sample`` plan.  ``screen()`` builds the rule by
+        which the engine's step rejects attempts, over a window's sums; the
+        cell scan needs it, and no screen means no cell scan."""
+        draw = (screen and _cell_drawer(self, indices, screen)) or _block_drawer(self, indices)
         if draw is not None:
             return draw
         sec = self.second
@@ -357,161 +372,289 @@ def _block_drawer(problem: ConditioningProblem, indices) -> Drawer | None:
         z = invert(rng.uniforms(count))
         return total(w, z), 0 if c is None else total(c, z), z
 
-    tables = [getattr(m, "cdf_table", None) for m in marginals]
-    entries = sum(len(t) for t in tables if t is not None)
-    most = _BATCH_UNIFORMS // max(count, entries)
+    most = _BATCH_UNIFORMS // max(count, _table_entries(marginals))
     if most < _MIN_BATCH:
         return draw
 
+    def peek(rng: CountingRng, k: int) -> _Window:
+        z = invert(rng.peek(k * count).reshape(k, count))
+        rows = zip(totals(w, z), repeat(0) if c is None else totals(c, z), z)
+        # a block's attempts are handed out in order, so item(i) is the next row
+        return _Window([count] * k, partial(next, rows))
+
+    return _windowed(peek, most, draw)
+
+
+def _table_entries(marginals) -> int:
+    return sum(len(t) for m in marginals if (t := getattr(m, "cdf_table", None)) is not None)
+
+
+class _Window(NamedTuple):
+    """Attempts peeked ahead of the stream.  Attempt i spends ``spent[i]``
+    uniforms and ``item(i)`` gives its draw; ``passing`` lists, ascending,
+    the attempts the engine's screen lets through (None where the drawer
+    has no screen)."""
+
+    spent: list
+    item: Callable[[int], tuple]
+    passing: list | None = None
+
+
+def _windowed(peek: Callable, most: int, draw: Drawer | None = None, screened: bool = False) -> Drawer:
+    """A drawer that hands out attempts from windows peeked ahead of the stream.
+
+    ``peek(rng, k)`` reads about k attempts ahead, unconsumed, as a
+    ``_Window``.  Each call hands out the next attempt and consumes its
+    uniforms, for as long as the stream does not move under the drawer:
+    the same rng asks again with nothing drawn since.  Otherwise the
+    window is dropped.  k is the mean run of attempts seen on an unmoved
+    stream, counting the run in progress, capped at ``most``; below
+    _MIN_BATCH a drawer with a one-attempt ``draw`` uses it instead.  The
+    rng is held weakly, so no finished request's rng is kept alive.
+
+    Where the windows carry a screen, the drawer's ``skip(rng, budget)``
+    consumes the attempts up to the next one the screen lets through, at
+    most ``budget`` of them, and returns their count (``_rejection_loop``).
+    """
     # one snapshot, replaced whole: the rng (held weakly), its count after
-    # the last window handed out (-1, no count, before the first), and the
-    # windows peeked past that count
-    snapshot = (None, -1, iter(()))
+    # the last attempt handed out (-1, no count, before the first), the
+    # window peeked past that count and the next attempt in it
+    snapshot = (None, -1, None, 0)
     draws = runs = 0
 
-    def batched(rng: CountingRng):
+    def windowed(rng: CountingRng):
         nonlocal snapshot, draws, runs
-        held, mark, windows = snapshot
+        held, mark, window, at = snapshot
         draws += 1
         if rng.calls != mark or held() is not rng:
-            # the stream moved under the drawer: a new run, and stale windows
-            held, windows = weakref.ref(rng), iter(())
+            # the stream moved under the drawer: a new run, and a stale window
+            held, window = weakref.ref(rng), None
             runs += 1
-        window = next(windows, None)
-        if window is not None:
-            rng.consume(count)
-        elif (k := min(draws // runs, most)) < _MIN_BATCH:
-            window = draw(rng)
-        else:
-            z = invert(rng.peek(k * count).reshape(k, count))
-            windows = zip(totals(w, z), repeat(0) if c is None else totals(c, z), z)
-            window = next(windows)
-            rng.consume(count)
-        snapshot = held, rng.calls, windows
-        return window
+        if window is None or at == len(window.spent):
+            k = min(max(draws // runs, 1), most)
+            if draw is not None and k < _MIN_BATCH:
+                got = draw(rng)
+                snapshot = held, rng.calls, None, 0
+                return got
+            window, at = peek(rng, k), 0
+        rng.consume(window.spent[at])
+        snapshot = held, rng.calls, window, at + 1
+        return window.item(at)
 
-    return batched
+    def skip(rng: CountingRng, budget: int) -> int:
+        nonlocal snapshot, draws, runs
+        skipped = 0
+        while True:
+            held, mark, window, at = snapshot
+            if rng.calls != mark or held() is not rng:
+                held, window = weakref.ref(rng), None
+                runs += 1
+            if window is None or at == len(window.spent):
+                window, at = peek(rng, min(max(draws // runs, 1), most)), 0
+            spent, passing = window.spent, window.passing
+            j = bisect_left(passing, at)
+            n = min((passing[j] if j < len(passing) else len(spent)) - at, budget - skipped)
+            rng.consume(sum(spent[at:at + n]))
+            at += n
+            skipped += n
+            draws += n
+            snapshot = held, rng.calls, window, at
+            if at < len(spent) or skipped == budget:
+                return skipped
+
+    if screened:
+        windowed.skip = skip
+    return windowed
 
 
-class _Sparse(NamedTuple):
-    """A drawn block of ``size`` coordinates: ``values`` at the ascending
-    positions ``at``, and 0 everywhere else."""
+class _Attempt(NamedTuple):
+    """A cell-scan attempt: ``dense()`` gives its values, and ``closing`` is
+    exp(-V), V the overshoot of its closing gap past the total hazard."""
 
-    size: int
-    at: list
-    values: list
-
-    def dense(self) -> list:
-        out = [0] * self.size
-        for i, v in zip(self.at, self.values):
-            out[i] = v
-        return out
+    dense: Callable[[], list]
+    closing: float
 
 
-# The cost rule of the scan, in the dense block's comparisons per attempt:
-# a coordinate costs 1 and a table entry 1, a Geometric coordinate
-# _LOG_COST (its logarithm), and a scan step _SCAN_STEP (a gap, a
-# bisection, a value and a product in Python).  Measured per attempt
-# under dsh on a shared 2-vCPU x86-64 host (Python 3.11, numpy 2.4):
-# Partition(400) and (1600) went 16.9 -> 15.2 and 40.2 -> 23.5 us with the
-# scan, Partition(200) broke even and Partition(100) lost 18%;
-# Multiset(400) and SetPartition(1600) gained 7% and 29%; SetPartition(400),
-# the grid classes at 400 and 1600, Selection(400) and
-# DistinctPartition(1600) lost 19-112%.  A block that batches (module
-# docstring) in long runs costs far less a draw: hard Partition(100) and
-# (400) took 2.9x and 1.5x as long with the scan, so such a block stays
-# dense, and so does a block of fewer than _SCAN_MIN_SIZE coordinates,
-# where no block measured gained.
-_SCAN_STEP = 200
+# Positions on the hazard axis are multiples of 1/_GRID: each gap is
+# floor(-log(1 - u) _GRID) and each cell's hazard is rounded to the grid,
+# so an attempt's positions are exact int64 sums, whichever window holds
+# it.  A gap is at most 36.8 (u <= 1 - 2^-53), so _WINDOW gaps sum below
+# 2^62.2 on the grid; a window only grows past _WINDOW while its first
+# attempt is open, whose gaps sum below the total hazard.
+_GRID = 2.0 ** 44
+_WINDOW = 8192
+# a window reads the uniforms of k attempts on average, and _SLACK more
+_SLACK = 256
+# a block with more cells, or more total hazard, keeps the dense block
+_MAX_CELLS = 1 << 16
+_MAX_HAZARD = 256.0
+
+
+# The cost rule of the cell scan: it pays where the dense block's work
+# per attempt, in table comparisons (a coordinate 1, a table entry 1, a
+# Geometric coordinate _LOG_COST for its logarithm), reaches _SCAN_STEP per
+# uniform the scan spends an attempt, in a block of at least _SCAN_MIN_SIZE
+# coordinates.  Measured as process time per sample, a fresh rng per
+# sample, dense -> cells, on a shared 2-vCPU x86-64 host (Python 3.11,
+# numpy 2.4), medians of 3-5 alternating runs read +-30%: Partition(100)
+# dsh 125-223 -> 129-199 us (990 comparisons, 9.8 uniforms an attempt),
+# hard 410-685 -> 306-538, Partition(400) 290-416 -> 181-318, (1600)
+# 970-1362 -> 351-643, Multiset(100) 123-176 -> 129-205 (1,337, 9.8),
+# EwensProfile(50, 5) 654-1032 -> 298-572 (446, 3.2) switch;
+# DistinctPartition(100) 148-284 -> 240-454 (99, 9.1), Selection(60)
+# 138-270 -> 176-322 (118, 7.1), SetPartition(100) 87-168 -> 126-221
+# (444, 25.8) and Assembly(100) 81-155 -> 115-225 (435, 23) stay dense.
+# Below 50 coordinates a sample takes few attempts, and one window costs
+# more than the block saves: Partition(30) 160 -> 209 us, Multiset(50)
+# 158 -> 187 us, Partition(50) 205 -> 202 us.  EwensProfile(50, 5)'s 48
+# free coordinates would gain (654 -> 298 us), but the benchmark's
+# struct-generic peak RSS, which grows with its request count, then read
+# +5.0% against a 5% bound, so they stay dense.
+_SCAN_STEP = 40
 _LOG_COST = 10
-_SCAN_MIN_SIZE = 200
-# above the largest gap, -log(2^-53) = 36.7, of a uniform below 1
-_HAZARD_CAP = 40.0
+_SCAN_MIN_SIZE = 50
 
 
-def _scan_pays(marginals, steps: float, runs: bool) -> bool:
-    """Whether a scan of ``steps`` expected steps beats the dense block of ``marginals``."""
-    tables = [getattr(m, "cdf_table", None) for m in marginals]
-    entries = sum(len(t) for t in tables if t is not None)
-    if runs and _BATCH_UNIFORMS // max(len(marginals), entries) >= _MIN_BATCH:
-        return False
-    dense = entries + sum(_LOG_COST if isinstance(m, Geometric) else 1 for m in marginals)
-    return dense >= _SCAN_STEP * steps
+def _scan_pays(marginals, spend: float) -> bool:
+    """Whether a cell scan spending ``spend`` uniforms an attempt beats the dense block of ``marginals``."""
+    dense = _table_entries(marginals) + sum(
+        _LOG_COST if isinstance(m, Geometric) else 1 for m in marginals
+    )
+    return dense >= _SCAN_STEP * spend
 
 
-def _sparse_drawer(problem: ConditioningProblem, indices, runs: bool) -> Drawer | None:
-    """Draw ``indices`` by a scan over their nonzero coordinates, or None.
+def _cell_drawer(problem: ConditioningProblem, indices, screen: Callable) -> Drawer | None:
+    """Draw ``indices`` as one Poisson process over the laws' cells, or None.
 
-    For an integer problem whose marginals ``_positive_inversion`` draws.
-    The cumulative hazards H_0 = 0, H_{j+1} = H_j - log P(Z_j = 0) cut
-    [0, H_c) into one half-open interval [H_j, H_{j+1}) per coordinate,
-    and Z_j is nonzero exactly when a unit-rate Poisson process holds a
-    point in its interval.  From the restart point H_s an exponential gap
-    finds the next point; it lies in the interval of the next nonzero
-    coordinate i (``bisect_right``), and the scan restarts at H_{i+1},
-    which leaves the coordinates after i independent of what was drawn,
-    until a gap passes H_c.  A zero-hazard coordinate has an empty
-    interval and is never hit.  Then each nonzero coordinate, in index
-    order, draws Z given Z >= 1.  An attempt spends (nonzero + 1)
-    uniforms on gaps, then one per nonzero coordinate that is not
-    Bernoulli.  The gaps come from ``peek``ed chunks, and only those used
-    are consumed.  Sums are exact Python integers.
+    For an integer problem whose weights are positive and whose marginals
+    all take values >= 0 and have cells (``marginals._cell_table``): then
+    each term w_i Z_i is at most the target t, so a coordinate's jumps
+    above t / w_i only make an attempt dead, and they are merged into one
+    dead cell, [0, D) on the hazard axis; the cells follow it up to the
+    total hazard H (module docstring).  An attempt draws gaps from 0 until
+    their sum passes H: a first point in the dead cell ends it dead, else
+    each point before H adds its cell's jump to its coordinate (a hit cell
+    adds 1 once, however many points it holds).  The dead cell keeps each
+    attempt a draw of the whole first half, so attempt counts keep the
+    dense block's law.
+
+    A window (``_windowed``) walks its gaps' running sums once, one
+    ``bisect`` an attempt, to find where each attempt closes; one
+    ``searchsorted`` places every point in its cell, and one
+    ``reduceat`` a sum gives every attempt's sums.  A dead attempt's
+    linear sum is t + 1, which no engine completes.  ``screen()`` builds
+    the engine's screen over the window.
     """
-    if not problem._exact_int or len(indices) < _SCAN_MIN_SIZE:
-        return None
-    marginals = [problem.marginals[i] for i in indices]
-    hazards = [m._zero_hazard() for m in marginals]
-    if None in hazards:
-        return None
-    # one step per nonzero coordinate, and one past the end
-    steps = 1.0 + math.fsum(-math.expm1(-h) for h in hazards)
-    rule = _scan_pays(marginals, steps, runs) and _positive_inversion(marginals)
-    if not rule:
-        return None
-    invert, spends = rule
-    # no gap passes _HAZARD_CAP, so a longer interval is hit from any
-    # restart point before it either way; capping it keeps the ends small
-    # enough to resolve the tiny hazards after it
-    ends = list(accumulate((min(h, _HAZARD_CAP) for h in hazards), initial=0.0))
-    end = ends[-1]
     sec = problem.second
-    w = [int(problem.weights[i]) for i in indices]
-    c = None if sec is None else [int(sec.coeffs[i]) for i in indices]
-    # one peek holds the gaps and values of most attempts
-    chunk = 3 * math.ceil(steps) + 8
+    t = problem.target
+    if not problem._exact_int or t < 0 or len(indices) < _SCAN_MIN_SIZE:
+        return None
+    if min(problem.weights) <= 0 or any(m.support_bounds()[0] < 0 for m in problem.marginals):
+        return None
+    t = int(t)
+    marginals = [problem.marginals[i] for i in indices]
+    w = np.array([int(problem.weights[i]) for i in indices], dtype=np.int64)
+    caps = t // w
+    c = None if sec is None else np.array([int(sec.coeffs[i]) for i in indices], dtype=np.int64)
+    # a window's sums stay exact int64: each point adds at most t, and at
+    # most |c_i| cap_i to the second sum
+    top = max(t, 0 if c is None else int(np.max(np.abs(c) * caps)))
+    if top >= 2 ** 63 // (2 * _WINDOW):
+        return None
+    table = _cell_table(marginals, caps, 0.5 / _GRID, _MAX_CELLS)
+    if table is None:
+        return None
+    owner, jump, hit, hazard, dead = table
+    # the cells left out would round to no width, and are never hit
+    first = round(dead * _GRID)
+    bounds = first + np.concatenate(([0], np.cumsum(np.rint(hazard * _GRID).astype(np.int64))))
+    end = int(bounds[-1])
+    if end > _MAX_HAZARD * _GRID:
+        return None
+    # a dead attempt spends one uniform, a live one a point per unit of hazard and one more
+    spend = 1.0 + math.exp(-first / _GRID) * (end - first) / _GRID
+    if not _scan_pays(marginals, spend):
+        return None
+    # a gap's place on the axis, by searchsorted on the bounds: 0 in the
+    # dead cell, c + 1 in cell c, and len(bounds) past H; a dead point adds
+    # t + 1 to the linear sum, which no engine completes
+    lin_of = np.concatenate(([t + 1], jump * w[owner], [0]))
+    sec_of = None if c is None else np.concatenate(([0], jump * c[owner], [0]))
+    hits = bool(hit.any())
+    hit = np.concatenate(([False], hit, [False]))
+    at = np.concatenate(([0], owner, [0]))
+    value = np.concatenate(([0], jump, [0]))
     size = len(indices)
 
-    def draw(rng: CountingRng):
-        want = chunk
-        while True:
-            u = rng.peek(want)
-            # log1p(-u) is minus an exponential gap
-            logs = np.log1p(-u).tolist()
-            at, lo, start = [], 0, 0.0
-            for gap in logs:
-                point = start - gap
-                if point >= end:
-                    break
-                lo = bisect_right(ends, point, lo)
-                at.append(lo - 1)
-                start = ends[lo]
-            else:
-                # every gap peeked hit a coordinate: scan again, further ahead
-                want *= 2
-                continue
-            # a gap per nonzero coordinate and one past H_c, then the values
-            hits = len(at)
-            stop = 2 * hits + 1 if spends else hits + 1
-            if stop <= want:
-                break
-            want = stop
-        vals = invert(at, u[hits + 1:stop], logs[hits + 1:stop])
-        rng.consume(stop)
-        lin = sum(map(mul, map(w.__getitem__, at), vals))
-        second = 0 if c is None else sum(map(mul, map(c.__getitem__, at), vals))
-        return lin, second, _Sparse(size, at, vals)
+    def dense(places: np.ndarray) -> list:
+        adds = value[places]
+        if hits:
+            # a hit cell's later points add nothing
+            again = hit[places]
+            again[1:] &= places[1:] == places[:-1]
+            again[:1] = False
+            adds[again] = 0
+        out = [0] * size
+        for i, v in zip(at[places].tolist(), adds.tolist()):
+            out[i] += v
+        return out
 
-    return draw
+    def peek(rng: CountingRng, k: int) -> _Window:
+        want = min(math.ceil(k * spend) + _SLACK, _WINDOW)
+        while True:
+            pos = np.cumsum((np.log1p(-rng.peek(want)) * -_GRID).astype(np.int64))
+            # the attempts: each closes at once if its first point is dead,
+            # else at the first gap to reach H past its start
+            spots = pos.tolist()
+            starts, ends, bases, lengths = [], [], [], []
+            s = last = 0
+            while s < want:
+                e = s if spots[s] - last < first else bisect_left(spots, last + end, s)
+                if e == want:
+                    break
+                starts.append(s)
+                bases.append(last)
+                lengths.append(e + 1 - s)
+                last = spots[e]
+                s = e + 1
+                ends.append(s)
+            if starts:
+                break
+            # the first attempt is still open, and its gaps sum below H
+            want += min(want, _WINDOW)
+        # every gap's place, from its attempt's start
+        rel = pos[:s] - np.repeat(bases, lengths)
+        places = np.searchsorted(bounds, rel, side="right")
+        if hits:
+            # a hit cell's later points in the same attempt add nothing
+            again = hit[places]
+            again[1:] &= places[1:] == places[:-1]
+            again[starts] = False
+
+        def sums(of):
+            terms = of[places]
+            if hits:
+                terms[again] = 0
+            return np.add.reduceat(terms, starts)
+
+        lins = sums(lin_of)
+        secs = None if sec_of is None else sums(sec_of)
+        over = [spots[e - 1] - b - end for e, b in zip(ends, bases)]
+        closing = np.exp(np.array(over) / -_GRID)
+        passing = np.flatnonzero(~rejects(lins, secs, closing)).tolist()
+        lins = lins.tolist()
+        secs = [0] * len(starts) if secs is None else secs.tolist()
+        closing = closing.tolist()
+
+        def item(i):
+            return lins[i], secs[i], _Attempt(
+                partial(dense, places[starts[i]:ends[i] - 1]), closing[i]
+            )
+
+        return _Window(lengths, item, passing)
+
+    rejects = screen()
+    return _windowed(peek, max(1, _WINDOW // math.ceil(2 * spend)), screened=True)
 
 
 def _draw(plan, rng: CountingRng):
@@ -554,9 +697,69 @@ def complete_from_sums(problem: ConditioningProblem, partial_lin, partial_sec=0)
     return pivot
 
 
+def _hit_screen(problem: ConditioningProblem) -> Callable:
+    """Hard rejection's screen: the attempts whose sums miss the targets."""
+    t = problem.target
+    t2 = 0 if problem.second is None else problem.second.target
+    return lambda lins, secs, _closing: (lins != t) | (False if secs is None else secs != t2)
+
+
+def _pivot_screen(problem: ConditioningProblem) -> Callable:
+    """dsh's screen over a window of an integer problem's attempts.
+
+    It marks an attempt whose pivot block ``complete_from_sums`` would not
+    complete, or whose acceptance variate (``_Attempt.closing``) is not
+    below the density ratio the step would form, by the same float
+    operations.  Every term of the constraint is nonnegative where the
+    cell scan draws, so a pivot k above t / w_k leaves another pivot
+    negative, which the support check marks; the density lookup clips it.
+    Past _MAX_CELLS values a pivot gets no density table, and the step
+    alone decides acceptance.
+    """
+    pivots = [problem.marginals[i] for i in problem.index_set]
+    t = int(problem.target)
+    t2 = 0 if problem.second is None else int(problem.second.target)
+    tops = [t // int(problem.weights[i]) for i in problem.index_set]
+    ratios = not all(m.flat for m in pivots) and max(tops) <= _MAX_CELLS
+    bound = math.prod(m.sup_density() for m in pivots) if ratios else None
+    det = problem._det
+    rules = []
+    for (_, a, b), m, top in zip(problem._cramer, pivots, tops):
+        lo, hi = m.support_bounds()
+        dens = np.array([m.density(y) for y in range(top + 1)]) if ratios else None
+        if len(pivots) == 1 and ratios:
+            # the step's ratio is density / bound, one entry per value
+            dens = dens / bound
+        rules.append((a, b, lo, hi, m.step, top, dens))
+
+    def rejects(lins, secs, closing):
+        r1 = t - lins
+        out = num = None
+        for a, b, lo, hi, step, top, dens in rules:
+            x = (r1 if a == 1 else r1 * a) if secs is None else r1 * a + (t2 - secs) * b
+            if det == 1:
+                y, bad = x, x < lo
+            else:
+                y, rem = np.divmod(x, det)
+                bad = (rem != 0) | (y < lo)
+            if hi < top:
+                bad |= y > hi
+            if step != 1:
+                bad |= (y - lo) % step != 0
+            out = bad if out is None else out | bad
+            if dens is not None:
+                d = dens.take(y, mode="clip")
+                num = d if num is None else num * d
+        if num is not None:
+            out |= ~(closing < (num if len(rules) == 1 else num / bound))
+        return out
+
+    return rejects
+
+
 def _assemble(problem: ConditioningProblem, vals, pivot_vals=()):
     """The outcome of an accepted attempt: ``vals`` with ``pivot_vals`` at ``index_set``."""
-    if isinstance(vals, _Sparse):
+    if isinstance(vals, _Attempt):
         out = vals.dense()
     elif isinstance(vals, np.ndarray):
         out = vals.tolist()
@@ -593,7 +796,15 @@ def _rejection_loop(
     completes and accepts it, or returns None to reject the attempt.
     """
     start = rng.calls
-    for attempt in range(1, max_attempts + 1):
+    skip = getattr(draw, "skip", None)
+    attempt = 0
+    while attempt < max_attempts:
+        if skip is not None:
+            # attempts the step would reject, spent without stepping them
+            attempt += skip(rng, max_attempts - attempt)
+            if attempt == max_attempts:
+                break
+        attempt += 1
         lin, sec, vals = draw(rng)
         outcome = step(lin, sec, vals, rng)
         if outcome is not None:
@@ -657,7 +868,9 @@ def _pivot_step(problem: ConditioningProblem) -> Callable:
                 raise InvalidRejection(
                     f"pivot acceptance ratio {ratio} exceeds 1 at pivot {pivot}"
                 )
-            if not rng.uniform() < ratio:
+            # a cell scan's attempt brings exp(-V) of its closing gap
+            u = vals.closing if isinstance(vals, _Attempt) else rng.uniform()
+            if not u < ratio:
                 return None
         return _assemble(problem, vals, pivot)
 
@@ -710,8 +923,6 @@ def soft_rejection_sample(
         _refuse_infeasible(problem)
 
     def step(_lin, _sec, vals, rng):
-        if isinstance(vals, _Sparse):
-            vals = vals.dense()
         qa = q(vals)
         if qa < 0.0:
             raise InvalidRejection(f"first-half weight q = {qa} is negative")
@@ -722,5 +933,5 @@ def soft_rejection_sample(
         return _assemble(problem, vals, tuple(second_half(vals, rng)))
 
     return _rejection_loop(
-        problem._draw_free, step, rng, max_attempts, "soft rejection", problem.size
+        problem._draw_whole, step, rng, max_attempts, "soft rejection", problem.size
     )

@@ -39,17 +39,24 @@ cdf-table marginals (in any mix) count the entries below each uniform in
 their concatenated tables; Geometric uses floor(log1p(-u) / log r),
 through the same numpy expression as its ``sample``; Bernoulli uses
 u >= 1 - s, and UniformReal lo + (hi - lo) u.  The engine draws every
-first half through it when the coordinates allow.  Its sparse scan reads
-each law's -log P(Z = 0) (``_zero_hazard``) and draws Z given Z >= 1
-through ``_positive_inversion``, whose tables (``_positive_table``) come
-from the same recurrence run from max(mode, 1).
+first half through it when the coordinates allow.
+
+Each law on 0, 1, 2, ... with P(Z = 0) > 0 is also a sum over independent
+Poisson cells, which it states by ``_cells``, and ``_cell_table`` lists for
+a block (Arratia, Barbour and Tavare, *Logarithmic Combinatorial
+Structures*, 2003): Geometric(r) is sum_j j N_j with N_j ~ Poisson(r^j / j),
+NegativeBinomial(m, r) the same with hazards m r^j / j, Poisson(rate) one
+cell of jump 1; Bernoulli(p) is one hit cell of hazard -log(1 - p), whose
+value is 1 if it holds any point, and Binomial(m, p) is m of them.  A
+block's cells for jumps above a cap merge into one dead hazard, summed as
+a series where the whole less the head would cancel.  The engine's cell
+scan draws a first half as one Poisson process over them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator
@@ -211,8 +218,14 @@ class DiscreteMarginal(Marginal):
         lo, hi = self.support_bounds()
         return itertools.takewhile(lambda k: k <= hi, itertools.count(lo, self.step))
 
-    def _zero_hazard(self) -> float | None:
-        """-log P(Z = 0) for a law on 0, 1, 2, ... whose values ``_positive_inversion`` draws, else None."""
+    def _cells(self) -> tuple[float, float, int] | None:
+        """The law as a sum over independent Poisson cells, or None.
+
+        ``(a, r, 0)``: one count cell per jump j = 1, 2, ..., of hazard
+        a r^(j-1) / j, and Z is the sum of the jumps of its points.
+        ``(a, 0.0, m)``: m hit cells of hazard a each, and Z is the number
+        of them that hold a point.  The hazards sum to -log P(Z = 0).
+        """
         return None
 
 
@@ -220,26 +233,24 @@ class ContinuousMarginal(Marginal):
     """Real-valued marginals; the density is the pdf."""
 
 
-def _cdf_table(marginal: DiscreteMarginal, ratio: Callable[[int], float], lowest: int = 0) -> np.ndarray:
+def _cdf_table(marginal: DiscreteMarginal, ratio: Callable[[int], float]) -> np.ndarray:
     """Running cdf of an inversion scan, from masses run out of the mode.
 
     ratio(k) is mass(k+1) / mass(k).  The mode's mass is taken as 1; the
-    masses below it come from mass(k) = mass(k+1) / ratio(k) down to
-    ``lowest`` (one that underflows stays 0), and those above from
+    masses below it come from mass(k) = mass(k+1) / ratio(k) down to 0
+    (one that underflows stays 0), and those above from
     mass(k+1) = mass(k) ratio(k), up to the scan's stop: the last point of
     the support, or past the mode the first mass that no longer changes
     the running sum (masses only shrink from there, so the sum never
     changes again).  No mass is formed outright, so none underflows the
     rest.  The table keeps the running sums over their total, so a uniform
-    maps to ``lowest`` plus the number of entries below it, which is where
-    the scan would stop.  With ``lowest`` 1 it is the law of Z given
-    Z >= 1, run out from max(mode, 1), the mode of that law (the masses
-    are unimodal).
+    maps to the number of entries below it, which is where the scan would
+    stop.
     """
-    mode = max(marginal.mode(), lowest)
+    mode = marginal.mode()
     last = marginal.support_bounds()[1]
     masses = [1.0]
-    for k in range(mode - 1, lowest - 1, -1):
+    for k in range(mode - 1, -1, -1):
         masses.append(masses[-1] / ratio(k))
     sums = list(itertools.accumulate(reversed(masses)))
     cdf = total = sums.pop()
@@ -268,15 +279,6 @@ class _TableLaw(DiscreteMarginal):
     def cdf_table(self) -> np.ndarray:
         return _cdf_table(self, self._ratio())
 
-    @cached_property
-    def _positive_table(self) -> np.ndarray:
-        """The table of Z given Z >= 1: a uniform maps to 1 + the entries below it.
-
-        The same recurrence builds it; (cdf - P(0)) / (1 - P(0)) would
-        cancel where P(Z >= 1) is tiny.
-        """
-        return _cdf_table(self, self._ratio(), lowest=1)
-
 
 @dataclass(frozen=True)
 class Geometric(DiscreteMarginal):
@@ -303,8 +305,9 @@ class Geometric(DiscreteMarginal):
     def sample(self, rng: CountingRng) -> int:
         return int(_geometric_inverse(rng.uniform(), self._log_ratio))
 
-    def _zero_hazard(self) -> float:
-        return -math.log1p(-self.ratio)
+    def _cells(self) -> tuple[float, float, int]:
+        # sum_j j N_j with N_j ~ Poisson(r^j / j)
+        return self.ratio, self.ratio, 0
 
     def support_bounds(self) -> tuple[float, float]:
         return 0, math.inf
@@ -344,8 +347,8 @@ class Poisson(_TableLaw):
         rate = self.rate
         return lambda k: rate / (k + 1)
 
-    def _zero_hazard(self) -> float:
-        return self.rate
+    def _cells(self) -> tuple[float, float, int]:
+        return self.rate, 0.0, 0
 
     def support_bounds(self) -> tuple[float, float]:
         return 0, (0 if self.rate == 0.0 else math.inf)
@@ -374,8 +377,8 @@ class Bernoulli(DiscreteMarginal):
     def sample(self, rng: CountingRng) -> int:
         return 0 if rng.uniform() < 1.0 - self.success else 1
 
-    def _zero_hazard(self) -> float:
-        return -math.log1p(-self.success)
+    def _cells(self) -> tuple[float, float, int]:
+        return -math.log1p(-self.success), 0.0, 1
 
     def support_bounds(self) -> tuple[float, float]:
         return 0, 1
@@ -416,8 +419,8 @@ class Binomial(_TableLaw):
         q = p / (1.0 - p)
         return lambda k: q * (m - k) / (k + 1)
 
-    def _zero_hazard(self) -> float:
-        return -self.trials * math.log1p(-self.success)
+    def _cells(self) -> tuple[float, float, int]:
+        return -math.log1p(-self.success), 0.0, self.trials
 
     def support_bounds(self) -> tuple[float, float]:
         return 0, self.trials
@@ -461,8 +464,9 @@ class NegativeBinomial(_TableLaw):
         m, x = self.blocks, self.ratio
         return lambda k: x * (m + k) / (k + 1)
 
-    def _zero_hazard(self) -> float:
-        return -self.blocks * math.log1p(-self.ratio)
+    def _cells(self) -> tuple[float, float, int]:
+        # a sum of ``blocks`` independent Geometric(ratio)
+        return self.blocks * self.ratio, self.ratio, 0
 
     def support_bounds(self) -> tuple[float, float]:
         return 0, math.inf
@@ -726,28 +730,75 @@ def block_inversion(marginals) -> tuple[Callable, list[int] | None] | None:
     return invert, lengths
 
 
-def _positive_inversion(marginals) -> tuple[Callable, bool] | None:
-    """The inversion of Z given Z >= 1 for a block of marginals on 0, 1, 2, ..., or None.
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, k) over the rows of a ragged array: row i holds k = 0..counts[i]-1."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    return owner, np.arange(owner.size) - starts[owner]
 
-    The sparse form of ``sample``: with P(Z = 0) = exp(-``_zero_hazard()``)
-    it decides which coordinates are nonzero, and this draws their values.
-    Returns ``(invert, spends)``.  ``invert(at, u, logs)`` maps uniforms u,
-    one per coordinate listed in ``at``, with logs their log1p(-u), to
-    values of Z given Z >= 1, as a list: 1 plus a Geometric's own
-    inversion (the law is memoryless), or 1 plus the entries of a
-    cdf-table law's ``_positive_table`` below u.  Bernoulli coordinates
-    are 1 given Z >= 1, so ``spends`` is False and ``invert`` reads no
-    uniform.  None for a mix of kinds other than cdf tables, or a marginal
-    without a rule.
+
+def _log_tails(a: np.ndarray, r: np.ndarray, cap: np.ndarray) -> np.ndarray:
+    """sum_{j > cap} a r^(j-1) / j for each row, 0 < r < 1, without cancellation.
+
+    Where c = (cap + 1)(-log r) <= 4 the tail is at least E1(4), about
+    4e-3, of the whole sum, so it is the whole, (a / r)(-log(1 - r)), less
+    the first cap terms.  Elsewhere it is the series from j = cap + 1: each
+    term is below r times the one before, so K terms leave out less than
+    r^K / (1 - r) of the first, and K is taken to make that 2^-53.
     """
-    kinds = {type(m) for m in marginals}
-    if kinds == {Bernoulli}:
-        return (lambda at, u, logs: [1] * len(at)), False
-    if kinds == {Geometric}:
-        logr = [float(m._log_ratio) for m in marginals]
-        return (lambda at, u, logs: [1 + int(a // logr[i]) for i, a in zip(at, logs)]), True
-    if not all(isinstance(m, _TableLaw) for m in marginals):
+    tails = np.zeros(len(a))
+    logr = np.log(r)
+    near = (cap + 1) * -logr <= 4.0
+    for i in np.flatnonzero(near):
+        ai, ri = float(a[i]), float(r[i])
+        head = math.fsum(ai * ri ** (j - 1) / j for j in range(1, int(cap[i]) + 1))
+        tails[i] = ai / ri * -math.log1p(-ri) - head
+    first = a * np.power(r, cap) / (cap + 1)
+    far = np.flatnonzero(~near & (first > 0.0))
+    if far.size:
+        terms = np.ceil((53 * math.log(2.0) - np.log1p(-r[far])) / -logr[far]).astype(np.int64)
+        row, k = _ragged(terms)
+        j = cap[far][row] + 1 + k
+        tails[far] = np.bincount(
+            row, weights=a[far][row] * np.power(r[far][row], j - 1) / j, minlength=far.size
+        )
+    return tails
+
+
+def _cell_table(marginals, caps, floor: float, limit: int):
+    """The cells (``_cells``) of a block of laws, or None.
+
+    Returns ``(owner, jump, hit, hazard, dead)``: cell c belongs to
+    marginal owner[c], holds the jump jump[c] (1 for a hit cell, hit[c])
+    and has hazard hazard[c].  Jumps above a marginal's cap are merged into
+    one dead hazard, ``dead``: every cell of a law whose cap is 0, and the
+    count cells j > cap.  Cells of hazard at most ``floor`` are left out;
+    a r^(j-1) / j falls with j, so a law's count cells are formed only up
+    to the first that must be.  None when a marginal has no cells or the
+    block would form more than ``limit`` cells.
+    """
+    laws = [m._cells() for m in marginals]
+    if not laws or None in laws:
         return None
-    # a coordinate of zero hazard is never nonzero, so it needs no table
-    tables = [m._positive_table.tolist() if m._zero_hazard() else [] for m in marginals]
-    return (lambda at, u, logs: [1 + bisect_left(tables[i], x) for i, x in zip(at, u.tolist())]), True
+    a, r, hits = (np.array(col) for col in zip(*laws))
+    caps = np.asarray(caps, dtype=np.int64)
+    count = hits == 0
+    geometric = count & (r > 0.0)
+    # count cells past j = 1 + log(floor / a) / log r have a r^(j-1) < floor
+    last = np.ones(len(a), dtype=np.int64)
+    with np.errstate(divide="ignore"):
+        reach = 1.0 + np.log(floor / a[geometric]) / np.log(r[geometric])
+    last[geometric] = np.minimum(np.maximum(reach, 1.0), float(limit) + 1.0)
+    listed = np.where(count, np.minimum(caps, last), np.where(caps > 0, hits, 0))
+    if listed.sum() > limit:
+        return None
+    owner, k = _ragged(listed)
+    hit = ~count[owner]
+    jump = np.where(hit, 1, k + 1)
+    hazard = a[owner] * np.where(hit, 1.0, np.power(r[owner], k) / (k + 1))
+    kept = hazard > floor
+    owner, jump, hit, hazard = owner[kept], jump[kept], hit[kept], hazard[kept]
+    # a law of cap 0 is dead whole
+    dead = np.where(caps > 0, 0.0, np.where(count, a, hits * a))
+    dead[geometric] = _log_tails(a[geometric], r[geometric], caps[geometric])
+    return owner, jump, hit, hazard, math.fsum(dead.tolist())

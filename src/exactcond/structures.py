@@ -19,16 +19,19 @@ law of c_i          family              m_i              default tilt         pi
 Binomial, x < 1     DistinctPartition   1 (Bernoulli)    E[T] = n             least peak
 (m_i, x^i/(1+x^i))  Selection           given            E[T] = n             least peak
 NegativeBinomial,   Partition           1 (Geometric)    exp(-pi/sqrt(6 n))   least peak
-x < 1 (m_i, x^i)    Multiset            given            exp(-pi/sqrt(6 n))   least peak
+x < 1 (m_i, x^i)    Multiset            given            E[T] = n             least peak
                     PlanePartitionGrid  w - 2, w >= 3    E[T] = n             least peak
-Poisson(m_i x^i/i!) Assembly            given            x e^x = n            least peak
+Poisson(m_i x^i/i!) Assembly            given            E[T] = n             least peak
                     SetPartition        1                x e^x = n            round(ln n)
 Poisson(m_i x^i/i)  EwensProfile        theta            exp(-1/n)            sizes 1, 2
 ==================  ==================  ===============  ===================  ===========
 
 The least peak is the coordinate of least ``sup_density``.  E[T] = n is
 solved by bisection; a Binomial row keeps exp(-pi/sqrt(6 n)) when
-sum_i i m_i <= 2 n, as its mean then has no root below x = 1.
+sum_i i m_i <= 2 n, as its mean then has no root below x = 1, and with
+unit multiplicities a NegativeBinomial row keeps exp(-pi/sqrt(6 n)) and a
+Poisson row x e^x = n.  A tilt whose x^i underflows to 0 for a row below
+one raises InvalidFamily.
 
 The grid family lives on cells (i, j) of weight w = i + j + 1, each cell
 Geometric(x^w).  Cells heavier than n are forced to zero by the
@@ -238,8 +241,11 @@ def _partition_tilt(n: int, _mult) -> float:
 def _mean_tilt(sign: float, n: int, mult) -> float:
     """The root x in (0, 1) of E[T] = sum_i i m_i x^i / (1 + sign x^i) = n, by bisection.
 
-    sign is 1 for a Binomial row and -1 for a NegativeBinomial one.
+    sign is 1 for a Binomial row and -1 for a NegativeBinomial one.  A
+    NegativeBinomial row with unit multiplicities keeps exp(-pi/sqrt(6 n)).
     """
+    if sign < 0 and all(m == 1 for m in mult):
+        return _partition_tilt(n, mult)
     if sign > 0 and sum(i * m for i, m in enumerate(mult, start=1)) <= 2 * n:
         return _partition_tilt(n, mult)
     lo, hi = 0.0, 1.0
@@ -256,15 +262,38 @@ def _mean_tilt(sign: float, n: int, mult) -> float:
             hi = x
 
 
-def _assembly_tilt(n: int, _mult) -> float:
-    """x e^x = n, by Newton to relative residual 1e-12."""
-    x = math.log(n + 1.0)
-    for _ in range(80):
-        f = x * math.exp(x) - n
-        if abs(f) <= 1e-12 * max(1.0, float(n)):
-            return x
-        x -= f / ((1.0 + x) * math.exp(x))
-    raise ArithmeticError(f"tilt iteration failed to converge for n={n}")
+def _assembly_tilt(n: int, mult) -> float:
+    """The root x of E[T] = sum_i i m_i x^i / i! = n; x e^x = n with unit multiplicities.
+
+    x e^x = n is solved by Newton to relative residual 1e-12, the mean by
+    bisection on log x.
+    """
+    if all(m == 1 for m in mult):
+        x = math.log(n + 1.0)
+        for _ in range(80):
+            f = x * math.exp(x) - n
+            if abs(f) <= 1e-12 * max(1.0, float(n)):
+                return x
+            x -= f / ((1.0 + x) * math.exp(x))
+        raise ArithmeticError(f"tilt iteration failed to converge for n={n}")
+
+    def mean(y: float) -> float:
+        # i m_i x^i / i! in logs, so no power overflows
+        return sum(
+            math.exp(math.log(i * m) + i * y - math.lgamma(i + 1))
+            for i, m in enumerate(mult, start=1)
+        )
+
+    # the mean grows with x; its first term alone passes n at x = n / m_1
+    lo, hi = -745.0, math.log(n / mult[0])
+    while True:
+        y = 0.5 * (lo + hi)
+        if y in (lo, hi):
+            return math.exp(y)
+        if mean(y) < n:
+            lo = y
+        else:
+            hi = y
 
 
 def _grid_mult(n: int, _given) -> tuple[int, ...]:
@@ -323,9 +352,11 @@ _ROWS = {
     ),
     "partition": (
         lambda i, m, x: Geometric(x ** i),
-        _validate_mult, _partition_tilt, _least_peak, True,
+        _validate_mult, partial(_mean_tilt, -1.0), _least_peak, True,
     ),
-    "multiset": (_negative_binomial, _validate_mult, _partition_tilt, _least_peak, True),
+    "multiset": (
+        _negative_binomial, _validate_mult, partial(_mean_tilt, -1.0), _least_peak, True,
+    ),
     "planegrid": (
         _negative_binomial, _grid_mult, partial(_mean_tilt, -1.0), _least_peak, True,
     ),
@@ -377,6 +408,12 @@ def _counts_problem(family: Family) -> ConditioningProblem:
     if below_one and not x < 1.0:
         raise InvalidFamily(f"{family.kind} needs a tilt in (0, 1), got {x}")
     sizes = tuple(i for i, m in enumerate(mult, start=1) if m)
+    # a row below one draws c_i from x^i, which must not underflow to 0
+    if below_one and x ** sizes[-1] == 0.0:
+        low = next(i for i in sizes if x ** i == 0.0)
+        raise InvalidFamily(
+            f"tilt {x} is too small for {family.kind} of size {n}: x^{low} underflows to 0"
+        )
     marginals = tuple(law(i, mult[i - 1], x) for i in sizes)
     return ConditioningProblem(
         marginals=marginals, weights=sizes, target=n, **pivot(family, n, marginals),

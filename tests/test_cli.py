@@ -220,6 +220,7 @@ def _family_samplers():
         Selection(10, tilt=former_tilt(10)), Multiset(10), Assembly(10),
         SetPartition(10), EwensProfile(8, 3),
         Selection(8, multiplicities=PIN_MULT, tilt=former_tilt(8)),
+        # at their default tilts, which solve E[T] = n over these multiplicities
         Multiset(8, multiplicities=PIN_MULT),
         Assembly(8, multiplicities=PIN_MULT),
     ]
@@ -291,8 +292,9 @@ def _batched_samplers():
     # (integer sums under one and two constraints, and real sums through
     # the hypersimplex at level 2.5), and two slices with short dead runs;
     # hard rejection and the flat slices draw nothing in their step, so
-    # their runs go on across the draws on one rng; caps 37 and 200 cut
-    # runs short, so what NonTerminating reports is pinned too
+    # their runs go on across the draws on one rng (hard Partition(100)'s
+    # in windows of the cell scan); caps 37 and 200 cut runs short, so what
+    # NonTerminating reports is pinned too
     caps = (DEFAULT_MAX_ATTEMPTS, 37, 200)
     bits = _user_problem(
         (Bernoulli(0.3),) * 10, range(1, 11), 20, (0, 1),
@@ -313,13 +315,14 @@ def _batched_samplers():
 
 def _batched_table_samplers():
     # dead-heavy cdf-table families whose dead runs are drawn in batches:
-    # Selection (one-entry Binomial tables), Ewens (two constraints),
-    # SetPartition(100) and Assembly(100); SetPartition(400) (154 zero-rate
-    # coordinates with empty tables) and Multiset(100) hold more table
-    # entries than one batch may compare, so they draw one attempt at a
-    # time, and a user-built problem batches four empty tables among
-    # one-entry ones; caps 37 and 200 cut runs short, so what
-    # NonTerminating reports is pinned too
+    # Selection (one-entry Binomial tables), Ewens's dsh first halves (two
+    # constraints), SetPartition(100) and Assembly(100); SetPartition(400)
+    # (154 zero-rate coordinates with empty tables) holds more table
+    # entries than one batch may compare, so it draws one attempt at a
+    # time; the cell scan draws Multiset(100) and Ewens's hard full
+    # vectors, in windows; a user-built problem
+    # batches four empty tables among one-entry ones; caps 37 and 200 cut
+    # runs short, so what NonTerminating reports is pinned too
     families = (
         Selection(60, tilt=former_tilt(60)), EwensProfile(50, 5), SetPartition(100),
         SetPartition(400), Assembly(100), Multiset(100),
@@ -373,9 +376,8 @@ def _bernoulli_default_samplers():
 
 
 def _sparse_samplers():
-    # Partition(400) and (1600), whose dsh first halves, and Partition(1600)'s
-    # hard full vectors, the sparse scan draws; hard Partition(400) batches
-    # its dense block, so the cost rule keeps it
+    # Partition(400) and (1600), whose dsh first halves and hard full
+    # vectors the cell scan draws
     for n in (400, 1600):
         for method in ("dsh", "hard"):
             for cap in (DEFAULT_MAX_ATTEMPTS, 37):
@@ -410,7 +412,7 @@ def library_digest(samplers) -> str:
 # uniform: those draws equal the flat-pivot engine's.
 PINNED_LIBRARY = [
     ("families", _family_samplers,
-     "33e2df7b9eeecc50434f77eb3839e34d89156ed30de9f702ac3cacada0332c80"),
+     "2bcf181e4de066a5b150f34f22a3bf342ea02b1ca27a94c530ffc2ab77d4ecea"),
     ("geometry", _geometry_samplers,
      "4e4112a1e2d7b20c1d042f1dd78f21f7fcf47224a5f9a612ab73796e66e3e0e1"),
     ("user-built", _user_built_samplers,
@@ -418,9 +420,9 @@ PINNED_LIBRARY = [
     ("flat-integer-pivots", _flat_integer_pivot_samplers,
      "01da51651f9419e64e9fa9e013c83ad6ab18e517543b8d6db1cf002f92b3514f"),
     ("batched", _batched_samplers,
-     "ca76fc9f0d5fca0fc9c10e656634202a0761bb66f762eaf7458834ce7f9182f7"),
+     "baf5d8c6f3f3869f141577c8c27650e1820f4899f400bced932a44df4937603c"),
     ("batched-tables", _batched_table_samplers,
-     "9810debe9df151f83226832611f5f8b897dd83e7099ff339827fc80fde6f03b5"),
+     "99eb7e41f053e02c69a29aab9a165cc4d47cfad0b96dda716c485d7c8465ed4d"),
     ("grid", _grid_samplers,
      "8db6394e960981dcc90334312a577369f4fda514f4503248d6125c76b40cc958"),
     ("grid-default", _grid_default_samplers,
@@ -428,7 +430,7 @@ PINNED_LIBRARY = [
     ("bernoulli-default", _bernoulli_default_samplers,
      "25f260c39380bcb8ad6d6c0f83eace214d7e29d6c0dbfa244ea4d712794a4d83"),
     ("sparse", _sparse_samplers,
-     "1721562b64713292cc580443d04cc00b7bda2e650d8a8ccb521e5af4540381af"),
+     "45b180609fc063ee1375304729372f075bb93bae8fb3e92bc55347488c2f8433"),
 ]
 
 

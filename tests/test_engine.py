@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from exactcond import engine
 from exactcond.engine import (
+    DEFAULT_MAX_ATTEMPTS,
     ConditioningProblem,
     SecondConstraint,
     complete_from_sums,
@@ -42,6 +43,7 @@ from exactcond.marginals import (
     UniformInt,
     UniformReal,
     block_inversion,
+    _cell_table,
 )
 from exactcond.structures import (
     Assembly,
@@ -54,7 +56,7 @@ from exactcond.structures import (
     build_problem,
     small_ball_sample,
 )
-from exactcond.verify import chi_squared_gof, enumerate_conditional
+from exactcond.verify import chi_squared_gof, enumerate_conditional, ks_statistic
 
 
 def geometric_problem():
@@ -790,11 +792,10 @@ UNIT_CUBE = ConditioningProblem(
 )
 def test_table_drawer_matches_the_sample_plan(family):
     prob = family if family is UNIT_CUBE else build_problem(family)
-    for chosen, indices in (
-        (prob._draw_free, prob.free_indices),
-        (prob._draw_full, range(prob.size)),
-    ):
-        assert not isinstance(chosen, partial)  # the block drawer, not a plan
+    for indices in (prob.free_indices, tuple(range(prob.size))):
+        # the block drawer itself: the cell scan draws some of these blocks
+        chosen = _block_drawer(prob, indices)
+        assert chosen is not None
         plan = sample_plan(prob, indices)
         weights = [prob.weights[i] for i in indices]
         rng, ref_rng = CountingRng(3), CountingRng(3)
@@ -913,14 +914,18 @@ def test_table_lookup_matches_the_scan_at_edge_uniforms(marginal):
         assert prob._draw_free(rng)[2].tolist() == [want]
 
 
-def scan_of(problem, monkeypatch):
-    """The sparse scan over the problem's free block, whatever the cost rule says."""
+def scan_of(problem, monkeypatch, full=False):
+    """The cell scan of the problem's free block (dsh) or full vector (hard), whatever the cost rule says."""
     monkeypatch.setattr(engine, "_SCAN_MIN_SIZE", 0)
     monkeypatch.setattr(engine, "_scan_pays", lambda *_: True)
-    return engine._sparse_drawer(problem, problem.free_indices, False)
+    problem = replace(problem)
+    draw = problem._draw_full if full else problem._draw_free
+    assert hasattr(draw, "skip")
+    return draw
 
 
-# cumulative hazards 0, 1, 1, 1.5, 2.5: Poisson(0.0) has an empty interval
+# cells of hazard 1, 0.5 and 1 (Poisson(0.0) has none) at 0, 1 and 1.5 on
+# the hazard axis, up to H = 2.5; no jump passes a cap, so no dead cell
 ZERO_GAP_BLOCK = ConditioningProblem(
     marginals=(Poisson(1.0), Poisson(0.0), Poisson(0.5), Poisson(1.0), Poisson(2.0)),
     weights=(1, 2, 3, 4, 5), target=12, index_set=(4,),
@@ -929,69 +934,76 @@ ZERO_GAP_BLOCK = ConditioningProblem(
 TOP = 1.0 - 2.0 ** -53
 
 
-def test_a_zero_gap_lands_on_the_next_undecided_coordinate(monkeypatch):
+def at_hazard(h: float) -> float:
+    """The uniform whose gap is h."""
+    return -math.expm1(-h)
+
+
+def test_zero_gaps_pile_points_on_one_cell(monkeypatch):
     draw = scan_of(ZERO_GAP_BLOCK, monkeypatch)
-    # each zero gap starts where the last hit's interval ends, so it hits
-    # the next coordinate of positive hazard, and the fourth starts at the
-    # end; then three values, each 1 at u = 0.5
-    rng = FixedUniforms([0.0] * 4 + [0.5] * 3)
+    # two zero gaps put two points at 0, in coordinate 0's cell, the next
+    # one lands at 1.2, in coordinate 2's, and the largest gap closes
+    rng = FixedUniforms([0.0, 0.0, at_hazard(1.2), TOP])
     lin, sec, vals = draw(rng)
-    assert (vals.at, vals.values) == ([0, 2, 3], [1, 1, 1])
-    assert (lin, sec, rng.calls) == (1 + 3 + 4, 0, 7)
-    assert vals.dense() == [1, 0, 1, 1]
+    assert vals.dense() == [2, 0, 1, 0]
+    assert (lin, sec, rng.calls) == (2 * 1 + 1 * 3, 0, 4)
+    assert vals.closing == pytest.approx(math.exp(-(53 * math.log(2) - 1.2 - 2.5 + 1.2)))
 
 
 def test_the_largest_uniform_ends_the_scan(monkeypatch):
     draw = scan_of(ZERO_GAP_BLOCK, monkeypatch)
     rng = FixedUniforms([TOP])
-    assert draw(rng)[:2] == (0, 0) and rng.calls == 1
-    # from a restart point as well
-    rng = FixedUniforms([0.0, TOP, 0.5])
     lin, _, vals = draw(rng)
-    assert (vals.at, lin, rng.calls) == ([0], 1, 3)
+    assert (lin, vals.dense(), rng.calls) == (0, [0, 0, 0, 0], 1)
+    # after a point as well
+    rng = FixedUniforms([0.0, TOP])
+    lin, _, vals = draw(rng)
+    assert (lin, vals.dense(), rng.calls) == (1, [1, 0, 0, 0], 2)
     # and over a total hazard just below its gap
     prob = ConditioningProblem(
         marginals=(Poisson(36.73), Poisson(0.0), Poisson(1.0)), weights=(1, 1, 1),
         target=3, index_set=(2,),
     )
     rng = FixedUniforms([TOP])
-    assert scan_of(prob, monkeypatch)(rng)[2].at == [] and rng.calls == 1
+    assert scan_of(prob, monkeypatch)(rng)[0] == 0 and rng.calls == 1
 
 
 def test_zero_hazard_coordinates_are_never_hit(monkeypatch):
     prob = build_problem(SetPartition(400))
-    rates = [prob.marginals[i].rate for i in prob.free_indices]
-    zero = {k for k, rate in enumerate(rates) if rate == 0.0}
+    free = [prob.marginals[i] for i in prob.free_indices]
+    zero = {k for k, m in enumerate(free) if m.rate == 0.0}
     assert len(zero) == 154
-    assert all(len(prob.marginals[prob.free_indices[k]].cdf_table) == 0 for k in zero)
+    owner = _cell_table(free, [400 // prob.weights[i] for i in prob.free_indices], 0.0, 10**6)[0]
+    assert not zero & set(owner.tolist())
     draw = scan_of(prob, monkeypatch)
     rng = CountingRng(11)
     for _ in range(2000):
-        at = draw(rng)[2].at
-        assert at == sorted(set(at)) and not zero & set(at)
-    # zero gaps walk every coordinate whose interval is not empty, in
-    # order, and past the last one into the zero-rate tail, where they stop
-    ends = list(itertools.accumulate(rates, initial=0.0))
-    live = [k for k in range(len(rates)) if ends[k + 1] > ends[k]]
-    assert not zero & set(live)
-    rng = FixedUniforms([0.0] * (len(live) + 1))
-    assert draw(rng)[2].at == live
-    assert rng.calls == 2 * len(live) + 1
+        values = draw(rng)[2].dense()
+        assert not any(values[k] for k in zero)
+
+
+def grid_gap(u: float) -> int:
+    """A uniform's gap on the scan's position grid, as the scan forms it."""
+    return int((np.log1p(-np.array([u])) * -engine._GRID).astype(np.int64)[0])
 
 
 def test_tiny_hazards_after_a_heavy_coordinate_keep_their_intervals(monkeypatch):
-    # 1e5 + 1e-12 rounds to 1e5, which would empty the intervals after it;
-    # the heavy coordinate is nonzero from any restart point all the same
+    # 30 + 1e-12 rounds to 30 in floats, but on the grid each Poisson(1e-12)
+    # cell is 18 units wide, right after the heavy cell [0, 30)
     prob = ConditioningProblem(
-        marginals=(Poisson(1e5),) + (Poisson(1e-12),) * 3 + (Poisson(1.0),),
-        weights=(1,) * 5, target=100_003, index_set=(4,),
+        marginals=(Poisson(30.0),) + (Poisson(1e-12),) * 3 + (Poisson(1.0),),
+        weights=(1,) * 5, target=33, index_set=(4,),
     )
     draw = scan_of(prob, monkeypatch)
-    # the largest gap from 0 hits it, and from its end passes the block's
-    rng = FixedUniforms([TOP, TOP])
-    assert draw(rng)[2].at == [0]
-    rng = FixedUniforms([0.0] * 5)
-    assert draw(rng)[2].at == [0, 1, 2, 3]
+    heavy = round(30.0 * engine._GRID)
+    u = at_hazard(29.5)
+    for k in range(3):
+        # a point in the heavy cell, then one in the middle of tiny cell k
+        want = heavy + 18 * k + 9 - grid_gap(u)
+        v = at_hazard(want / engine._GRID)
+        assert abs(grid_gap(v) - want) <= 2
+        rng = FixedUniforms([u, v, TOP])
+        assert draw(rng)[2].dense() == [1] + [int(j == k) for j in range(3)]
 
 
 @pytest.mark.parametrize(
@@ -1010,21 +1022,116 @@ def test_tiny_hazards_after_a_heavy_coordinate_keep_their_intervals(monkeypatch)
     ids=repr,
 )
 def test_zero_truncated_tables_match_scipy(marginal):
+    # the cells give Z given Z >= 1 as scipy does, even where P(Z >= 1) is
+    # tiny: it is -expm1(-hazard), not 1 - P(Z = 0)
     from scipy import stats
+
+    from test_marginals import cell_masses
 
     if isinstance(marginal, Poisson):
         law = stats.poisson(marginal.rate)
     elif isinstance(marginal, Binomial):
         law = stats.binom(marginal.trials, marginal.success)
     else:
-        # scipy's nbinom(n, p) counts failures of chance 1 - p before n successes
         law = stats.nbinom(marginal.blocks, 1.0 - marginal.ratio)
-    table = marginal._positive_table
+    cap = int(min(law.mean() + 40 * law.std() + 40, law.support()[1]))
+    masses, _ = cell_masses(marginal, cap)
+    a, r, hits = marginal._cells()
+    hazard = a * max(hits, 1) if hits or r == 0.0 else a / r * -math.log1p(-r)
     # entry j is P(Z <= j + 1 | Z >= 1)
-    want = np.cumsum(law.pmf(np.arange(1, len(table) + 1))) / law.sf(0)
+    got = np.cumsum(masses[1:]) / -math.expm1(-hazard)
+    want = np.cumsum(law.pmf(np.arange(1, cap + 1))) / law.sf(0)
     seen = want > 1e-300
     assert seen.any()
-    assert np.max(np.abs(table[seen] - want[seen]) / want[seen]) < 1e-10
+    assert np.max(np.abs(got[seen] - want[seen]) / want[seen]) < 1e-10
+
+
+def closing_sample(monkeypatch, draws: int):
+    """exp(-V) and the point count of each live attempt of hard Partition(100)'s cell scan."""
+    prob = build_problem(Partition(100))
+    draw = scan_of(prob, monkeypatch, full=True)
+    rng = CountingRng(2024)
+    closings, points = [], []
+    for _ in range(draws):
+        start = rng.calls
+        lin, _, vals = draw(rng)
+        spent = rng.calls - start
+        # a dead attempt ends at its first gap, with the sum t + 1
+        if not (spent == 1 and lin == prob.target + 1):
+            closings.append(vals.closing)
+            points.append(spent - 1)
+    return closings, points
+
+
+def test_the_closing_gap_is_an_independent_uniform(monkeypatch):
+    from scipy import stats
+
+    closings, points = closing_sample(monkeypatch, 20000)
+    assert len(closings) > 19900
+    _, p = ks_statistic(closings, lambda x: min(max(x, 0.0), 1.0))
+    assert p > 1e-3
+    # nor does it follow how many points the attempt held
+    assert stats.pearsonr(closings, points).pvalue > 1e-3
+    assert stats.spearmanr(closings, points).pvalue > 1e-3
+
+
+@pytest.mark.parametrize(
+    "family, full",
+    [(Partition(100), False), (Partition(100), True), (EwensProfile(50, 5), False),
+     (DistinctPartition(100), False)],
+    ids=["partition-dsh", "partition-hard", "ewens-dsh", "distinct-dsh"],
+)
+def test_the_screen_rejects_what_the_step_rejects(family, full, monkeypatch):
+    prob = build_problem(family)
+    draw = scan_of(prob, monkeypatch, full=full)
+    screen = (engine._hit_screen if full else engine._pivot_screen)(prob)
+    rng = CountingRng(31)
+    attempts = [draw(rng) for _ in range(3000)]
+    lins = np.array([lin for lin, _, _ in attempts])
+    secs = None if prob.second is None else np.array([sec for _, sec, _ in attempts])
+    closings = np.array([vals.closing for _, _, vals in attempts])
+    rejected = screen(lins, secs, closings).tolist()
+    targets = (prob.target, 0 if prob.second is None else prob.second.target)
+    for (lin, sec, vals), out in zip(attempts, rejected):
+        kept = (lin, sec) == targets if full else prob._dsh_step(lin, sec, vals, None) is not None
+        assert kept != out
+    assert 0 < rejected.count(False) < len(rejected)
+
+
+WINDOW_FAMILIES = [
+    (Partition(100), "dsh", 100), (Partition(100), "hard", 8), (Multiset(100), "dsh", 100),
+    (EwensProfile(50, 5), "dsh", 40), (EwensProfile(50, 5), "hard", 8),
+    (DistinctPartition(100), "dsh", 20), (DistinctPartition(100), "hard", 8),
+]
+
+
+@pytest.mark.parametrize(
+    "family, method, draws", WINDOW_FAMILIES, ids=[f"{f!r}-{m}" for f, m, _ in WINDOW_FAMILIES]
+)
+def test_records_do_not_depend_on_how_many_attempts_a_window_holds(
+    family, method, draws, monkeypatch
+):
+    # DistinctPartition's hit cells and Ewens's second sum are scanned too
+    engine_of = {"dsh": dsh_sample, "hard": hard_rejection_sample}[method]
+
+    def records():
+        prob = build_problem(family)
+        scan_of(prob, monkeypatch, full=method == "hard")
+        prob = replace(prob)
+        rng = PeekCountingRng(77)
+        out = []
+        for cap in (DEFAULT_MAX_ATTEMPTS,) * draws + (3, 1):
+            try:
+                out.append(engine_of(prob, rng, max_attempts=cap))
+            except NonTerminating as err:
+                out.append((err.attempts, err.rng_calls))
+        return out, rng.calls, rng.peeks
+
+    *many, peeks = records()
+    # a window of at most one gap grows one gap at a time, so it holds one attempt
+    monkeypatch.setattr(engine, "_WINDOW", 1)
+    *one, more_peeks = records()
+    assert one == many and more_peeks > 2 * peeks
 
 
 # (ratio, u) where math's and numpy's log1p and log differ in the last bit

@@ -21,8 +21,9 @@ convolution affords, and its laws come from counting partitions instead:
 given T = n the partition is uniform, so K = k has weight p(n, k), the
 partitions of n into exactly k parts, and Z_i = j has weight
 p(n - i j) - p(n - i (j + 1)), the partitions of n - i j with no part i.
-There, and at Partition(400), the number D of distinct part sizes, the
-nonzero coordinates the sparse scan picks, is checked too.  Seeds, draw counts and the thresholds
+There, at Partition(400) and (100) and at Multiset(100), the number D
+of distinct part sizes, the nonzero coordinates the cell scan picks, is
+checked too, and hard rejection at Partition(100) on all five.  Seeds, draw counts and the thresholds
 are fixed here, before any run."""
 
 from collections import Counter
@@ -309,7 +310,7 @@ def test_the_counted_part_laws_match_the_convolution_and_the_oracle():
 
 
 # Partition(1600) at its default tilt, where dsh draws the first half by
-# the sparse scan; p > 1e-3, Bonferroni-corrected over its five statistics
+# the cell scan; p > 1e-3, Bonferroni-corrected over its five statistics
 SCAN_RUN = (Partition(1600), 2000, 3206)
 SCAN_THRESHOLD = 1e-3 / len(SCAN_STATS)
 
@@ -328,7 +329,7 @@ def test_partition_1600_part_laws_at_the_default_tilt():
         assert p > SCAN_THRESHOLD, f"{name} of {family!r}: p={p:.3g}"
 
 
-# Partition(400), the other size whose dsh first halves the scan draws:
+# Partition(400), another size whose dsh first halves the cell scan draws:
 # its Z_1-Z_3 and K are checked above, D here; p > 1e-3
 DISTINCT_RUN = (Partition(400), 2000, 3207)
 
@@ -341,3 +342,34 @@ def test_partition_400_distinct_part_sizes_at_the_default_tilt():
     )
     _, _, p = chi_squared_gof(counts, dict(enumerate(distinct_size_counts(family.n))))
     assert p > 1e-3, f"D of {family!r}: p={p:.3g}"
+
+
+# n = 100, where the cell scan draws the dsh first halves of Partition and
+# Multiset and hard Partition's full vectors: D under dsh, and all five
+# statistics under hard rejection, against the partition counts (given
+# T = n both families are uniform partitions); p > 1e-3,
+# Bonferroni-corrected over the seven tests
+CELL_RUNS = (
+    (Partition(100), "dsh", ("D",), 3000, 3208),
+    (Multiset(100), "dsh", ("D",), 3000, 3209),
+    (Partition(100), "hard", SCAN_STATS, 2000, 3210),
+)
+CELL_THRESHOLD = 1e-3 / sum(len(stats) for _, _, stats, _, _ in CELL_RUNS)
+
+
+@pytest.mark.parametrize(
+    "family, method, stats, draws, seed", CELL_RUNS,
+    ids=[f"{f!r}-{m}" for f, m, _, _, _ in CELL_RUNS],
+)
+def test_part_laws_at_n_100_with_distinct_sizes_and_hard_rejection(family, method, stats, draws, seed):
+    laws = counted_part_laws(family.n)
+    rng = CountingRng(seed)
+    counts = {name: Counter() for name in stats}
+    for _ in range(draws):
+        value, _ = sample_structure(family, rng, method=method)
+        got = scan_stats(value.counts)
+        for name in stats:
+            counts[name][got[name]] += 1
+    for name in stats:
+        _, _, p = chi_squared_gof(counts[name], laws[name])
+        assert p > CELL_THRESHOLD, f"{name} of {family!r} under {method}: p={p:.3g}"

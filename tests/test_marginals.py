@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from exactcond.marginals import (
     SignedUnit,
     UniformInt,
     UniformReal,
+    _cell_table,
     derive_seed,
 )
 from exactcond.verify import chi_squared_gof, ks_statistic
@@ -266,6 +268,85 @@ def test_cdf_table_matches_scipy_at_extreme_parameters(marginal):
     seen = want > 1e-300
     assert seen.any()
     assert np.max(np.abs(table[seen] - want[seen]) / want[seen]) < 1e-10
+
+
+def cell_masses(marginal, cap: int) -> tuple[np.ndarray, float]:
+    """P(Z = k) for k = 0..cap by convolving the law's Poisson cells, and its dead hazard.
+
+    A count cell of jump j holds Poisson(h) points and adds j per point; a
+    hit cell adds 1 if it holds any.  Every law on 0..cap uses no jump past
+    the cap, so its masses are these times P(the dead cell is empty).
+    """
+    _, jump, hit, hazard, dead = _cell_table([marginal], [cap], 0.0, 10**6)
+    law = np.zeros(cap + 1)
+    law[0] = 1.0
+    for j, h, once in zip(jump.tolist(), hazard.tolist(), hit.tolist()):
+        cell = np.zeros(cap + 1)
+        if once:
+            cell[0], cell[1] = math.exp(-h), -math.expm1(-h)
+        else:
+            for m in range(cap // j + 1):
+                cell[m * j] = math.exp(m * math.log(h) - h - math.lgamma(m + 1))
+        law = np.convolve(law, cell)[: cap + 1]
+    return law * math.exp(-dead), dead
+
+
+def log_series_tail(a: float, r: float, cap: int) -> float:
+    """sum_{j > cap} a r^(j-1) / j, as the whole (a / r)(-log(1 - r)) less its head, in 120 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 120
+        a, r = Decimal(a), Decimal(r)
+        head = sum(a * r ** (j - 1) / j for j in range(1, cap + 1))
+        return float(a / r * -(1 - r).ln() - head)
+
+
+@pytest.mark.parametrize(
+    "marginal, cap",
+    [
+        (Geometric(0.01), 5), (Geometric(0.5), 20), (Geometric(0.999), 30), (Geometric(0.5), 0),
+        (NegativeBinomial(3, 0.01), 5), (NegativeBinomial(3, 0.5), 20),
+        (NegativeBinomial(3, 0.99), 40),
+        (Poisson(1e-3), 3), (Poisson(3.5), 12), (Poisson(40.0), 60), (Poisson(3.5), 0),
+        (Bernoulli(0.01), 1), (Bernoulli(0.5), 1), (Bernoulli(0.999), 1), (Bernoulli(0.5), 0),
+        (Binomial(5, 0.01), 3), (Binomial(5, 0.5), 5), (Binomial(5, 0.999), 5),
+        (Binomial(5, 0.5), 0),
+    ],
+    ids=lambda case: repr(case) if not isinstance(case, int) else f"cap={case}",
+)
+def test_poisson_cells_convolve_to_the_law(marginal, cap):
+    from scipy import stats
+
+    law, dead = cell_masses(marginal, cap)
+    want = np.array([marginal.density(k) for k in range(cap + 1)])
+    assert np.max(np.abs(law - want) / want) < 1e-12
+    # the mass the dead cell and the jumps it leaves take: P(Z > cap)
+    if isinstance(marginal, Geometric):
+        tail = marginal.ratio ** (cap + 1)
+    elif isinstance(marginal, NegativeBinomial):
+        tail = stats.nbinom(marginal.blocks, 1.0 - marginal.ratio).sf(cap)
+    elif isinstance(marginal, Poisson):
+        tail = stats.poisson(marginal.rate).sf(cap)
+    else:
+        tail = stats.binom(getattr(marginal, "trials", 1), marginal.success).sf(cap)
+    assert 1.0 - law.sum() == pytest.approx(tail, rel=1e-9, abs=1e-15)
+    a, r, hits = marginal._cells()
+    if hits or r == 0.0:
+        # a Poisson cell or hit cells are dead whole at cap 0, and live past it
+        assert dead == (a * max(hits, 1) if cap == 0 else 0.0)
+    else:
+        assert dead == pytest.approx(log_series_tail(a, r, cap), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "marginal, cap", [(Geometric(0.01), 20), (Geometric(0.6), 200), (NegativeBinomial(2, 0.3), 60)],
+    ids=repr,
+)
+def test_a_tiny_dead_hazard_keeps_its_digits(marginal, cap):
+    # the whole hazard less the live cells would cancel to nothing here
+    a, r, _ = marginal._cells()
+    want = log_series_tail(a, r, cap)
+    assert 0.0 < want < 1e-30
+    assert _cell_table([marginal], [cap], 0.0, 10**6)[4] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_uniform_int_and_signed_unit():

@@ -122,6 +122,26 @@ def test_pinned_multiplicity_tilt():
     assert solve_tilt("selection", 8, PIN_MULT) == 0.6668379455904292
 
 
+def test_multiplicities_move_the_multiset_and_assembly_tilts():
+    for n, mult in ((8, PIN_MULT), (100, (3,) * 100), (30, tuple(1 + i % 4 for i in range(30)))):
+        # NegativeBinomial(m_i, x^i) and Poisson(m_i x^i / i!) parts of size i
+        x = solve_tilt("multiset", n, mult)
+        assert 0.0 < x < 1.0
+        mean = sum(i * m * x**i / (1.0 - x**i) for i, m in enumerate(mult, start=1))
+        assert mean == pytest.approx(n, rel=1e-9)
+        x = solve_tilt("assembly", n, mult)
+        mean = sum(i * m * x**i / math.factorial(i) for i, m in enumerate(mult, start=1))
+        assert mean == pytest.approx(n, rel=1e-9)
+    # unit multiplicities keep exp(-pi / sqrt(6 n)) and x e^x = n
+    assert solve_tilt("multiset", 100, (1,) * 100) == solve_tilt("partition", 100)
+    assert solve_tilt("assembly", 100, (1,) * 100) == solve_tilt("setpartition", 100)
+    # at the old tilts these took 1,775 attempts a sample and over 10^7
+    rng = CountingRng(1)
+    for family in (Multiset(100, multiplicities=[3] * 100), Assembly(100, multiplicities=[3] * 100)):
+        attempts = sum(sample_structure(family, rng)[1].attempts for _ in range(200))
+        assert attempts < 200 * 20, family
+
+
 @pytest.mark.parametrize(
     "family",
     [PlanePartitionGrid(3), PlanePartitionGrid(30), PlanePartitionGrid(12, tilt=0.4148625)],
@@ -454,6 +474,16 @@ def test_family_validation():
     for family in (Partition(1e3), Partition(3.5), PlanePartitionGrid(12.0)):
         with pytest.raises(InvalidFamily, match="whole number"):
             build_problem(family)
+    # a tilt whose x^i underflows to 0 would build a Geometric(0.0) or Bernoulli(0.0)
+    for family, low in (
+        (Partition(300, tilt=0.001), 108), (Multiset(300, tilt=1e-3), 108),
+        (PlanePartitionGrid(400, tilt=0.1), 324), (Selection(200, tilt=0.01), 162),
+        (DistinctPartition(200, tilt=0.01), 162),
+    ):
+        with pytest.raises(InvalidFamily, match=rf"tilt {family.tilt} .* x\^{low} underflows"):
+            build_problem(family)
+    # a Poisson row's rates may underflow: a rate of 0 is a law
+    assert build_problem(SetPartition(400, tilt=0.01)).size == 400
     with pytest.raises(InvalidFamily, match="whole number"):
         solve_tilt("partition", 2.5)
     assert solve_tilt("distinct", np.int64(8)) == solve_tilt("distinct", 8)
