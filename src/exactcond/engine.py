@@ -123,8 +123,7 @@ import numpy as np
 
 from .errors import InfeasibleTarget, InvalidRejection, NonTerminating, SingularSystem
 from .marginals import (
-    ContinuousMarginal, CountingRng, DiscreteMarginal, Geometric, _ragged, block_inversion,
-    _cell_table,
+    ContinuousMarginal, CountingRng, DiscreteMarginal, Geometric, _cell_table, block_inversion,
 )
 
 DEFAULT_MAX_ATTEMPTS = 10 ** 8
@@ -378,9 +377,8 @@ def _block_drawer(problem: ConditioningProblem, indices) -> Drawer | None:
 
     def peek(rng: CountingRng, k: int) -> _Window:
         z = invert(rng.peek(k * count).reshape(k, count))
-        rows = zip(totals(w, z), repeat(0) if c is None else totals(c, z), z)
-        # a block's attempts are handed out in order, so item(i) is the next row
-        return _Window([count] * k, partial(next, rows))
+        rows = list(zip(totals(w, z), repeat(0) if c is None else totals(c, z), z))
+        return _Window([count] * k, rows.__getitem__)
 
     return _windowed(peek, most, draw)
 
@@ -584,18 +582,12 @@ def _cell_drawer(problem: ConditioningProblem, indices, screen: Callable) -> Dra
     hit = np.concatenate(([False], hit, [False]))
     at = np.concatenate(([0], owner, [0]))
     value = np.concatenate(([0], jump, [0]))
+    past = len(bounds)
     size = len(indices)
 
     def dense(places: np.ndarray) -> list:
-        adds = value[places]
-        if hits:
-            # a hit cell's later points add nothing
-            again = hit[places]
-            again[1:] &= places[1:] == places[:-1]
-            again[:1] = False
-            adds[again] = 0
         out = [0] * size
-        for i, v in zip(at[places].tolist(), adds.tolist()):
+        for i, v in zip(at[places].tolist(), value[places].tolist()):
             out[i] += v
         return out
 
@@ -626,19 +618,14 @@ def _cell_drawer(problem: ConditioningProblem, indices, screen: Callable) -> Dra
         rel = pos[:s] - np.repeat(bases, lengths)
         places = np.searchsorted(bounds, rel, side="right")
         if hits:
-            # a hit cell's later points in the same attempt add nothing
+            # a hit cell's later points in the same attempt add nothing:
+            # they move past H, where every table holds 0
             again = hit[places]
             again[1:] &= places[1:] == places[:-1]
             again[starts] = False
-
-        def sums(of):
-            terms = of[places]
-            if hits:
-                terms[again] = 0
-            return np.add.reduceat(terms, starts)
-
-        lins = sums(lin_of)
-        secs = None if sec_of is None else sums(sec_of)
+            places[again] = past
+        lins = np.add.reduceat(lin_of[places], starts)
+        secs = None if sec_of is None else np.add.reduceat(sec_of[places], starts)
         over = [spots[e - 1] - b - end for e, b in zip(ends, bases)]
         closing = np.exp(np.array(over) / -_GRID)
         passing = np.flatnonzero(~rejects(lins, secs, closing)).tolist()
