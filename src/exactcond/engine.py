@@ -57,10 +57,12 @@ whichever window holds it.  A floored gap keeps the chance of no point in
 k grid units exactly exp(-k 2^-44), and a rounded hazard moves its cell's
 hit chance by at most 2^-45, so an attempt's law moves by at most
 cells x 2^-45 in total variation (2e-10 for Partition(1600)'s 7,475
-cells).  The cost rule (``_scan_pays``)
-compares the dense block's table comparisons an attempt with the scan's
-uniforms an attempt, in blocks of 50 coordinates or more.  Soft rejection
-weighs dead first halves too, so it never scans.
+cells).  The cost rule (``_scan_pays``) compares the dense block's table
+comparisons an attempt, plus a fixed cost an attempt, with the scan's
+uniforms an attempt, in blocks of 50 coordinates or more: at the
+benchmark's sizes the partition, multiset, distinct-part and selection
+blocks scan, and the set partition and assembly blocks keep the dense
+block.  Soft rejection weighs dead first halves too, so it never scans.
 
 A scan reads many attempts per peek of the stream, and a dense block
 batches K attempts' blocks in one numpy call, through one scope
@@ -482,7 +484,7 @@ class _Attempt(NamedTuple):
 _GRID = 2.0 ** 44
 _WINDOW = 8192
 # a window reads the uniforms of k attempts on average, and _SLACK more
-_SLACK = 256
+_SLACK = 32
 # a block with more cells, or more total hazard, keeps the dense block
 _MAX_CELLS = 1 << 16
 _MAX_HAZARD = 256.0
@@ -490,32 +492,41 @@ _MAX_HAZARD = 256.0
 
 # The cost rule of the cell scan: it pays where the dense block's work
 # per attempt, in table comparisons (a coordinate 1, a table entry 1, a
-# Geometric coordinate _LOG_COST for its logarithm), reaches _SCAN_STEP per
-# uniform the scan spends an attempt, in a block of at least _SCAN_MIN_SIZE
-# coordinates.  Measured as process time per sample, a fresh rng per
-# sample, dense -> cells, on a shared 2-vCPU x86-64 host (Python 3.11,
-# numpy 2.4), medians of 3-5 alternating runs read +-30%: Partition(100)
-# dsh 125-223 -> 129-199 us (990 comparisons, 9.8 uniforms an attempt),
-# hard 410-685 -> 306-538, Partition(400) 290-416 -> 181-318, (1600)
-# 970-1362 -> 351-643, Multiset(100) 123-176 -> 129-205 (1,337, 9.8),
-# EwensProfile(50, 5) 654-1032 -> 298-572 (446, 3.2) switch;
-# DistinctPartition(100) 148-284 -> 240-454 (99, 9.1), Selection(60)
-# 138-270 -> 176-322 (118, 7.1), SetPartition(100) 87-168 -> 126-221
-# (444, 25.8) and Assembly(100) 81-155 -> 115-225 (435, 23) stay dense.
-# Below 50 coordinates a sample takes few attempts, and one window costs
-# more than the block saves: Partition(30) 160 -> 209 us, Multiset(50)
-# 158 -> 187 us, Partition(50) 205 -> 202 us.  EwensProfile(50, 5)'s 48
-# free coordinates would gain (654 -> 298 us), but the benchmark's
-# struct-generic peak RSS, which grows with its request count, then read
-# +5.0% against a 5% bound, so they stay dense.
-_SCAN_STEP = 40
+# Geometric coordinate _LOG_COST for its logarithm) plus _DENSE_BASE for
+# the attempt itself, reaches _SCAN_STEP per uniform the scan spends an
+# attempt, in a block of at least _SCAN_MIN_SIZE coordinates.  Measured as
+# process time per sample, a fresh rng per sample, dense -> cells (medians
+# of 15 interleaved blocks of 100 samples, then the median ratio of paired
+# blocks; comparisons and uniforms an attempt in brackets), dsh unless
+# noted, on a shared 2-vCPU x86-64 host (Python 3.11, numpy 2.4).  These
+# switch: Partition(100) 145 -> 101 us, 0.72 (990, 9.8), hard 395 -> 266,
+# 0.69 (1,000, 11.9); Partition(400) 314 -> 151, 0.47 (3,990, 21.6);
+# Partition(1600) 1,096 -> 278, 0.24 (15,990, 46.2); Multiset(100)
+# 148 -> 103, 0.69 (1,337, 9.8); DistinctPartition(100) 173 -> 171, 0.98
+# (99, 9.1); DistinctPartition(400) 732 -> 535, 0.71 (399, 18.1);
+# Selection(60) 164 -> 133, 0.84 (118, 7.1), hard 183 -> 172, 0.94 (120,
+# 7.7).  These stay dense: SetPartition(100) 108 -> 106, 1.00 (444, 25.8)
+# and Assembly(100) 93 -> 99, 1.04 (435, 23.1).  The rule reads the block,
+# not the engine, and a block under hard rejection differs from its dsh
+# first half by one coordinate, though its runs are longer: hard
+# SetPartition(100) and Assembly(100) would gain (264 -> 197 and
+# 273 -> 210, both (474, 29.5)), and hard DistinctPartition(100) loses
+# (208 -> 239, 1.18, (100, 9.7)).  Below 50 coordinates the scan now gains
+# too (Partition(30) 90 -> 76 us, Partition(50) 107 -> 82, Multiset(50)
+# 110 -> 82, the grid's 28 classes at n = 30 192 -> 108, EwensProfile(50,
+# 5)'s 48 free coordinates 729 -> 215), but those blocks draw the small
+# families' and the CLI's pinned outputs, and with EwensProfile(50, 5)
+# switched the benchmark's struct-generic peak RSS, which grows with its
+# request count, read +5.0% against a 5% bound, so they stay dense.
+_SCAN_STEP = 30
+_DENSE_BASE = 200
 _LOG_COST = 10
 _SCAN_MIN_SIZE = 50
 
 
 def _scan_pays(marginals, spend: float) -> bool:
     """Whether a cell scan spending ``spend`` uniforms an attempt beats the dense block of ``marginals``."""
-    dense = _table_entries(marginals) + sum(
+    dense = _DENSE_BASE + _table_entries(marginals) + sum(
         _LOG_COST if isinstance(m, Geometric) else 1 for m in marginals
     )
     return dense >= _SCAN_STEP * spend
@@ -536,12 +547,14 @@ def _cell_drawer(problem: ConditioningProblem, indices, screen: Callable) -> Dra
     attempt a draw of the whole first half, so attempt counts keep the
     dense block's law.
 
-    A window (``_windowed``) walks its gaps' running sums once, one
-    ``bisect`` an attempt, to find where each attempt closes; one
-    ``searchsorted`` places every point in its cell, and one
+    A window (``_windowed``) finds, by one ``searchsorted`` of its gaps'
+    running sums, where an attempt starting after each gap would close,
+    and walks that list once, a step an attempt, to pick the attempts;
+    one more ``searchsorted`` places every point in its cell, and one
     ``reduceat`` a sum gives every attempt's sums.  A dead attempt's
     linear sum is t + 1, which no engine completes.  ``screen()`` builds
-    the engine's screen over the window.
+    the engine's screen over the window.  A block of no hazard at all
+    keeps the dense block.
     """
     sec = problem.second
     t = problem.target
@@ -567,7 +580,7 @@ def _cell_drawer(problem: ConditioningProblem, indices, screen: Callable) -> Dra
     first = round(dead * _GRID)
     bounds = first + np.concatenate(([0], np.cumsum(np.rint(hazard * _GRID).astype(np.int64))))
     end = int(bounds[-1])
-    if end > _MAX_HAZARD * _GRID:
+    if not 0 < end <= _MAX_HAZARD * _GRID:
         return None
     # a dead attempt spends one uniform, a live one a point per unit of hazard and one more
     spend = 1.0 + math.exp(-first / _GRID) * (end - first) / _GRID
@@ -583,6 +596,8 @@ def _cell_drawer(problem: ConditioningProblem, indices, screen: Callable) -> Dra
     at = np.concatenate(([0], owner, [0]))
     value = np.concatenate(([0], jump, [0]))
     past = len(bounds)
+    # the bounds less H, measured from an attempt's end
+    shifted = bounds - end
     size = len(indices)
 
     def dense(places: np.ndarray) -> list:
@@ -594,51 +609,51 @@ def _cell_drawer(problem: ConditioningProblem, indices, screen: Callable) -> Dra
     def peek(rng: CountingRng, k: int) -> _Window:
         want = min(math.ceil(k * spend) + _SLACK, _WINDOW)
         while True:
-            pos = np.cumsum((np.log1p(-rng.peek(want)) * -_GRID).astype(np.int64))
-            # the attempts: each closes at once if its first point is dead,
-            # else at the first gap to reach H past its start
-            spots = pos.tolist()
-            starts, ends, bases, lengths = [], [], [], []
-            s = last = 0
-            while s < want:
-                e = s if spots[s] - last < first else bisect_left(spots, last + end, s)
-                if e == want:
-                    break
+            gaps = (np.log1p(-rng.peek(want)) * -_GRID).astype(np.int64)
+            pos = gaps.cumsum()
+            # where an attempt starting at gap s would close: at once if its
+            # first point is dead, else at the first gap to reach its end,
+            # H past the running sum before s (H > 0, so never before s)
+            ends = pos - gaps + end
+            close = pos.searchsorted(ends)
+            if first:
+                close = np.where(gaps < first, np.arange(want), close)
+            # the attempts: each starts after the one before closes
+            close_at = close.item
+            starts = []
+            s = 0
+            while s < want and (e := close_at(s)) < want:
                 starts.append(s)
-                bases.append(last)
-                lengths.append(e + 1 - s)
-                last = spots[e]
                 s = e + 1
-                ends.append(s)
             if starts:
                 break
             # the first attempt is still open, and its gaps sum below H
             want += min(want, _WINDOW)
-        # every gap's place, from its attempt's start
-        rel = pos[:s] - np.repeat(bases, lengths)
-        places = np.searchsorted(bounds, rel, side="right")
+        starts = np.array(starts, dtype=np.intp)
+        closes = close[starts]
+        ends = ends[starts]
+        lengths = closes - starts + 1
+        # every gap's place, as its distance from its attempt's end
+        places = shifted.searchsorted(pos[:s] - ends.repeat(lengths), side="right")
         if hits:
             # a hit cell's later points in the same attempt add nothing:
-            # they move past H, where every table holds 0
-            again = hit[places]
-            again[1:] &= places[1:] == places[:-1]
-            again[starts] = False
-            places[again] = past
+            # they move past H, where every table holds 0 (the gap before an
+            # attempt's first lies dead or past H, in no hit cell)
+            later = places[1:]
+            again = hit[later]
+            again &= later == places[:-1]
+            later[again] = past
         lins = np.add.reduceat(lin_of[places], starts)
         secs = None if sec_of is None else np.add.reduceat(sec_of[places], starts)
-        over = [spots[e - 1] - b - end for e, b in zip(ends, bases)]
-        closing = np.exp(np.array(over) / -_GRID)
-        passing = np.flatnonzero(~rejects(lins, secs, closing)).tolist()
-        lins = lins.tolist()
-        secs = [0] * len(starts) if secs is None else secs.tolist()
-        closing = closing.tolist()
+        closing = np.exp((ends - pos[closes]) / _GRID)
+        passing = (~rejects(lins, secs, closing)).nonzero()[0].tolist()
 
         def item(i):
-            return lins[i], secs[i], _Attempt(
-                partial(dense, places[starts[i]:ends[i] - 1]), closing[i]
+            return lins.item(i), 0 if secs is None else secs.item(i), _Attempt(
+                partial(dense, places[starts.item(i):closes.item(i)]), closing.item(i)
             )
 
-        return _Window(lengths, item, passing)
+        return _Window(lengths.tolist(), item, passing)
 
     rejects = screen()
     return _windowed(peek, max(1, _WINDOW // math.ceil(2 * spend)), screened=True)

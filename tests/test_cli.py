@@ -293,8 +293,9 @@ def _batched_samplers():
     # the hypersimplex at level 2.5), and two slices with short dead runs;
     # hard rejection and the flat slices draw nothing in their step, so
     # their runs go on across the draws on one rng (hard Partition(100)'s
-    # in windows of the cell scan); caps 37 and 200 cut runs short, so what
-    # NonTerminating reports is pinned too
+    # and both methods' DistinctPartition(100) in windows of the cell
+    # scan); caps 37 and 200 cut runs short, so what NonTerminating reports
+    # is pinned too
     caps = (DEFAULT_MAX_ATTEMPTS, 37, 200)
     bits = _user_problem(
         (Bernoulli(0.3),) * 10, range(1, 11), 20, (0, 1),
@@ -315,11 +316,11 @@ def _batched_samplers():
 
 def _batched_table_samplers():
     # dead-heavy cdf-table families whose dead runs are drawn in batches:
-    # Selection (one-entry Binomial tables), Ewens's dsh first halves (two
-    # constraints), SetPartition(100) and Assembly(100); SetPartition(400)
-    # (154 zero-rate coordinates with empty tables) holds more table
-    # entries than one batch may compare, so it draws one attempt at a
-    # time; the cell scan draws Multiset(100) and Ewens's hard full
+    # Ewens's dsh first halves (two constraints), SetPartition(100) and
+    # Assembly(100); SetPartition(400) (154 zero-rate coordinates with
+    # empty tables) holds more table entries than one batch may compare,
+    # so it draws one attempt at a time; the cell scan draws Selection(60)
+    # (one hit cell a coordinate), Multiset(100) and Ewens's hard full
     # vectors, in windows; a user-built problem
     # batches four empty tables among one-entry ones; caps 37 and 200 cut
     # runs short, so what NonTerminating reports is pinned too
@@ -364,7 +365,8 @@ def _grid_default_samplers():
 
 
 def _bernoulli_default_samplers():
-    # distinct parts and selections at their default tilt, solved from E[T] = n
+    # distinct parts and selections at their default tilt, solved from E[T] = n;
+    # the cell scan draws DistinctPartition(100) and Selection(60)
     families = (
         DistinctPartition(12), DistinctPartition(100), Selection(10), Selection(60),
         Selection(8, multiplicities=PIN_MULT),
@@ -420,15 +422,15 @@ PINNED_LIBRARY = [
     ("flat-integer-pivots", _flat_integer_pivot_samplers,
      "01da51651f9419e64e9fa9e013c83ad6ab18e517543b8d6db1cf002f92b3514f"),
     ("batched", _batched_samplers,
-     "baf5d8c6f3f3869f141577c8c27650e1820f4899f400bced932a44df4937603c"),
+     "0ded459293ad3cf4786ffafb1e8ee7107b70df77b6c85984e0307161dd8c3682"),
     ("batched-tables", _batched_table_samplers,
-     "99eb7e41f053e02c69a29aab9a165cc4d47cfad0b96dda716c485d7c8465ed4d"),
+     "fe0347f70c5c46c0afff9f6e7ee009c7837526e4c4c4a5a443e08603c4d2fbc0"),
     ("grid", _grid_samplers,
      "8db6394e960981dcc90334312a577369f4fda514f4503248d6125c76b40cc958"),
     ("grid-default", _grid_default_samplers,
      "7fc904b0ec5d4f582ca3cbae4804f3538a83484f969c0776d819b059d821e313"),
     ("bernoulli-default", _bernoulli_default_samplers,
-     "25f260c39380bcb8ad6d6c0f83eace214d7e29d6c0dbfa244ea4d712794a4d83"),
+     "8ab325d4b49a8ff2e758c791a676d13c2e17894c4d77759fb18e97efb37f4015"),
     ("sparse", _sparse_samplers,
      "45b180609fc063ee1375304729372f075bb93bae8fb3e92bc55347488c2f8433"),
 ]

@@ -51,8 +51,10 @@ from exactcond.structures import (
     EwensProfile,
     Multiset,
     Partition,
+    PlanePartitionGrid,
     Selection,
     SetPartition,
+    _counts_problem,
     build_problem,
     small_ball_sample,
 )
@@ -968,6 +970,17 @@ def test_the_largest_uniform_ends_the_scan(monkeypatch):
     assert scan_of(prob, monkeypatch)(rng)[0] == 0 and rng.calls == 1
 
 
+def test_a_block_without_hazard_keeps_the_dense_block():
+    # no cell and no dead cell: an attempt would close at every gap, and
+    # the window's search for where it closes needs a total hazard above 0
+    prob = ConditioningProblem(
+        marginals=(Poisson(0.0),) * 60, weights=tuple(range(1, 61)), target=0, index_set=(0,)
+    )
+    assert not hasattr(prob._draw_free, "skip")
+    rec = dsh_sample(prob, CountingRng(3))
+    assert rec.outcome == (0,) * 60 and rec.attempts == 1
+
+
 def test_zero_hazard_coordinates_are_never_hit(monkeypatch):
     prob = build_problem(SetPartition(400))
     free = [prob.marginals[i] for i in prob.free_indices]
@@ -1102,6 +1115,9 @@ WINDOW_FAMILIES = [
     (Partition(100), "dsh", 100), (Partition(100), "hard", 8), (Multiset(100), "dsh", 100),
     (EwensProfile(50, 5), "dsh", 40), (EwensProfile(50, 5), "hard", 8),
     (DistinctPartition(100), "dsh", 20), (DistinctPartition(100), "hard", 8),
+    (Selection(60), "dsh", 20), (Selection(60), "hard", 8),
+    # Binomial(2, p) coordinates, two hit cells each
+    (Selection(60, multiplicities=(2,) * 60), "dsh", 40),
 ]
 
 
@@ -1111,7 +1127,8 @@ WINDOW_FAMILIES = [
 def test_records_do_not_depend_on_how_many_attempts_a_window_holds(
     family, method, draws, monkeypatch
 ):
-    # DistinctPartition's hit cells and Ewens's second sum are scanned too
+    # the hit cells of DistinctPartition and Selection and Ewens's second
+    # sum are scanned too
     engine_of = {"dsh": dsh_sample, "hard": hard_rejection_sample}[method]
 
     def records():
@@ -1219,10 +1236,24 @@ def test_a_block_batches_within_one_block_of_comparisons():
     assert isinstance(prob._draw_free, partial) and not batches(prob._draw_free)
 
 
+def test_the_cost_rule_scans_the_blocks_of_the_benchmark_it_pays_for():
+    # at the benchmark's sizes: a change of _scan_pays's constants shows here
+    for family in (
+        Partition(100), Partition(400), Partition(1600), Multiset(100),
+        DistinctPartition(100), Selection(60),
+    ):
+        assert hasattr(fresh(family)._draw_free, "skip"), family
+    assert hasattr(fresh(Partition(100))._draw_full, "skip")
+    for family in (SetPartition(100), Assembly(100), EwensProfile(50, 5)):
+        assert not hasattr(fresh(family)._draw_free, "skip"), family
+    # the grid's class sums at n = 30
+    assert not hasattr(replace(_counts_problem(PlanePartitionGrid(30)))._draw_free, "skip")
+
+
 def test_a_batch_serves_only_the_unmoved_stream_it_peeked():
     # problems are shareable and an rng is single-owner: a window peeked
     # ahead is handed out only to the same rng with nothing drawn since
-    shared, other = fresh(SetPartition(100)), fresh(Selection(60))
+    shared, other = fresh(SetPartition(100)), fresh(Assembly(100))
     plans = {prob: sample_plan(prob, prob.free_indices) for prob in (shared, other)}
     rng, rng_ref = PeekCountingRng(5), CountingRng(5)
     second, second_ref = PeekCountingRng(6), CountingRng(6)

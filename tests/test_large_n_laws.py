@@ -23,8 +23,10 @@ partitions of n into exactly k parts, and Z_i = j has weight
 p(n - i j) - p(n - i (j + 1)), the partitions of n - i j with no part i.
 There, at Partition(400) and (100) and at Multiset(100), the number D
 of distinct part sizes, the nonzero coordinates the cell scan picks, is
-checked too, and hard rejection at Partition(100) on all five.  Seeds, draw counts and the thresholds
-are fixed here, before any run."""
+checked too, and hard rejection at Partition(100) on all five.
+DistinctPartition(100) is checked under hard rejection as well, on Z_1-Z_3
+and K against the convolution.  Seeds, draw counts and the thresholds are
+fixed here, before any run."""
 
 from collections import Counter
 
@@ -215,17 +217,28 @@ def test_negative_binomial_and_poisson_part_laws_at_the_default_tilt(family, dra
     assert_part_laws(family, draws, seed, LAW_THRESHOLD)
 
 
-def assert_part_laws(family, draws, seed, threshold):
+def assert_part_laws(family, draws, seed, threshold, method="dsh"):
     laws = part_laws(family)
     rng = CountingRng(seed)
     counts = {name: Counter() for name in PART_STATS}
     for _ in range(draws):
-        value, _ = sample_structure(family, rng)
+        value, _ = sample_structure(family, rng, method=method)
         for name, stat in part_stats(value.counts).items():
             counts[name][stat] += 1
     for name in PART_STATS:
         _, _, p = chi_squared_gof(counts[name], laws[name])
-        assert p > threshold, f"{name} of {family!r}: p={p:.3g}"
+        assert p > threshold, f"{name} of {family!r} under {method}: p={p:.3g}"
+
+
+# DistinctPartition(100) under hard rejection, whose full vectors the cell
+# scan draws, every coordinate a hit cell; p > 1e-3, Bonferroni-corrected
+# over its four statistics
+HARD_PART_RUN = (DistinctPartition(100), 2000, 3211)
+
+
+def test_distinct_part_laws_under_hard_rejection():
+    family, draws, seed = HARD_PART_RUN
+    assert_part_laws(family, draws, seed, 1e-3 / len(PART_STATS), method="hard")
 
 
 def partition_counts(n: int) -> tuple[np.ndarray, np.ndarray]:
